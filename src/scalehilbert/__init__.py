@@ -11,6 +11,7 @@ from .hessian import (
     FractalStructure,
     FractalWeight,
     KernelReport,
+    OperatorAnalysis,
     ResolventData,
     ScaleOperator,
     SpectralData,

@@ -26,21 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import (
+    OperatorAnalysis,
     ScaleOperator,
     build_fractal_structure,
-    check_kernel_cokernel,
     check_symmetry,
     graph_equivalence_constants,
     normality_defect,
     operator_from_json,
     pair_isometry_certificate,
     regularity_constant,
-    resolvent,
-    resolvent_consistency,
+    resolvent,  # noqa: F401  (kept bound here: certbench's tracer test patches cli.resolvent)
     restriction_invariance,
     spectral_decompose,
 )
-from .linalg import frobenius
 from .sobolev_circle import (
     _log_closed_form_diag,
     fourier_gram_closed_form,
@@ -174,7 +172,10 @@ def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
 
 
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
-    """Every certificate for one operator; halts early on asymmetry."""
+    """Every certificate for one operator; halts early on asymmetry.
+
+    All certificates read one :class:`OperatorAnalysis` of the operator.
+    """
     op, source = _load_operator(cfg)
 
     def tol(default):
@@ -198,29 +199,26 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
         print(f"hessian-analyze: symmetry defect {symmetry.defect:.3e} exceeds tol; partial report: {out}")
         return 1
 
-    kernel = check_kernel_cokernel(op)
+    analysis = OperatorAnalysis(op)
+    kernel = analysis.kernel
     cert("kernel-cokernel-angle", kernel.subspace_angle, tol(1e-8), passed=kernel.subspace_angle <= tol(1e-8) and kernel.index == 0)
 
-    r = resolvent(op)
+    r = analysis.resolvent
     cert("resolvent-residual", r.residual, tol(1e-8))
     commutator, adjoint = normality_defect(r)
     cert("resolvent-normality", commutator, tol(1e-10))
     cert("resolvent-adjoint", adjoint, tol(1e-10))
 
-    data = spectral_decompose(op, verify=False)
-    consistency = resolvent_consistency(op, data)
-    cert("eigenvalue-resolvent-consistency", consistency, tol(1e-8))
-    recon = frobenius(op.matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T) / max(
-        frobenius(op.matrix), np.finfo(float).tiny
-    )
-    cert("spectral-reconstruction", recon, tol(1e-10))
+    data = spectral_decompose(analysis, verify=False)
+    cert("eigenvalue-resolvent-consistency", analysis.consistency, tol(1e-8))
+    cert("spectral-reconstruction", analysis.relative_reconstruction, tol(1e-10))
 
-    structure = build_fractal_structure(op, cfg.k_max, tol=tol(1e-8))
+    structure = build_fractal_structure(analysis, cfg.k_max, tol=tol(1e-8))
     cert("fractal-certificate", max(structure.deviations), structure.tol)
-    cert("restriction-invariance", restriction_invariance(op), tol(1e-10))
-    cert("pair-isometry", pair_isometry_certificate(op), tol(1e-10))
+    cert("restriction-invariance", restriction_invariance(analysis), tol(1e-10))
+    cert("pair-isometry", pair_isometry_certificate(analysis), tol(1e-10))
 
-    c_lo, c_hi, c_step1 = graph_equivalence_constants(op)
+    c_lo, c_hi, c_step1 = graph_equivalence_constants(analysis)
     cert("graph-equivalence-positivity", 0.0, 1.0, passed=0.0 < c_lo <= c_hi)
 
     weight_rows = [
@@ -228,7 +226,7 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
         for i, (g, lv) in enumerate(zip(structure.weight.gammas_sorted, structure.weight.log_values))
     ]
     report["constants"] = {
-        "regularity_grade0": regularity_constant(op, 0),
+        "regularity_grade0": regularity_constant(analysis, 0),
         "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi, "c_step1": c_step1},
     }
     report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim, "index": kernel.index}

@@ -10,11 +10,23 @@ a weighted sequence model. The final product of the module is
 the eigenbasis grade by grade, and reports the isometry defect onto the
 diagonal model.
 
+Every certificate of one operator reads the same factorizations, which
+an :class:`OperatorAnalysis` computes lazily and at most once: the
+kernel SVD, the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one
+guard SVD, one solve), the ``eigh`` spectral data with its
+orthonormality and reconstruction residuals, the resolvent-consistency
+deviation (one ``eig``, one assignment), the graph Gram and the graph
+ladder. The certificate functions accept either a bare
+:class:`ScaleOperator`, which gets a fresh analysis of its own, or an
+analysis shared between them. An analysis lives only as long as one
+operator's certification; nothing is cached beyond it.
+
 Complex arithmetic appears only inside resolvent computations; every
 other result is real.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,6 +45,7 @@ from .weights import Weight
 __all__ = [
     "DEFAULT_RESOLVENT_POINT",
     "ScaleOperator",
+    "OperatorAnalysis",
     "SpectrumError",
     "SymmetryReport",
     "KernelReport",
@@ -242,16 +255,106 @@ def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     return grams
 
 
-def _grade_grams(op: ScaleOperator, k: int) -> list[np.ndarray]:
-    """Grams of grades 0..k of the ambient scale (graph ladder if none)."""
-    if op.scale is None:
-        return graph_ladder(op.matrix, k)
-    if k > op.scale.k_max:
-        raise IndexError(f"scale is missing grade {k} (has 0..{op.scale.k_max})")
-    return [gram_matrix(op.scale, j) for j in range(k + 1)]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def regularity_constant(op: ScaleOperator, n_grade: int) -> float:
+class OperatorAnalysis:
+    """The factorizations every certificate of one operator reads.
+
+    Each attribute is computed on first access and kept, so one
+    analysis passed to all certificates runs each factorization once.
+    Build one per operator and drop it when that operator's
+    certification is done; a new analysis always starts empty.
+    """
+
+    def __init__(self, op: ScaleOperator):
+        self.op = op
+        self._ladder = []
+
+    @classmethod
+    def of(cls, op) -> "OperatorAnalysis":
+        """``op`` itself if it is an analysis, else a fresh one for it."""
+        return op if isinstance(op, cls) else cls(op)
+
+    @cached_property
+    def kernel(self) -> KernelReport:
+        return check_kernel_cokernel(self.op)
+
+    @cached_property
+    def resolvent(self) -> ResolventData:
+        """The resolvent at :data:`DEFAULT_RESOLVENT_POINT`."""
+        return resolvent(self.op)
+
+    def resolvent_at(self, point: complex) -> ResolventData:
+        """The shared resolvent at the default point, a fresh one elsewhere."""
+        if complex(point) == DEFAULT_RESOLVENT_POINT:
+            return self.resolvent
+        return resolvent(self.op, point)
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """``eigh`` of the symmetric part in the presentation documented
+        by :func:`spectral_decompose` (which also checks symmetry)."""
+        w, v = np.linalg.eigh(linalg.sym_part(self.op.matrix))
+        n = self.op.n
+        dominant = np.argmax(np.abs(v), axis=0)
+        signs = np.sign(v[dominant, np.arange(n)])
+        signs[signs == 0] = 1.0
+        v = v * signs
+        presentation = np.lexsort((np.arange(n), w, dominant))
+        w = w[presentation]
+        v = v[:, presentation]
+        order = np.lexsort((np.arange(n), w, np.abs(w)))
+        return SpectralData(gammas=w, vectors=v, order=order)
+
+    @cached_property
+    def matrix_norm(self) -> float:
+        return linalg.frobenius(self.op.matrix)
+
+    @cached_property
+    def orthonormality_residual(self) -> float:
+        v = self.spectral.vectors
+        return linalg.frobenius(v.T @ v - np.eye(self.op.n))
+
+    @cached_property
+    def reconstruction_residual(self) -> float:
+        """||A - V diag(gamma) V^T||_F, absolute."""
+        d = self.spectral
+        return linalg.frobenius(self.op.matrix - d.vectors @ np.diag(d.gammas) @ d.vectors.T)
+
+    @property
+    def relative_reconstruction(self) -> float:
+        """The reconstruction residual relative to ||A||_F."""
+        return self.reconstruction_residual / max(self.matrix_norm, np.finfo(float).tiny)
+
+    @cached_property
+    def consistency(self) -> float:
+        """:func:`resolvent_consistency` of the shared spectral data."""
+        return resolvent_consistency(self, self.spectral)
+
+    @cached_property
+    def graph_gram(self) -> np.ndarray:
+        return _frozen(graph_gram(self.op))
+
+    def ladder(self, k: int) -> list[np.ndarray]:
+        """Grades 0..k of the graph ladder, extended on demand."""
+        if not 0 <= k < len(self._ladder):
+            self._ladder = [_frozen(g) for g in graph_ladder(self.op.matrix, k)]
+        return self._ladder[: k + 1]
+
+    def grade_grams(self, k: int) -> list[np.ndarray]:
+        """Grams of grades 0..k of the ambient scale (graph ladder if none)."""
+        scale = self.op.scale
+        if scale is None:
+            return self.ladder(k)
+        if k > scale.k_max:
+            raise IndexError(f"scale is missing grade {k} (has 0..{scale.k_max})")
+        return [gram_matrix(scale, j) for j in range(k + 1)]
+
+
+def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
     """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2).
 
     The quadratic right-hand side is norm equivalent to the literal
@@ -262,9 +365,10 @@ def regularity_constant(op: ScaleOperator, n_grade: int) -> float:
     """
     if n_grade < 0:
         raise IndexError("grade must be >= 0")
-    grams = _grade_grams(op, n_grade + 1)
+    an = OperatorAnalysis.of(op)
+    grams = an.grade_grams(n_grade + 1)
     g_n, g_next = grams[n_grade], grams[n_grade + 1]
-    a = op.matrix
+    a = an.op.matrix
     rhs = linalg.sym_part(g_n + a.T @ g_n @ a)
     _, mu_hi = linalg.extreme_generalized_eigenvalues(g_next, rhs)
     return float(np.sqrt(mu_hi))
@@ -283,7 +387,7 @@ def graph_inner_product(op: ScaleOperator, xi, eta) -> float:
 
 
 def graph_equivalence_constants(
-    op: ScaleOperator,
+    op: ScaleOperator | OperatorAnalysis,
     point: complex = DEFAULT_RESOLVENT_POINT,
 ) -> tuple[float, float, float]:
     """(c_lo, c_hi, c_step1) between the grade-1 norm and the graph norm.
@@ -297,11 +401,10 @@ def graph_equivalence_constants(
     contractual. With the graph-default scale both exact constants
     are 1.
     """
-    grams = _grade_grams(op, 1)
-    g_one = grams[1]
-    g_graph = graph_gram(op)
-    c_lo, c_hi = linalg.extreme_generalized_eigenvalues(g_one, g_graph)
-    r = resolvent(op, point)
+    an = OperatorAnalysis.of(op)
+    g_one = an.grade_grams(1)[1]
+    c_lo, c_hi = linalg.extreme_generalized_eigenvalues(g_one, an.graph_gram)
+    r = an.resolvent_at(point)
     chol = linalg.cholesky_spd(g_one, "grade 1 Gram")
     c_zero = float(np.linalg.norm(chol.T @ r.b_matrix, 2))
     c_step1 = max(c_zero, abs(point) * c_zero)
@@ -353,7 +456,11 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     return float(commutator), float(adjoint)
 
 
-def spectral_decompose(op: ScaleOperator, tol: float = 1e-10, verify: bool = True) -> SpectralData:
+def spectral_decompose(
+    op: ScaleOperator | OperatorAnalysis,
+    tol: float = 1e-10,
+    verify: bool = True,
+) -> SpectralData:
     """Orthonormal eigendecomposition with a deterministic presentation.
 
     Columns are sign-fixed (largest-magnitude entry positive) and listed
@@ -365,39 +472,34 @@ def spectral_decompose(op: ScaleOperator, tol: float = 1e-10, verify: bool = Tru
     are checked, and the eigenvalues are cross-checked against an
     independent resolvent eigenproblem (gamma = 1/mu + point); a failure
     raises ArithmeticError. Symmetry failures raise ValueError.
+
+    The ``eigh``, both residuals and the cross-check come from the
+    operator's :class:`OperatorAnalysis`, so each is computed once per
+    analysis however many certificates ask; only the symmetry check and
+    the comparisons against ``tol`` run on every call.
     """
-    report = check_symmetry(op, tol)
+    an = OperatorAnalysis.of(op)
+    report = check_symmetry(an.op, tol)
     if not report.passed:
         raise ValueError(
             f"operator is not symmetric: defect {report.defect:.3e} exceeds tol {tol:.3e}"
         )
-    a = linalg.sym_part(op.matrix)
-    w, v = np.linalg.eigh(a)
-    n = op.n
-    dominant = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[dominant, np.arange(n)])
-    signs[signs == 0] = 1.0
-    v = v * signs
-    presentation = np.lexsort((np.arange(n), w, dominant))
-    w = w[presentation]
-    v = v[:, presentation]
-    order = np.lexsort((np.arange(n), w, np.abs(w)))
-    data = SpectralData(gammas=w, vectors=v, order=order)
+    data = an.spectral
     if verify:
-        ortho = linalg.frobenius(v.T @ v - np.eye(n))
-        if ortho > max(tol, 1e3 * n * linalg.EPS):
+        ortho = an.orthonormality_residual
+        if ortho > max(tol, 1e3 * an.op.n * linalg.EPS):
             raise ArithmeticError(f"eigenvector basis lost orthonormality: defect {ortho:.3e}")
-        recon = linalg.frobenius(op.matrix - v @ np.diag(w) @ v.T)
-        if recon > tol * max(linalg.frobenius(op.matrix), 1.0):
+        recon = an.reconstruction_residual
+        if recon > tol * max(an.matrix_norm, 1.0):
             raise ArithmeticError(f"spectral reconstruction residual {recon:.3e} exceeds tol")
-        dev = resolvent_consistency(op, data)
+        dev = an.consistency
         if dev > 1e-8:
             raise ArithmeticError(f"resolvent eigenvalue consistency failed: deviation {dev:.3e}")
     return data
 
 
 def resolvent_consistency(
-    op: ScaleOperator,
+    op: ScaleOperator | OperatorAnalysis,
     data: SpectralData,
     point: complex = DEFAULT_RESOLVENT_POINT,
 ) -> float:
@@ -406,8 +508,9 @@ def resolvent_consistency(
     mu runs over the eigenvalues of the resolvent at ``point``, matched
     to the operator's eigenpairs by maximal eigenvector overlap (solved
     as an assignment problem). Deviations are relative to 1 + |gamma|.
+    The resolvent at the default point is the analysis's shared one.
     """
-    r = resolvent(op, point)
+    r = OperatorAnalysis.of(op).resolvent_at(point)
     mu, u = np.linalg.eig(r.b_matrix)
     overlap = np.abs(data.vectors.T @ u)
     _, cols = linear_sum_assignment(-overlap)
@@ -472,7 +575,9 @@ class FractalStructure:
         return max(self.deviations) <= self.tol
 
 
-def build_fractal_structure(op: ScaleOperator, k_max: int, tol: float = 1e-8) -> FractalStructure:
+def build_fractal_structure(
+    op: ScaleOperator | OperatorAnalysis, k_max: int, tol: float = 1e-8
+) -> FractalStructure:
     """Assemble the graph-norm ladder and certify its diagonal model.
 
     Grade k + 1 is grade k plus the operator-transported grade k. For
@@ -482,15 +587,17 @@ def build_fractal_structure(op: ScaleOperator, k_max: int, tol: float = 1e-8) ->
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    data = spectral_decompose(op, tol=max(tol, 1e-10))
+    an = OperatorAnalysis.of(op)
+    n = an.op.n
+    data = spectral_decompose(an, tol=max(tol, 1e-10))
     fw = fractal_weight(data)
-    grams = graph_ladder(op.matrix, k_max)
-    space = TruncatedScaleSpace(op.n, tuple(GramGrade(g) for g in grams))
+    grams = an.ladder(k_max)
+    space = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in grams))
     target = weighted_sequence_space(fw, k_max)
     deviations = []
     for k, g in enumerate(grams):
         basis = rescaled_basis(data, fw, k)
-        deviations.append(linalg.frobenius(basis.T @ g @ basis - np.eye(op.n)))
+        deviations.append(linalg.frobenius(basis.T @ g @ basis - np.eye(n)))
     return FractalStructure(
         space=space,
         target=target,
@@ -502,28 +609,29 @@ def build_fractal_structure(op: ScaleOperator, k_max: int, tol: float = 1e-8) ->
     )
 
 
-def restriction_invariance(op: ScaleOperator) -> float:
+def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     """Frobenius distance between the operator's matrix in the graph-
     rescaled basis (graph inner product) and in the plain eigenbasis
     (grade-0 inner product); both equal diag(gamma) in exact arithmetic,
     so the operator and its grade-1 restriction are the same operator.
     """
-    data = spectral_decompose(op)
+    an = OperatorAnalysis.of(op)
+    data = spectral_decompose(an)
     fw = fractal_weight(data)
     basis = rescaled_basis(data, fw, 1)
-    g = graph_gram(op)
-    in_graph = basis.T @ g @ (op.matrix @ basis)
+    in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
     in_flat = np.diag(data.sorted_gammas())
     return linalg.frobenius(in_graph - in_flat)
 
 
-def pair_isometry_certificate(op: ScaleOperator) -> float:
+def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     """Largest entrywise relative deviation of the eigenbasis graph Gram
     from diag(1 + gamma^2); zero means the eigenbasis carries the pair
     (grade 0, graph norm) isometrically onto the weighted model."""
-    data = spectral_decompose(op)
+    an = OperatorAnalysis.of(op)
+    data = spectral_decompose(an)
     vs = data.sorted_vectors()
-    actual = vs.T @ graph_gram(op) @ vs
+    actual = vs.T @ an.graph_gram @ vs
     g = data.sorted_gammas()
     expected = np.diag(1.0 + g * g)
     dev = np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))

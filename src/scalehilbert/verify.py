@@ -18,13 +18,12 @@ import numpy as np
 
 from . import linalg
 from .hessian import (
+    OperatorAnalysis,
     ScaleOperator,
     build_fractal_structure,
-    check_kernel_cokernel,
     fractal_weight,
     normality_defect,
     resolvent,
-    resolvent_consistency,
     restriction_invariance,
     spectral_decompose,
 )
@@ -126,30 +125,28 @@ def standard_operator_set(seed: int = DEFAULT_SEED, count: int = 50) -> list:
 
 
 def analyze_operator_batch(ops) -> list:
-    """Run the full diagnostic pipeline over a batch of operators."""
-    rows = []
-    for op in ops:
-        kernel = check_kernel_cokernel(op)
-        commutator, adjoint = normality_defect(resolvent(op))
-        data = spectral_decompose(op, verify=False)
-        consistency = resolvent_consistency(op, data)
-        recon = linalg.frobenius(
-            op.matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T
-        ) / max(linalg.frobenius(op.matrix), np.finfo(float).tiny)
-        rows.append(
-            {
-                "n": op.n,
-                "ker_dim": kernel.ker_dim,
-                "index": kernel.index,
-                "angle": kernel.subspace_angle,
-                "commutator": commutator,
-                "adjoint": adjoint,
-                "consistency": consistency,
-                "reconstruction": recon,
-                "restriction": restriction_invariance(op),
-            }
-        )
-    return rows
+    """Run the full diagnostic pipeline over a batch of operators.
+
+    Each operator gets its own :class:`OperatorAnalysis`, released once
+    its row is built, so only one operator's factorizations are alive.
+    """
+    return [_analysis_row(OperatorAnalysis(op)) for op in ops]
+
+
+def _analysis_row(analysis: OperatorAnalysis) -> dict:
+    kernel = analysis.kernel
+    commutator, adjoint = normality_defect(analysis.resolvent)
+    return {
+        "n": analysis.op.n,
+        "ker_dim": kernel.ker_dim,
+        "index": kernel.index,
+        "angle": kernel.subspace_angle,
+        "commutator": commutator,
+        "adjoint": adjoint,
+        "consistency": analysis.consistency,
+        "reconstruction": analysis.relative_reconstruction,
+        "restriction": restriction_invariance(analysis),
+    }
 
 
 def _batch(batch, seed):

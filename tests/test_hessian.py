@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from scalehilbert import linalg
 from scalehilbert.hessian import (
     DEFAULT_RESOLVENT_POINT,
+    OperatorAnalysis,
     ScaleOperator,
     SpectrumError,
+    build_fractal_structure,
     check_kernel_cokernel,
     check_symmetry,
     conjugated_diagonal,
@@ -15,9 +18,11 @@ from scalehilbert.hessian import (
     normality_defect,
     operator_from_json,
     operator_to_json,
+    pair_isometry_certificate,
     regularity_constant,
     resolvent,
     resolvent_consistency,
+    restriction_invariance,
     spectral_decompose,
 )
 from scalehilbert.spaces import (
@@ -410,3 +415,92 @@ class TestOperatorJson:
         op = ScaleOperator(np.zeros((2, 2)), scale)
         obj = operator_to_json(op)
         assert obj["scale"] == space_to_json(scale)
+
+
+PARITY_SPECTRA = {
+    "rank_deficient": [0.0, 0.0, 0.0, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6, -0.8],
+    "clustered": [-1.75, -1.75 + 2e-11, -1.75 - 1e-11, 0.8, 0.8 + 1e-11, 0.8 - 3e-11, 0.8 + 2e-11,
+                  1.9, 1.9 - 1e-11, -0.6, -0.6 + 1e-11, -0.6 - 2e-11],
+}
+
+
+class TestOperatorAnalysis:
+    @staticmethod
+    def shared_defects(matrix):
+        """Every certificate defect, all reading one analysis (CLI order)."""
+        an = OperatorAnalysis(ScaleOperator(matrix))
+        return {
+            "kernel": an.kernel,
+            "resolvent_residual": an.resolvent.residual,
+            "normality": normality_defect(an.resolvent),
+            "gammas": spectral_decompose(an, verify=False).gammas.tolist(),
+            "consistency": an.consistency,
+            "reconstruction": an.relative_reconstruction,
+            "fractal": build_fractal_structure(an, 3).deviations,
+            "restriction": restriction_invariance(an),
+            "pair": pair_isometry_certificate(an),
+            "graph_equivalence": graph_equivalence_constants(an),
+            "regularity": regularity_constant(an, 0),
+        }
+
+    @staticmethod
+    def standalone_defects(matrix):
+        """The same defects, each from its own fresh ScaleOperator."""
+
+        def fresh():
+            return ScaleOperator(matrix)
+
+        op = fresh()
+        data = spectral_decompose(op, verify=False)
+        recon = linalg.frobenius(
+            op.matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T
+        ) / max(linalg.frobenius(op.matrix), np.finfo(float).tiny)
+        return {
+            "kernel": check_kernel_cokernel(fresh()),
+            "resolvent_residual": resolvent(fresh()).residual,
+            "normality": normality_defect(resolvent(fresh())),
+            "gammas": data.gammas.tolist(),
+            "consistency": resolvent_consistency(op, data),
+            "reconstruction": recon,
+            "fractal": build_fractal_structure(fresh(), 3).deviations,
+            "restriction": restriction_invariance(fresh()),
+            "pair": pair_isometry_certificate(fresh()),
+            "graph_equivalence": graph_equivalence_constants(fresh()),
+            "regularity": regularity_constant(fresh(), 0),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(PARITY_SPECTRA))
+    def test_shared_analysis_is_bitwise_standalone(self, kind):
+        matrix = conjugated_diagonal(PARITY_SPECTRA[kind], seed=31).matrix
+        shared = self.shared_defects(matrix)
+        assert shared == self.standalone_defects(matrix)
+        if kind == "rank_deficient":
+            assert shared["kernel"].ker_dim == 3
+
+    def test_of_reuses_an_analysis(self):
+        an = OperatorAnalysis(ScaleOperator(np.eye(2)))
+        assert OperatorAnalysis.of(an) is an
+        assert OperatorAnalysis.of(an.op) is not an
+
+    def test_factorizations_are_computed_once(self):
+        an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0], seed=4))
+        assert an.spectral is an.spectral
+        assert an.resolvent is an.resolvent
+        assert an.resolvent_at(DEFAULT_RESOLVENT_POINT) is an.resolvent
+        assert an.resolvent_at(2j) is not an.resolvent
+        top = an.ladder(3)
+        assert an.ladder(1)[1] is top[1]
+
+    def test_cached_grams_are_read_only(self):
+        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])))
+        with pytest.raises(ValueError):
+            an.graph_gram[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            an.ladder(2)[2][0, 0] = 0.0
+
+    def test_non_symmetric_still_rejected(self):
+        an = OperatorAnalysis(ScaleOperator(NILPOTENT))
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectral_decompose(an)
+        with pytest.raises(ValueError, match="not symmetric"):
+            restriction_invariance(an)
