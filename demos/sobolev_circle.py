@@ -14,8 +14,8 @@ import numpy as np
 from scalehilbert import (
     build_sobolev_space,
     fourier_gram_closed_form,
-    fourier_gram_quadrature_table,
     inclusion_singular_values,
+    oracle_delta,
     ratio_trace,
     sigma_equivalence_constants,
 )
@@ -30,11 +30,8 @@ print(" ", np.array(diag))
 # a periodic trapezoid rule is exact for trigonometric polynomials, so it
 # serves as an independent oracle for every Gram entry
 for k in range(k_max + 1):
-    quad = fourier_gram_quadrature_table(nu_max, k)
-    closed = np.diag([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
-    scale = np.maximum(1.0, np.sqrt(np.outer(np.diag(closed), np.diag(closed))))
-    delta = np.abs(closed - quad) / scale
-    print(f"grade {k}: worst scaled quadrature delta {delta.max():.3e}")
+    _, _, delta = oracle_delta(nu_max, k)
+    print(f"grade {k}: worst scaled quadrature delta {delta:.3e}")
 
 # the whole ladder as a truncated scale space; the inclusion of grade k
 # into grade k-1 is compact in the limit, visible here as singular values

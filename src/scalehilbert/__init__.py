@@ -43,9 +43,9 @@ from .sobolev_circle import (
     fourier_gram_closed_form,
     fourier_gram_quadrature,
     fourier_gram_quadrature_table,
+    oracle_delta,
     ratio_trace,
     sigma_equivalence_constants,
-    sobolev_to_fractal_ratio,
 )
 from .spaces import (
     DiagonalGrade,
@@ -82,7 +82,6 @@ from .weights import (
     poly_plus_one_weight,
     sigma_weight,
     validate_weight,
-    weight_eval,
     weight_from_json,
     weight_power,
     weight_to_json,

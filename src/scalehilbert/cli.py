@@ -28,26 +28,14 @@ import numpy as np
 from .hessian import (
     OperatorAnalysis,
     ScaleOperator,
-    build_fractal_structure,
-    check_symmetry,
-    graph_equivalence_constants,
-    normality_defect,
     operator_from_json,
-    pair_isometry_certificate,
     regularity_constant,
     resolvent,  # noqa: F401  (kept bound here: certbench's tracer test patches cli.resolvent)
-    restriction_invariance,
-    spectral_decompose,
 )
-from .sobolev_circle import (
-    _log_closed_form_diag,
-    fourier_gram_closed_form,
-    fourier_gram_quadrature_table,
-    ratio_trace,
-    sigma_equivalence_constants,
-)
-from .verify import DEFAULT_SEED, run_verify_all
-from .weights import poly_plus_one_weight
+from .sobolev_circle import _log_closed_form_diag, oracle_delta, ratio_trace, sigma_equivalence_constants
+from .spaces import diagonal_equivalence_constants
+from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
+from .weights import weight_from_json
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
@@ -110,15 +98,13 @@ def _csv_path(json_path: str) -> str:
 
 def cmd_sobolev_demo(cfg: RunConfig) -> int:
     """Gram table, oracle deltas, ratio trace, and per-grade constants."""
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = cfg.tol if cfg.tol is not None else ORACLE_TOL
     rows = []
     worst = 0.0
     for k in range(cfg.k_max + 1):
-        diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, cfg.nu_max + 1)])
-        quad = fourier_gram_quadrature_table(cfg.nu_max, k)
+        diag, quad, delta = oracle_delta(cfg.nu_max, k)
         ratios = ratio_trace(cfg.nu_max, k)
-        scale = np.maximum(1.0, np.sqrt(np.outer(diag, diag)))
-        worst = max(worst, float((np.abs(np.diag(diag) - quad) / scale).max()))
+        worst = max(worst, delta)
         for nu in range(1, cfg.nu_max + 1):
             closed = float(diag[nu - 1])
             quadrature = float(quad[nu - 1, nu - 1])
@@ -172,66 +158,44 @@ def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
 
 
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
-    """Every certificate for one operator; halts early on asymmetry.
+    """Every operator certificate, in registry order; halts early on asymmetry.
 
     All certificates read one :class:`OperatorAnalysis` of the operator.
     """
     op, source = _load_operator(cfg)
-
-    def tol(default):
-        return cfg.tol if cfg.tol is not None else default
-
+    analysis = OperatorAnalysis(op)
     certificates = []
-
-    def cert(name, defect, tolerance, passed=None):
-        ok = bool(defect <= tolerance) if passed is None else bool(passed)
-        certificates.append({"name": name, "defect": float(defect), "tol": float(tolerance), "passed": ok})
-        return ok
-
     report = {"command": "hessian-analyze", "operator": {"n": op.n, "source": source}, "certificates": certificates}
     out = cfg.output_file()
 
-    symmetry = check_symmetry(op, tol(1e-10))
-    if not cert("symmetry", symmetry.defect, symmetry.tol):
-        report["passed"] = False
-        report["halted_after"] = "symmetry"
-        _write_json(out, report)
-        print(f"hessian-analyze: symmetry defect {symmetry.defect:.3e} exceeds tol; partial report: {out}")
-        return 1
+    for cert in OPERATOR_CERTIFICATES:
+        defect, tol = float(cert.defect(analysis, cfg.k_max)), float(cert.tolerance(cfg.tol))
+        passed = bool(defect <= tol)
+        certificates.append({"name": cert.name, "defect": defect, "tol": tol, "passed": passed})
+        if cert is SYMMETRY:
+            if not passed:
+                report["passed"] = False
+                report["halted_after"] = cert.name
+                _write_json(out, report)
+                print(f"hessian-analyze: symmetry defect {defect:.3e} exceeds tol; partial report: {out}")
+                return 1
+            # the gate passed at the tolerance reported above
+            analysis.symmetric = True
 
-    analysis = OperatorAnalysis(op)
-    kernel = analysis.kernel
-    cert("kernel-cokernel-angle", kernel.subspace_angle, tol(1e-8), passed=kernel.subspace_angle <= tol(1e-8) and kernel.index == 0)
-
-    r = analysis.resolvent
-    cert("resolvent-residual", r.residual, tol(1e-8))
-    commutator, adjoint = normality_defect(r)
-    cert("resolvent-normality", commutator, tol(1e-10))
-    cert("resolvent-adjoint", adjoint, tol(1e-10))
-
-    data = spectral_decompose(analysis, verify=False)
-    cert("eigenvalue-resolvent-consistency", analysis.consistency, tol(1e-8))
-    cert("spectral-reconstruction", analysis.relative_reconstruction, tol(1e-10))
-
-    structure = build_fractal_structure(analysis, cfg.k_max, tol=tol(1e-8))
-    cert("fractal-certificate", max(structure.deviations), structure.tol)
-    cert("restriction-invariance", restriction_invariance(analysis), tol(1e-10))
-    cert("pair-isometry", pair_isometry_certificate(analysis), tol(1e-10))
-
-    c_lo, c_hi, c_step1 = graph_equivalence_constants(analysis)
-    cert("graph-equivalence-positivity", 0.0, 1.0, passed=0.0 < c_lo <= c_hi)
-
+    fw = analysis.fractal_weight
     weight_rows = [
         {"nu": i + 1, "gamma": float(g), "weight": float(np.exp(lv))}
-        for i, (g, lv) in enumerate(zip(structure.weight.gammas_sorted, structure.weight.log_values))
+        for i, (g, lv) in enumerate(zip(fw.gammas_sorted, fw.log_values))
     ]
+    c_lo, c_hi, c_step1 = analysis.graph_equivalence
     report["constants"] = {
         "regularity_grade0": regularity_constant(analysis, 0),
         "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi, "c_step1": c_step1},
     }
+    kernel = analysis.kernel
     report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim, "index": kernel.index}
-    report["gammas"] = [float(g) for g in data.gammas]
-    report["order"] = [int(i) for i in data.order]
+    report["gammas"] = [float(g) for g in analysis.spectral.gammas]
+    report["order"] = [int(i) for i in analysis.spectral.order]
     report["fractal_weight"] = weight_rows
     passed = all(c["passed"] for c in certificates)
     report["passed"] = passed
@@ -249,23 +213,18 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _ladder_side_logs(side, n: int, k: int) -> np.ndarray:
-    """Log weight table of grade k for one side of the ladder at size n."""
+def _parse_ladder_side(side):
+    """One ladder side as a function (n, k) -> log weight table of grade k at size n."""
     if side == "sobolev":
-        return _log_closed_form_diag(np.arange(1, n + 1), k)
-    if isinstance(side, dict) and "weight" in side:
-        wspec = side["weight"]
-        if wspec.get("kind") != "closed_form":
-            raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
-        formula = wspec["formula"]
-        if formula["name"] != "poly_plus_one":
-            raise ValueError(f"unknown weight formula {formula['name']!r}")
-        w = poly_plus_one_weight(n, int(formula["degree"]))
-        power = int(side.get("power", 1))
-        if power < 1:
-            raise ValueError("ladder side power must be >= 1")
-        return w.log_values * (power * k)
-    raise ValueError(f"invalid ladder side {side!r}")
+        return lambda n, k: _log_closed_form_diag(np.arange(1, n + 1), k)
+    if not (isinstance(side, dict) and "weight" in side):
+        raise ValueError(f"invalid ladder side {side!r}")
+    spec, power = side["weight"], int(side.get("power", 1))
+    if spec.get("kind") != "closed_form":
+        raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
+    if power < 1:
+        raise ValueError("ladder side power must be >= 1")
+    return lambda n, k: weight_from_json({**spec, "n": n}).log_values * (power * k)
 
 
 def cmd_ladder(cfg: RunConfig) -> int:
@@ -278,15 +237,14 @@ def cmd_ladder(cfg: RunConfig) -> int:
     else:
         left = "sobolev"
         right = {"weight": {"n": sizes[-1], "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}}
+    left_logs, right_logs = _parse_ladder_side(left), _parse_ladder_side(right)
     rungs = []
     csv_rows = []
     for n in sizes:
         grades = []
         for k in range(cfg.k_max + 1):
-            log_l = _ladder_side_logs(left, n, k)
-            log_r = _ladder_side_logs(right, n, k)
-            ratio = np.exp(log_l - log_r)
-            c_lo, c_hi = float(ratio.min()), float(ratio.max())
+            log_l, log_r = left_logs(n, k), right_logs(n, k)
+            c_lo, c_hi = diagonal_equivalence_constants(log_l, log_r)
             spread = c_hi / c_lo
             grades.append({"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": spread})
             csv_rows.append([n, k, c_lo, c_hi, spread])

@@ -13,13 +13,14 @@ diagonal model.
 Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` computes lazily and at most once: the
 kernel SVD, the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one
-guard SVD, one solve), the ``eigh`` spectral data with its
-orthonormality and reconstruction residuals, the resolvent-consistency
-deviation (one ``eig``, one assignment), the graph Gram and the graph
-ladder. The certificate functions accept either a bare
-:class:`ScaleOperator`, which gets a fresh analysis of its own, or an
-analysis shared between them. An analysis lives only as long as one
-operator's certification; nothing is cached beyond it.
+guard SVD, one solve) and its normality pair, the ``eigh`` spectral
+data and its reconstruction residual, the resolvent-consistency
+deviation (one ``eig``, one assignment), the fractal weight, the graph
+Gram and ladder, and the graph-equivalence constants. The certificate
+functions accept either a bare :class:`ScaleOperator`, which gets a
+fresh analysis of its own, or an analysis shared between them; none
+re-runs another. ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists
+them in the order the CLI and the acceptance suite evaluate them.
 
 Complex arithmetic appears only inside resolvent computations; every
 other result is real.
@@ -44,6 +45,7 @@ from .weights import Weight
 
 __all__ = [
     "DEFAULT_RESOLVENT_POINT",
+    "SYMMETRY_TOL",
     "ScaleOperator",
     "OperatorAnalysis",
     "SpectrumError",
@@ -77,6 +79,9 @@ __all__ = [
 # Purely imaginary points are never eigenvalues of a symmetric operator,
 # so the unit imaginary point is an unconditionally safe default.
 DEFAULT_RESOLVENT_POINT = 1j
+
+# relative asymmetry (see check_symmetry) accepted by the symmetry gate
+SYMMETRY_TOL = 1e-10
 
 
 class SpectrumError(ValueError):
@@ -123,6 +128,10 @@ class SymmetryReport:
 
 @dataclass(frozen=True)
 class KernelReport:
+    """Kernel data of a square matrix. ``index`` is 0 by construction:
+    ``coker_dim`` comes from the same numerical rank as ``ker_dim``. The
+    measured evidence that kernel and cokernel coincide is ``subspace_angle``."""
+
     ker_dim: int
     coker_dim: int
     subspace_angle: float
@@ -198,7 +207,7 @@ class ResolventData:
         object.__setattr__(self, "operator_matrix", a)
 
 
-def check_symmetry(op: ScaleOperator, tol: float = 1e-10) -> SymmetryReport:
+def check_symmetry(op: ScaleOperator, tol: float = SYMMETRY_TOL) -> SymmetryReport:
     """Asymmetry of the operator matrix, in relative Frobenius norm.
 
     The antisymmetric part is measured against the symmetric part, so a
@@ -267,10 +276,14 @@ class OperatorAnalysis:
     analysis passed to all certificates runs each factorization once.
     Build one per operator and drop it when that operator's
     certification is done; a new analysis always starts empty.
+    ``symmetric`` is set once the operator passed a symmetry gate, by a
+    caller that ran the gate at the tolerance it reports or by
+    :attr:`symmetric_spectral`.
     """
 
     def __init__(self, op: ScaleOperator):
         self.op = op
+        self.symmetric = False
         self._ladder = []
 
     @classmethod
@@ -294,9 +307,14 @@ class OperatorAnalysis:
         return resolvent(self.op, point)
 
     @cached_property
+    def normality(self) -> tuple[float, float]:
+        """:func:`normality_defect` of the shared resolvent."""
+        return normality_defect(self.resolvent)
+
+    @cached_property
     def spectral(self) -> SpectralData:
         """``eigh`` of the symmetric part in the presentation documented
-        by :func:`spectral_decompose` (which also checks symmetry)."""
+        by :func:`spectral_decompose`, without its symmetry check."""
         w, v = np.linalg.eigh(linalg.sym_part(self.op.matrix))
         n = self.op.n
         dominant = np.argmax(np.abs(v), axis=0)
@@ -309,25 +327,26 @@ class OperatorAnalysis:
         order = np.lexsort((np.arange(n), w, np.abs(w)))
         return SpectralData(gammas=w, vectors=v, order=order)
 
-    @cached_property
-    def matrix_norm(self) -> float:
-        return linalg.frobenius(self.op.matrix)
-
-    @cached_property
-    def orthonormality_residual(self) -> float:
-        v = self.spectral.vectors
-        return linalg.frobenius(v.T @ v - np.eye(self.op.n))
-
-    @cached_property
-    def reconstruction_residual(self) -> float:
-        """||A - V diag(gamma) V^T||_F, absolute."""
-        d = self.spectral
-        return linalg.frobenius(self.op.matrix - d.vectors @ np.diag(d.gammas) @ d.vectors.T)
-
     @property
+    def symmetric_spectral(self) -> SpectralData:
+        """The spectral data behind the symmetry gate, which runs here
+        (:func:`spectral_decompose`) unless ``symmetric`` is set."""
+        if not self.symmetric:
+            spectral_decompose(self)
+            self.symmetric = True
+        return self.spectral
+
+    @cached_property
+    def fractal_weight(self) -> FractalWeight:
+        """:func:`fractal_weight` of the shared spectral data."""
+        return fractal_weight(self.spectral)
+
+    @cached_property
     def relative_reconstruction(self) -> float:
-        """The reconstruction residual relative to ||A||_F."""
-        return self.reconstruction_residual / max(self.matrix_norm, np.finfo(float).tiny)
+        """||A - V diag(gamma) V^T||_F / ||A||_F."""
+        d = self.spectral
+        residual = linalg.frobenius(self.op.matrix - d.vectors @ np.diag(d.gammas) @ d.vectors.T)
+        return residual / max(linalg.frobenius(self.op.matrix), np.finfo(float).tiny)
 
     @cached_property
     def consistency(self) -> float:
@@ -337,6 +356,11 @@ class OperatorAnalysis:
     @cached_property
     def graph_gram(self) -> np.ndarray:
         return _frozen(graph_gram(self.op))
+
+    @cached_property
+    def graph_equivalence(self) -> tuple[float, float, float]:
+        """:func:`graph_equivalence_constants` at the default point."""
+        return graph_equivalence_constants(self)
 
     def ladder(self, k: int) -> list[np.ndarray]:
         """Grades 0..k of the graph ladder, extended on demand."""
@@ -456,11 +480,7 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     return float(commutator), float(adjoint)
 
 
-def spectral_decompose(
-    op: ScaleOperator | OperatorAnalysis,
-    tol: float = 1e-10,
-    verify: bool = True,
-) -> SpectralData:
+def spectral_decompose(op: ScaleOperator | OperatorAnalysis, tol: float = SYMMETRY_TOL) -> SpectralData:
     """Orthonormal eigendecomposition with a deterministic presentation.
 
     Columns are sign-fixed (largest-magnitude entry positive) and listed
@@ -468,15 +488,13 @@ def spectral_decompose(
     the standard basis in the original coordinate order. The returned
     permutation ``order`` re-lists the pairs by nondecreasing |gamma|.
 
-    With ``verify`` set, the orthonormality and reconstruction residuals
-    are checked, and the eigenvalues are cross-checked against an
-    independent resolvent eigenproblem (gamma = 1/mu + point); a failure
-    raises ArithmeticError. Symmetry failures raise ValueError.
-
-    The ``eigh``, both residuals and the cross-check come from the
-    operator's :class:`OperatorAnalysis`, so each is computed once per
-    analysis however many certificates ask; only the symmetry check and
-    the comparisons against ``tol`` run on every call.
+    Symmetry is checked at ``tol`` on every call; a failure raises
+    ValueError. The ``eigh`` comes from the operator's
+    :class:`OperatorAnalysis`, so it runs once per analysis. How well
+    the pairs reconstruct the operator and agree with the resolvent
+    eigenproblem are certificates of their own
+    (:attr:`OperatorAnalysis.relative_reconstruction`,
+    :func:`resolvent_consistency`).
     """
     an = OperatorAnalysis.of(op)
     report = check_symmetry(an.op, tol)
@@ -484,18 +502,7 @@ def spectral_decompose(
         raise ValueError(
             f"operator is not symmetric: defect {report.defect:.3e} exceeds tol {tol:.3e}"
         )
-    data = an.spectral
-    if verify:
-        ortho = an.orthonormality_residual
-        if ortho > max(tol, 1e3 * an.op.n * linalg.EPS):
-            raise ArithmeticError(f"eigenvector basis lost orthonormality: defect {ortho:.3e}")
-        recon = an.reconstruction_residual
-        if recon > tol * max(an.matrix_norm, 1.0):
-            raise ArithmeticError(f"spectral reconstruction residual {recon:.3e} exceeds tol")
-        dev = an.consistency
-        if dev > 1e-8:
-            raise ArithmeticError(f"resolvent eigenvalue consistency failed: deviation {dev:.3e}")
-    return data
+    return an.spectral
 
 
 def resolvent_consistency(
@@ -559,7 +566,8 @@ class FractalStructure:
     coordinates (the analysis map onto the sorted eigenbasis).
     ``deviations[k]`` is the Frobenius distance from identity of the
     grade-k Gram of the rescaled basis; small deviations certify that
-    the ladder is scale isometric to the weighted sequence model.
+    the ladder is scale isometric to the weighted sequence model (the
+    fractal certificate of ``scalehilbert.verify``).
     """
 
     space: TruncatedScaleSpace
@@ -568,16 +576,9 @@ class FractalStructure:
     spectral: SpectralData
     mapping: np.ndarray
     deviations: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.deviations) <= self.tol
 
 
-def build_fractal_structure(
-    op: ScaleOperator | OperatorAnalysis, k_max: int, tol: float = 1e-8
-) -> FractalStructure:
+def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) -> FractalStructure:
     """Assemble the graph-norm ladder and certify its diagonal model.
 
     Grade k + 1 is grade k plus the operator-transported grade k. For
@@ -589,8 +590,8 @@ def build_fractal_structure(
         raise ValueError("k_max must be >= 0")
     an = OperatorAnalysis.of(op)
     n = an.op.n
-    data = spectral_decompose(an, tol=max(tol, 1e-10))
-    fw = fractal_weight(data)
+    data = an.symmetric_spectral
+    fw = an.fractal_weight
     grams = an.ladder(k_max)
     space = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in grams))
     target = weighted_sequence_space(fw, k_max)
@@ -605,7 +606,6 @@ def build_fractal_structure(
         spectral=data,
         mapping=data.sorted_vectors().T,
         deviations=tuple(float(d) for d in deviations),
-        tol=float(tol),
     )
 
 
@@ -616,9 +616,8 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     so the operator and its grade-1 restriction are the same operator.
     """
     an = OperatorAnalysis.of(op)
-    data = spectral_decompose(an)
-    fw = fractal_weight(data)
-    basis = rescaled_basis(data, fw, 1)
+    data = an.symmetric_spectral
+    basis = rescaled_basis(data, an.fractal_weight, 1)
     in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
     in_flat = np.diag(data.sorted_gammas())
     return linalg.frobenius(in_graph - in_flat)
@@ -629,7 +628,7 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     from diag(1 + gamma^2); zero means the eigenbasis carries the pair
     (grade 0, graph norm) isometrically onto the weighted model."""
     an = OperatorAnalysis.of(op)
-    data = spectral_decompose(an)
+    data = an.symmetric_spectral
     vs = data.sorted_vectors()
     actual = vs.T @ an.graph_gram @ vs
     g = data.sorted_gammas()

@@ -37,8 +37,12 @@ def symmetry_defect(m):
 
 
 def require_symmetric(m, tol=1e-10, name="matrix"):
-    if symmetry_defect(m) > tol:
+    """The symmetric part of a square matrix; LinAlgError if its relative
+    asymmetry exceeds tol."""
+    a = as_square_matrix(m, name)
+    if symmetry_defect(a) > tol:
         raise np.linalg.LinAlgError(f"{name} is not symmetric")
+    return sym_part(a)
 
 
 def cholesky_spd(m, name="matrix"):
@@ -50,10 +54,9 @@ def cholesky_spd(m, name="matrix"):
 
 
 def require_spd(m, tol=1e-10, name="matrix"):
-    a = as_square_matrix(m, name)
-    require_symmetric(a, tol, name)
-    cholesky_spd(sym_part(a), name)
-    return sym_part(a)
+    a = require_symmetric(m, tol, name)
+    cholesky_spd(a, name)
+    return a
 
 
 def generalized_eigh(a, b, name_a="a", name_b="b"):
@@ -61,15 +64,9 @@ def generalized_eigh(a, b, name_a="a", name_b="b"):
 
     Returns (mu, V) with mu nondecreasing, V^T b V = I and V^T a V = diag(mu).
     """
-    a = require_spd_or_symmetric(a, name_a)
+    a = require_symmetric(a, name=name_a)
     b = require_spd(b, name=name_b)
     return sla.eigh(a, b)
-
-
-def require_spd_or_symmetric(a, name="matrix"):
-    a = as_square_matrix(a, name)
-    require_symmetric(a, name=name)
-    return sym_part(a)
 
 
 def extreme_generalized_eigenvalues(a, b):

@@ -33,7 +33,7 @@ __all__ = [
     "fourier_gram_closed_form",
     "fourier_gram_quadrature",
     "fourier_gram_quadrature_table",
-    "sobolev_to_fractal_ratio",
+    "oracle_delta",
     "ratio_trace",
     "sigma_equivalence_constants",
     "build_sobolev_space",
@@ -158,23 +158,30 @@ def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> 
     return gram
 
 
-def sobolev_to_fractal_ratio(nu: int, k: int) -> float:
-    """Ratio of the Sobolev grade-k weight to sigma(nu)^k, sigma(nu) = nu^2 + 1.
+def oracle_delta(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(closed-form diagonal, quadrature Gram, worst scaled delta) of grade k.
+
+    Deltas are measured relative to max(1, sqrt(d_nu * d_nu')) with d the
+    closed-form diagonal; on the diagonal this is the plain
+    max(1, closed_form) scale, and off the diagonal it compares the
+    quadrature residue against the size of the two factors (the raw
+    integrands reach 1e14, so an absolute delta is not meaningful there).
+    """
+    diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
+    quad = fourier_gram_quadrature_table(nu_max, k)
+    scale = np.maximum(1.0, np.sqrt(np.outer(diag, diag)))
+    return diag, quad, float((np.abs(np.diag(diag) - quad) / scale).max())
+
+
+def ratio_trace(nu_max: int, k: int) -> np.ndarray:
+    """Ratio of the Sobolev grade-k weight to sigma(nu)^k, sigma(nu) = nu^2 + 1,
+    over nu = 1..nu_max.
 
     Evaluated in the log domain so large grades cannot overflow. Bounded
     between 2^(-k) and (1 + 4 pi^2)^k, with limit pi^(2k) along large nu;
     these bounds witness that the Sobolev ladder and the sigma-weighted
     sequence model are the same scale structure.
     """
-    _require_index(nu)
-    if k < 0:
-        raise ValueError(f"grade must be >= 0, got {k}")
-    log_sigma = np.log1p(float(nu) ** 2)
-    return float(np.exp(_log_closed_form_diag(nu, k) - k * log_sigma))
-
-
-def ratio_trace(nu_max: int, k: int) -> np.ndarray:
-    """sobolev_to_fractal_ratio over nu = 1..nu_max, vectorized."""
     _require_index(nu_max, "nu_max")
     if k < 0:
         raise ValueError(f"grade must be >= 0, got {k}")

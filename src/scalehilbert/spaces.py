@@ -100,8 +100,8 @@ class TruncatedScaleSpace:
             if g.n != self.n:
                 raise ValueError(f"grade {k} has dimension {g.n}, expected {self.n}")
             if isinstance(g, GramGrade):
-                linalg.require_symmetric(g.matrix, name=f"grade {k} Gram matrix")
-                linalg.cholesky_spd(linalg.sym_part(g.matrix), f"grade {k} Gram matrix")
+                name = f"grade {k} Gram matrix"
+                linalg.cholesky_spd(linalg.require_symmetric(g.matrix, name=name), name)
             else:
                 if not np.isfinite(g.weight.log_values).all():
                     raise ValueError(f"grade {k} weight has non-finite log values")

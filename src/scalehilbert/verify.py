@@ -1,5 +1,11 @@
 """The certificate suite: every acceptance property as a callable check.
 
+:data:`OPERATOR_CERTIFICATES` is the one ordered registry of operator
+certificates, each a name, a pinned tolerance and a defect function of
+an :class:`OperatorAnalysis`. ``hessian-analyze`` evaluates all of them;
+the batch behind criteria 3, 4, 5 and 7 only :data:`BATCH_CERTIFICATES`,
+whose defects and tolerances those criteria read by registry entry.
+
 Each criterion function runs one property at its pinned tolerance and
 returns a :class:`CriterionResult` with the worst observed defect and a
 JSON-ready detail dict. :func:`run_verify_all` executes the whole suite,
@@ -12,29 +18,33 @@ result contains timestamps or timings; reports are reproducible.
 """
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .hessian import (
+    SYMMETRY_TOL,
     OperatorAnalysis,
     ScaleOperator,
     build_fractal_structure,
+    check_symmetry,
     fractal_weight,
     normality_defect,
+    pair_isometry_certificate,
     resolvent,
     restriction_invariance,
     spectral_decompose,
 )
-from .sobolev_circle import (
-    _log_closed_form_diag,
-    fourier_gram_closed_form,
-    fourier_gram_quadrature_table,
-)
+from .sobolev_circle import _log_closed_form_diag, oracle_delta
 
 __all__ = [
     "DEFAULT_SEED",
+    "ORACLE_TOL",
+    "Certificate",
+    "OPERATOR_CERTIFICATES",
+    "BATCH_CERTIFICATES",
     "CriterionResult",
     "VerifySummary",
     "standard_operator_set",
@@ -52,8 +62,54 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
+# scaled closed-form vs quadrature delta accepted for the Sobolev Grams
+ORACLE_TOL = 1e-8
+
 # the documented non-symmetric negative control (strictly triangular)
 NEGATIVE_CONTROL = ((0.0, 1.0), (0.0, 0.0))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One operator certificate: it passes when ``defect(analysis, k_max)``
+    is at most the tolerance. ``k_max`` is the top grade of the graph
+    ladder; only the fractal certificate reads it."""
+
+    name: str
+    tol: float
+    defect: Callable[[OperatorAnalysis, int | None], float]
+
+    def tolerance(self, override: float | None = None) -> float:
+        """The pinned tolerance, or ``override`` when one is given."""
+        return self.tol if override is None else override
+
+
+def _positivity_defect(an: OperatorAnalysis) -> float:
+    """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else inf."""
+    c_lo, c_hi, _ = an.graph_equivalence
+    return 0.0 if 0.0 < c_lo <= c_hi else float("inf")
+
+
+# Ordered as hessian-analyze reports them, symmetry (its gate) first. The
+# entries call the certificate functions through this module's names, so
+# patching a module binding reaches them.
+OPERATOR_CERTIFICATES = (
+    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: check_symmetry(an.op).defect),
+    KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: an.kernel.subspace_angle),
+    Certificate("resolvent-residual", 1e-8, lambda an, k_max: an.resolvent.residual),
+    NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an, k_max: an.normality[0]),
+    ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an, k_max: an.normality[1]),
+    CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an, k_max: an.consistency),
+    RECONSTRUCTION := Certificate("spectral-reconstruction", 1e-10, lambda an, k_max: an.relative_reconstruction),
+    FRACTAL := Certificate(
+        "fractal-certificate", 1e-8, lambda an, k_max: max(build_fractal_structure(an, k_max).deviations)
+    ),
+    RESTRICTION := Certificate("restriction-invariance", 1e-10, lambda an, k_max: restriction_invariance(an)),
+    Certificate("pair-isometry", 1e-10, lambda an, k_max: pair_isometry_certificate(an)),
+    Certificate("graph-equivalence-positivity", 1.0, lambda an, k_max: _positivity_defect(an)),
+)
+# what criteria 3, 4, 5 and 7 read from every batch operator
+BATCH_CERTIFICATES = (KERNEL_ANGLE, NORMALITY, ADJOINT, CONSISTENCY, RECONSTRUCTION, RESTRICTION)
 
 
 @dataclass(frozen=True)
@@ -125,7 +181,8 @@ def standard_operator_set(seed: int = DEFAULT_SEED, count: int = 50) -> list:
 
 
 def analyze_operator_batch(ops) -> list:
-    """Run the full diagnostic pipeline over a batch of operators.
+    """One row per operator: the defect of every entry of
+    :data:`BATCH_CERTIFICATES` under its name, plus the kernel report.
 
     Each operator gets its own :class:`OperatorAnalysis`, released once
     its row is built, so only one operator's factorizations are alive.
@@ -133,20 +190,10 @@ def analyze_operator_batch(ops) -> list:
     return [_analysis_row(OperatorAnalysis(op)) for op in ops]
 
 
-def _analysis_row(analysis: OperatorAnalysis) -> dict:
-    kernel = analysis.kernel
-    commutator, adjoint = normality_defect(analysis.resolvent)
-    return {
-        "n": analysis.op.n,
-        "ker_dim": kernel.ker_dim,
-        "index": kernel.index,
-        "angle": kernel.subspace_angle,
-        "commutator": commutator,
-        "adjoint": adjoint,
-        "consistency": analysis.consistency,
-        "reconstruction": analysis.relative_reconstruction,
-        "restriction": restriction_invariance(analysis),
-    }
+def _analysis_row(an: OperatorAnalysis) -> dict:
+    row = {c.name: c.defect(an, None) for c in BATCH_CERTIFICATES}
+    row["kernel"] = an.kernel
+    return row
 
 
 def _batch(batch, seed):
@@ -155,23 +202,14 @@ def _batch(batch, seed):
     return batch
 
 
-def criterion_sobolev_oracle(tol: float = 1e-8, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
-    """Closed-form Gram entries against the trapezoid oracle.
-
-    Deltas are measured relative to max(1, sqrt(d_nu * d_nu')) with d the
-    closed-form diagonal; on the diagonal this is the plain
-    max(1, closed_form) scale, and off the diagonal it compares the
-    quadrature residue against the size of the two factors (the raw
-    integrands reach 1e14, so an absolute 1e-8 is not meaningful there).
-    """
+def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
+    """Closed-form Gram entries against the trapezoid oracle, as scaled
+    deltas (:func:`scalehilbert.sobolev_circle.oracle_delta`)."""
+    tol = ORACLE_TOL if tol is None else tol
     worst = 0.0
     per_grade = []
     for k in range(k_max + 1):
-        diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
-        closed = np.diag(diag)
-        quad = fourier_gram_quadrature_table(nu_max, k)
-        scale = np.maximum(1.0, np.sqrt(np.outer(diag, diag)))
-        grade_worst = float((np.abs(closed - quad) / scale).max())
+        grade_worst = oracle_delta(nu_max, k)[2]
         per_grade.append(grade_worst)
         worst = max(worst, grade_worst)
     return CriterionResult(
@@ -228,11 +266,12 @@ def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResu
     )
 
 
-def criterion_kernel_cokernel(batch=None, seed: int = DEFAULT_SEED, tol: float = 1e-8) -> CriterionResult:
+def criterion_kernel_cokernel(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
     """Kernel and range-complement coincide (principal angle) with index 0."""
     batch = _batch(batch, seed)
-    worst = max(row["angle"] for row in batch)
-    indices_zero = all(row["index"] == 0 for row in batch)
+    tol = KERNEL_ANGLE.tolerance(tol)
+    worst = max(row[KERNEL_ANGLE.name] for row in batch)
+    indices_zero = all(row["kernel"].index == 0 for row in batch)
     return CriterionResult(
         number=3,
         name="kernel-cokernel-coincidence",
@@ -241,30 +280,31 @@ def criterion_kernel_cokernel(batch=None, seed: int = DEFAULT_SEED, tol: float =
         tol=tol,
         details={
             "operators": len(batch),
-            "rank_deficient": sum(1 for row in batch if row["ker_dim"] > 0),
+            "rank_deficient": sum(1 for row in batch if row["kernel"].ker_dim > 0),
             "indices_all_zero": indices_zero,
         },
     )
 
 
-def criterion_resolvent_normality(batch=None, seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CriterionResult:
+def criterion_resolvent_normality(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
     """Resolvents of the batch are normal with the conjugate-point adjoint;
     the non-symmetric control must show a macroscopic commutator."""
     batch = _batch(batch, seed)
+    tol = NORMALITY.tolerance(tol)
     control_floor = 1e-2
-    worst = max(max(row["commutator"], row["adjoint"]) for row in batch)
+    worst = max(max(row[NORMALITY.name], row[ADJOINT.name]) for row in batch)
     control, _ = normality_defect(resolvent(ScaleOperator(np.array(NEGATIVE_CONTROL))))
     passed = worst <= tol and control >= control_floor
     return CriterionResult(
         number=4,
-        name="resolvent-normality",
+        name=NORMALITY.name,
         passed=passed,
         defect=worst,
         tol=tol,
         details={
             "operators": len(batch),
-            "worst_commutator": max(row["commutator"] for row in batch),
-            "worst_adjoint": max(row["adjoint"] for row in batch),
+            "worst_commutator": max(row[NORMALITY.name] for row in batch),
+            "worst_adjoint": max(row[ADJOINT.name] for row in batch),
             "negative_control_commutator": control,
             "negative_control_floor": control_floor,
         },
@@ -274,14 +314,16 @@ def criterion_resolvent_normality(batch=None, seed: int = DEFAULT_SEED, tol: flo
 def criterion_spectral_consistency(
     batch=None,
     seed: int = DEFAULT_SEED,
-    eig_tol: float = 1e-8,
-    recon_tol: float = 1e-10,
+    eig_tol: float | None = None,
+    recon_tol: float | None = None,
 ) -> CriterionResult:
     """Eigenvalues agree with the resolvent eigenproblem after matching,
     and the eigendecomposition reconstructs the operator."""
     batch = _batch(batch, seed)
-    worst_eig = max(row["consistency"] for row in batch)
-    worst_recon = max(row["reconstruction"] for row in batch)
+    eig_tol = CONSISTENCY.tolerance(eig_tol)
+    recon_tol = RECONSTRUCTION.tolerance(recon_tol)
+    worst_eig = max(row[CONSISTENCY.name] for row in batch)
+    worst_recon = max(row[RECONSTRUCTION.name] for row in batch)
     return CriterionResult(
         number=5,
         name="spectral-consistency",
@@ -301,17 +343,18 @@ def criterion_fractal_certificate(
     seed: int = DEFAULT_SEED,
     n: int = 64,
     k_max: int = 3,
-    tol: float = 1e-8,
+    tol: float | None = None,
 ) -> CriterionResult:
     """The graph-norm ladder makes the rescaled eigenbases orthonormal."""
+    tol = FRACTAL.tolerance(tol)
     rng = np.random.default_rng([seed, 6])
     b = rng.standard_normal((n, n))
     op = ScaleOperator((b + b.T) / (2.0 * np.sqrt(n)))
-    structure = build_fractal_structure(op, k_max, tol=tol)
+    structure = build_fractal_structure(op, k_max)
     worst = max(structure.deviations)
     return CriterionResult(
         number=6,
-        name="fractal-certificate",
+        name=FRACTAL.name,
         passed=worst <= tol,
         defect=worst,
         tol=tol,
@@ -319,13 +362,14 @@ def criterion_fractal_certificate(
     )
 
 
-def criterion_restriction(batch=None, seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CriterionResult:
+def criterion_restriction(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
     """The operator looks identical in the graph-rescaled eigenbasis."""
     batch = _batch(batch, seed)
-    worst = max(row["restriction"] for row in batch)
+    tol = RESTRICTION.tolerance(tol)
+    worst = max(row[RESTRICTION.name] for row in batch)
     return CriterionResult(
         number=7,
-        name="restriction-invariance",
+        name=RESTRICTION.name,
         passed=worst <= tol,
         defect=worst,
         tol=tol,
@@ -337,13 +381,14 @@ def criterion_roundtrip(
     seed: int = DEFAULT_SEED,
     count: int = 20,
     n: int = 64,
-    tol: float = 1e-12,
+    tol: float | None = None,
 ) -> CriterionResult:
     """weight -> diag(sqrt(weight - 1)) -> fractal weight recovers the weight.
 
     Half the weights start at exactly 1, so a zero eigenvalue is always
     exercised. Comparison happens per entry, relative, in the log domain.
     """
+    tol = 1e-12 if tol is None else tol
     rng = np.random.default_rng([seed, 8])
     worst = 0.0
     for i in range(count):
@@ -366,21 +411,18 @@ def criterion_roundtrip(
 
 
 def _run_core(seed: int, tol: float | None) -> list:
-    """Criteria 1 to 8 (everything except determinism), sharing one batch."""
+    """Criteria 1 to 8 (everything except determinism), sharing one batch;
+    ``tol`` None keeps every pinned tolerance."""
     batch = analyze_operator_batch(standard_operator_set(seed))
-
-    def t(default):
-        return default if tol is None else tol
-
     return [
-        criterion_sobolev_oracle(tol=t(1e-8)),
+        criterion_sobolev_oracle(tol=tol),
         criterion_sigma_witness(),
-        criterion_kernel_cokernel(batch=batch, tol=t(1e-8)),
-        criterion_resolvent_normality(batch=batch, tol=t(1e-10)),
-        criterion_spectral_consistency(batch=batch, eig_tol=t(1e-8), recon_tol=t(1e-10)),
-        criterion_fractal_certificate(seed=seed, tol=t(1e-8)),
-        criterion_restriction(batch=batch, tol=t(1e-10)),
-        criterion_roundtrip(seed=seed, tol=t(1e-12)),
+        criterion_kernel_cokernel(batch=batch, tol=tol),
+        criterion_resolvent_normality(batch=batch, tol=tol),
+        criterion_spectral_consistency(batch=batch, eig_tol=tol, recon_tol=tol),
+        criterion_fractal_certificate(seed=seed, tol=tol),
+        criterion_restriction(batch=batch, tol=tol),
+        criterion_roundtrip(seed=seed, tol=tol),
     ]
 
 

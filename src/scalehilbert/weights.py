@@ -15,7 +15,6 @@ __all__ = [
     "Weight",
     "WeightViolation",
     "WeightValidation",
-    "weight_eval",
     "weight_power",
     "validate_weight",
     "constant_weight",
@@ -57,30 +56,20 @@ class Weight:
         return self.log_values.shape[0]
 
     def value(self, nu: int) -> float:
-        return weight_eval(self, nu)
+        """f(nu); inf past the double-precision range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_value(nu)))
 
     def log_value(self, nu: int) -> float:
-        return weight_eval(self, nu, log=True)
+        """log f(nu), exact; raises IndexError outside 1..n."""
+        if not 1 <= nu <= self.n:
+            raise IndexError(f"weight index {nu} out of range 1..{self.n}")
+        return float(self.log_values[nu - 1])
 
     def values(self) -> np.ndarray:
         """Materialize the linear-scale table (inf past the overflow bound)."""
         with np.errstate(over="ignore"):
             return np.exp(self.log_values)
-
-
-def _check_index(w: Weight, nu: int):
-    if not 1 <= nu <= w.n:
-        raise IndexError(f"weight index {nu} out of range 1..{w.n}")
-
-
-def weight_eval(w: Weight, nu: int, log: bool = False) -> float:
-    """f(nu), or log f(nu) when ``log`` is set (exact, never overflows)."""
-    _check_index(w, nu)
-    lv = float(w.log_values[nu - 1])
-    if log:
-        return lv
-    with np.errstate(over="ignore"):
-        return float(np.exp(lv))
 
 
 def weight_power(w: Weight, k: int) -> Weight:

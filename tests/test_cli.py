@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
+from scalehilbert.hessian import operator_to_json
+from scalehilbert.verify import (
+    BATCH_CERTIFICATES,
+    OPERATOR_CERTIFICATES,
+    analyze_operator_batch,
+    standard_operator_set,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +146,47 @@ class TestHessianAnalyze:
         assert not report["passed"]
         assert len(report["certificates"]) == 1
         assert report["certificates"][0]["defect"] == 1.0
+
+    def test_tol_override_reaches_the_symmetry_gate(self, tmp_path):
+        # symmetric part plus a skew part of relative size 1e-8: the gate
+        # passes at --tol 1e-6, and no certificate re-checks at 1e-10
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((6, 6))
+        sym = (b + b.T) / 2
+        c = rng.standard_normal((6, 6))
+        skew = (c - c.T) / 2
+        matrix = sym + skew * (1e-8 * np.linalg.norm(2 * sym) / np.linalg.norm(2 * skew))
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({"n": 6, "kind": "dense", "matrix": matrix.tolist()}))
+        code = main(["--command", "hessian-analyze", "--input", str(path), "--tol", "1e-6"])
+        assert code == 0
+        certificates = read_report("scalehilbert_hessian_analyze.json")["certificates"]
+        assert [c["name"] for c in certificates] == [c.name for c in OPERATOR_CERTIFICATES]
+        assert certificates[0]["defect"] == pytest.approx(1e-8, rel=1e-6)
+        assert all(c["passed"] and c["tol"] == 1e-6 for c in certificates)
+
+    def test_wide_range_spectrum_returns_an_exit_code(self, tmp_path):
+        # a failing consistency check is a certificate, never an exception;
+        # exit 2 here comes from the grade-1 Gram Cholesky (ROADMAP item 3)
+        spec = {"n": 4, "kind": "conjugated_diagonal", "diag": [1e9, 1.0, 0.5, -2.0], "seed": 3}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) in (1, 2)
+
+    def test_certificates_match_the_batch_bitwise(self, tmp_path):
+        op = standard_operator_set(count=2)[1]
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(operator_to_json(op)))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
+        certificates = read_report("scalehilbert_hessian_analyze.json")["certificates"]
+        names = [c["name"] for c in certificates]
+        assert names == [c.name for c in OPERATOR_CERTIFICATES]
+        assert names[0] == "symmetry"
+        (row,) = analyze_operator_batch([op])
+        assert row["kernel"].ker_dim > 0
+        shared = {c["name"]: c["defect"] for c in certificates if c["name"] in row}
+        assert set(shared) == {c.name for c in BATCH_CERTIFICATES}
+        assert shared == {name: row[name] for name in shared}
 
     def test_missing_input_file(self, capsys):
         assert main(["--command", "hessian-analyze", "--input", "nope.json"]) == 2

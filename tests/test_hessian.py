@@ -433,7 +433,7 @@ class TestOperatorAnalysis:
             "kernel": an.kernel,
             "resolvent_residual": an.resolvent.residual,
             "normality": normality_defect(an.resolvent),
-            "gammas": spectral_decompose(an, verify=False).gammas.tolist(),
+            "gammas": spectral_decompose(an).gammas.tolist(),
             "consistency": an.consistency,
             "reconstruction": an.relative_reconstruction,
             "fractal": build_fractal_structure(an, 3).deviations,
@@ -451,7 +451,7 @@ class TestOperatorAnalysis:
             return ScaleOperator(matrix)
 
         op = fresh()
-        data = spectral_decompose(op, verify=False)
+        data = spectral_decompose(op)
         recon = linalg.frobenius(
             op.matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T
         ) / max(linalg.frobenius(op.matrix), np.finfo(float).tiny)

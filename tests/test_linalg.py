@@ -35,9 +35,13 @@ def test_symmetry_helpers():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert symmetry_defect(skew) == pytest.approx(2.0, rel=1e-15)
     assert np.array_equal(sym_part(skew), np.zeros((2, 2)))
-    require_symmetric(np.eye(2))
+    assert np.array_equal(require_symmetric([[1, 2], [2, 1]]), [[1.0, 2.0], [2.0, 1.0]])
+    nearly = np.array([[1.0, 2.0 + 1e-12], [2.0, 1.0]])
+    assert np.array_equal(require_symmetric(nearly), sym_part(nearly))
     with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
         require_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="payload"):
+        require_symmetric(np.ones((2, 3)), name="payload")
 
 
 def test_cholesky_and_spd_guard():

@@ -11,7 +11,6 @@ from scalehilbert.sobolev_circle import (
     fourier_gram_quadrature_table,
     ratio_trace,
     sigma_equivalence_constants,
-    sobolev_to_fractal_ratio,
 )
 from scalehilbert.spaces import gram_matrix, validate_space
 
@@ -119,17 +118,18 @@ class TestFractalRatio:
     def test_ratio_at_first_index(self):
         # the lower equivalence bound 2**-k is attained at nu = 1
         for k in range(5):
-            assert sobolev_to_fractal_ratio(1, k) == pytest.approx(2.0**-k, rel=1e-13)
+            assert ratio_trace(1, k)[0] == pytest.approx(2.0**-k, rel=1e-13)
 
     def test_ratio_tends_to_pi_power(self):
-        assert sobolev_to_fractal_ratio(10**4, 1) == pytest.approx(math.pi**2, rel=1e-6)
-        assert sobolev_to_fractal_ratio(10**4, 2) == pytest.approx(math.pi**4, rel=1e-6)
+        assert ratio_trace(10**4, 1)[-1] == pytest.approx(math.pi**2, rel=1e-6)
+        assert ratio_trace(10**4, 2)[-1] == pytest.approx(math.pi**4, rel=1e-6)
 
     def test_trace_matches_scalar(self):
         trace = ratio_trace(32, 3)
         assert trace.shape == (32,)
         for nu in (1, 2, 7, 32):
-            assert trace[nu - 1] == pytest.approx(sobolev_to_fractal_ratio(nu, 3), rel=1e-13)
+            scalar = fourier_gram_closed_form(nu, nu, 3) / (nu**2 + 1) ** 3
+            assert trace[nu - 1] == pytest.approx(scalar, rel=1e-13)
 
     def test_trace_respects_equivalence_bounds(self):
         for k in range(4):

@@ -8,7 +8,6 @@ from scalehilbert.weights import (
     poly_plus_one_weight,
     sigma_weight,
     validate_weight,
-    weight_eval,
     weight_from_json,
     weight_power,
     weight_to_json,
@@ -34,10 +33,12 @@ def test_poly_plus_one_degree_zero():
 def test_eval_is_one_based():
     w = sigma_weight(3)
     assert w.value(1) == pytest.approx(2.0)
-    assert weight_eval(w, 3, log=True) == pytest.approx(np.log(10.0))
+    assert w.log_value(3) == pytest.approx(np.log(10.0))
     for bad in (0, 4, -1):
         with pytest.raises(IndexError):
-            weight_eval(w, bad)
+            w.value(bad)
+        with pytest.raises(IndexError):
+            w.log_value(bad)
 
 
 def test_log_values_read_only():
@@ -80,9 +81,9 @@ def test_eval_at_overflow_boundary():
     # below ~700 the linear value is finite, above it saturates to inf,
     # while the log accessor stays exact
     w = Weight(np.array([EXP_OVERFLOW_LOG - 1.0, EXP_OVERFLOW_LOG + 10.0]))
-    assert np.isfinite(weight_eval(w, 1))
-    assert weight_eval(w, 2) == np.inf
-    assert weight_eval(w, 2, log=True) == EXP_OVERFLOW_LOG + 10.0
+    assert np.isfinite(w.value(1))
+    assert w.value(2) == np.inf
+    assert w.log_value(2) == EXP_OVERFLOW_LOG + 10.0
 
 
 def test_high_powers_stay_in_log_domain():
