@@ -25,7 +25,16 @@ def sym_part(m):
 
 
 def frobenius(m):
-    return float(np.linalg.norm(m, "fro"))
+    """Frobenius norm. Only when the plain sum of squares overflows is it
+    recomputed on m / max|m|, so a norm below the overflow threshold
+    comes out finite and every other result is the plain one."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m, "fro"))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(m)))
+        if np.isfinite(scale):
+            norm = scale * float(np.linalg.norm(m / scale, "fro"))
+    return norm
 
 
 def symmetry_defect(m):

@@ -317,8 +317,9 @@ def criterion_spectral_consistency(
     eig_tol: float | None = None,
     recon_tol: float | None = None,
 ) -> CriterionResult:
-    """Eigenvalues agree with the resolvent eigenproblem after matching,
-    and the eigendecomposition reconstructs the operator."""
+    """Eigenvalues agree with the resolvent's, within the eigen-residual
+    bound of :func:`resolvent_consistency`, and the eigendecomposition
+    reconstructs the operator."""
     batch = _batch(batch, seed)
     eig_tol = CONSISTENCY.tolerance(eig_tol)
     recon_tol = RECONSTRUCTION.tolerance(recon_tol)

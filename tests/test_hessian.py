@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from scalehilbert import linalg
 from scalehilbert.hessian import (
     DEFAULT_RESOLVENT_POINT,
     OperatorAnalysis,
     ScaleOperator,
+    SpectralData,
     SpectrumError,
     build_fractal_structure,
     check_kernel_cokernel,
@@ -31,6 +33,7 @@ from scalehilbert.spaces import (
     space_to_json,
     weighted_sequence_space,
 )
+from scalehilbert.verify import standard_operator_set
 from scalehilbert.weights import Weight
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -87,6 +90,19 @@ class TestSymmetry:
     def test_antisymmetric_is_infinite(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert check_symmetry(ScaleOperator(a)).defect == np.inf
+
+    def test_huge_diagonal_is_symmetric_without_overflow(self):
+        # ||A + A^T||_F overflows as a plain sum of squares; with the
+        # suite's error::RuntimeWarning filter an overflow warning fails here
+        report = check_symmetry(ScaleOperator(np.diag([0.0, 1e200])))
+        assert report.defect == 0.0
+        assert report.passed
+
+    def test_huge_asymmetric_defect_is_measured(self):
+        # ||A - A^T|| / ||A + A^T|| = sqrt(2) / sqrt(6), not inf / inf
+        report = check_symmetry(ScaleOperator(np.array([[0.0, 1e200], [0.0, 1e200]])))
+        assert report.defect == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+        assert not report.passed
 
 
 class TestKernelCokernel:
@@ -253,9 +269,21 @@ class TestResolvent:
         assert r.b_matrix == pytest.approx(np.diag([-0.25, -1.0 / 3.0]), rel=1e-14)
 
     def test_point_on_spectrum_raises(self):
+        # the solve meets an exact zero pivot
         op = ScaleOperator(np.diag([1.0, 2.0]))
         with pytest.raises(SpectrumError):
             resolvent(op, 2.0, require_off_axis=False)
+
+    def test_point_within_roundoff_of_spectrum_raises(self):
+        # the solve succeeds, but kappa_1 = ||A - 2I||_1 ||B||_1 is ~1e16
+        op = conjugated_diagonal([1.0, 2.0, 3.0], seed=5)
+        with pytest.raises(SpectrumError, match="on spectrum"):
+            resolvent(op, 2.0, require_off_axis=False)
+
+    def test_condition_guard_rejects_huge_range(self):
+        # n eps kappa_1 = 2 eps 1e200 >= 1 even at the imaginary unit
+        with pytest.raises(SpectrumError):
+            resolvent(ScaleOperator(np.diag([0.0, 1e200])))
 
     def test_default_point(self):
         assert DEFAULT_RESOLVENT_POINT == 1j
@@ -277,10 +305,22 @@ class TestNormality:
 
     def test_nilpotent_control_fails_loudly(self):
         # B = [[i, 1], [0, i]] gives ||B*B - BB*|| = sqrt(2), ||B||^2 = 3
+        # and ||B^T - B|| = sqrt(2)
         r = resolvent(ScaleOperator(NILPOTENT))
-        commutator, _ = normality_defect(r)
+        commutator, adjoint = normality_defect(r)
         assert commutator == pytest.approx(np.sqrt(2.0) / 3.0, rel=1e-12)
         assert commutator > 1e-2
+        assert adjoint == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
+
+    def test_adjoint_matches_the_conjugate_point_solve(self):
+        # a real operator's resolvent at conj(z) is conj(B): the adjoint
+        # defect equals ||B* - (A - conj(z) I)^-1|| / ||B|| without the solve
+        a = np.random.default_rng(53).standard_normal((20, 20))
+        r = resolvent(ScaleOperator(a))
+        b_conj = np.linalg.solve(a + 1j * np.eye(20), np.eye(20, dtype=complex))
+        expected = linalg.frobenius(r.b_matrix.conj().T - b_conj) / linalg.frobenius(r.b_matrix)
+        assert expected > 1e-2
+        assert normality_defect(r)[1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSpectralDecompose:
@@ -363,6 +403,43 @@ class TestResolventConsistency:
         op = ScaleOperator(np.diag([1.0, 2.0]))
         data = spectral_decompose(op)
         assert resolvent_consistency(op, data, point=2j) < 1e-14
+
+    @staticmethod
+    def eig_oracle(b, data, point=DEFAULT_RESOLVENT_POINT):
+        """Largest relative mismatch between gamma and 1/mu + point, with
+        mu from a nonsymmetric eigensolve of B matched to the eigenpairs
+        by maximal eigenvector overlap (an assignment problem)."""
+        mu, u = np.linalg.eig(b)
+        _, cols = linear_sum_assignment(-np.abs(data.vectors.T @ u))
+        dev = np.abs(data.gammas - (1.0 / mu[cols] + point)) / (1.0 + np.abs(data.gammas))
+        return float(dev.max())
+
+    def test_bounds_the_eig_oracle_on_the_standard_batch(self):
+        for op in standard_operator_set():
+            an = OperatorAnalysis(op)
+            data = spectral_decompose(an)
+            assert an.consistency >= self.eig_oracle(an.resolvent.b_matrix, data)
+            assert an.consistency < 1e-13
+
+    @staticmethod
+    def perturbed_control():
+        op = conjugated_diagonal(np.linspace(-3.0, 3.0, 40), seed=23)
+        return op, spectral_decompose(op)
+
+    def test_shifted_eigenvalue_fails(self):
+        op, data = self.perturbed_control()
+        gammas = data.gammas.copy()
+        gammas[5] += 1e-6
+        defect = resolvent_consistency(op, SpectralData(gammas, data.vectors, data.order))
+        assert defect == pytest.approx(4.2e-7, rel=0.01)
+        assert defect > 1e-8
+
+    def test_swapped_eigenvectors_fail(self):
+        op, data = self.perturbed_control()
+        vectors = data.vectors.copy()
+        vectors[:, [3, 4]] = vectors[:, [4, 3]]
+        defect = resolvent_consistency(op, SpectralData(data.gammas, vectors, data.order))
+        assert defect == pytest.approx(0.71, rel=0.01)
 
 
 class TestOperatorJson:

@@ -8,10 +8,14 @@ module-internal SVD and does not show up.
 
 import collections
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scalehilbert
 from scalehilbert import verify
 from scalehilbert.cli import main
 from scalehilbert.verify import analyze_operator_batch, run_verify_all, standard_operator_set
@@ -41,21 +45,22 @@ def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
     code = main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")])
     capsys.readouterr()
     assert code == 0
-    # eig: consistency; eigh: spectral data; svd: kernel + resolvent guard;
-    # solve: resolvent + the independent conjugate-point solve
-    assert dict(kernel_calls) == {"eig": 1, "eigh": 1, "svd": 2, "solve": 2}
+    # eigh: spectral data; svd: kernel; solve: resolvent (its guard, the
+    # adjoint and the consistency residual read the solve's result)
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1}
 
 
 def test_batch_factorizes_once_per_operator(kernel_calls):
     ops = standard_operator_set(count=6)
     rows = analyze_operator_batch(ops)
     assert len(rows) == 6
-    assert dict(kernel_calls) == {"eig": 6, "eigh": 6, "svd": 12, "solve": 12}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 6}
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     """Criterion 9 compares two independent runs: the second core pass
-    must redo every factorization rather than read one kept from the first."""
+    must redo every factorization rather than read one kept from the first.
+    Each batch operator makes one ``eigh`` and one ``solve`` (no ``eig``)."""
     count = 4
     full_set = verify.standard_operator_set
     monkeypatch.setattr(verify, "standard_operator_set", lambda seed: full_set(seed, count=count))
@@ -67,7 +72,7 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
         def counted(*args, **kwargs):
             before = dict(kernel_calls)
             result = fn(*args, **kwargs)
-            passes[name].append({k: kernel_calls[k] - before[k] for k in ("eig", "eigh")})
+            passes[name].append({k: kernel_calls[k] - before[k] for k in ("eigh", "solve")})
             return result
 
         monkeypatch.setattr(verify, name, counted)
@@ -77,4 +82,12 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     assert run_verify_all().passed
     core, batch = passes["_run_core"], passes["analyze_operator_batch"]
     assert len(core) == 2 and core[0] == core[1]
-    assert batch == [{"eig": count, "eigh": count}] * 2
+    assert batch == [{"eigh": count, "solve": count}] * 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """No certificate needs an assignment solver, so the CLI does not load one."""
+    code = "import sys, scalehilbert.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scalehilbert.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -91,3 +91,11 @@ def test_random_orthogonal_is_deterministic_and_orthogonal():
 def test_frobenius_and_eps():
     assert frobenius(np.full((2, 2), 3.0)) == pytest.approx(6.0, rel=1e-15)
     assert 0 < EPS < 1e-15
+
+
+def test_frobenius_survives_overflow_of_the_squares():
+    m = np.random.default_rng(3).standard_normal((5, 4))
+    assert frobenius(m) == float(np.linalg.norm(m, "fro"))
+    assert frobenius(np.full((2, 2), 1e200)) == pytest.approx(2e200, rel=1e-15)
+    assert frobenius(np.array([[3e300j, 4e300]])) == pytest.approx(5e300, rel=1e-15)
+    assert frobenius(np.array([[np.inf, 1.0]])) == np.inf
