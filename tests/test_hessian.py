@@ -414,12 +414,33 @@ class TestResolventConsistency:
         dev = np.abs(data.gammas - (1.0 / mu[cols] + point)) / (1.0 + np.abs(data.gammas))
         return float(dev.max())
 
-    def test_bounds_the_eig_oracle_on_the_standard_batch(self):
+    def test_matches_the_eig_oracle_on_the_standard_batch(self):
+        # Unperturbed, both are rounding noise; with every gamma shifted
+        # by 1e-9 (1 + |gamma|) the defect is the oracle's deviation.
+        rng = np.random.default_rng(5)
         for op in standard_operator_set():
             an = OperatorAnalysis(op)
             data = spectral_decompose(an)
-            assert an.consistency >= self.eig_oracle(an.resolvent.b_matrix, data)
+            b = an.resolvent.b_matrix
             assert an.consistency < 1e-13
+            assert self.eig_oracle(b, data) < 1e-13
+            noise = 1e-9 * (1.0 + np.abs(data.gammas)) * rng.uniform(-1.0, 1.0, data.gammas.size)
+            shifted = SpectralData(data.gammas + noise, data.vectors, data.order)
+            assert resolvent_consistency(an, shifted) == pytest.approx(
+                self.eig_oracle(b, shifted), rel=1e-4
+            )
+
+    @pytest.mark.parametrize("scale", [1e5, 1e7])
+    def test_wide_spectrum_passes_with_the_eig_oracle(self, scale):
+        # Roundoff here is eps ||A||: a bound that weights every pair's
+        # residual by the largest |gamma| (eps ||A||^2) fails from about
+        # 1e4, and per-pair residuals without the Rayleigh split fail
+        # seed 7 at 1e7.
+        for seed in range(20):
+            an = OperatorAnalysis(conjugated_diagonal(np.array([scale, 1.0, 0.5, -2.0]), seed=seed))
+            data = spectral_decompose(an)
+            assert self.eig_oracle(an.resolvent.b_matrix, data) < 1e-8
+            assert an.consistency < 1e-8
 
     @staticmethod
     def perturbed_control():
@@ -430,16 +451,20 @@ class TestResolventConsistency:
         op, data = self.perturbed_control()
         gammas = data.gammas.copy()
         gammas[5] += 1e-6
-        defect = resolvent_consistency(op, SpectralData(gammas, data.vectors, data.order))
-        assert defect == pytest.approx(4.2e-7, rel=0.01)
-        assert defect > 1e-8
+        shifted = SpectralData(gammas, data.vectors, data.order)
+        defect = resolvent_consistency(op, shifted)
+        oracle = self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, shifted)
+        assert defect == pytest.approx(oracle, rel=1e-5)
+        assert defect == pytest.approx(3.1e-7, rel=0.01)
 
     def test_swapped_eigenvectors_fail(self):
         op, data = self.perturbed_control()
         vectors = data.vectors.copy()
         vectors[:, [3, 4]] = vectors[:, [4, 3]]
-        defect = resolvent_consistency(op, SpectralData(data.gammas, vectors, data.order))
-        assert defect == pytest.approx(0.71, rel=0.01)
+        swapped = SpectralData(data.gammas, vectors, data.order)
+        defect = resolvent_consistency(op, swapped)
+        assert defect == pytest.approx(0.40, rel=0.01)
+        assert defect >= self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, swapped)
 
 
 class TestOperatorJson:
