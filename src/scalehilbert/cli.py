@@ -19,6 +19,7 @@ fixed configuration and seed reproduce them byte for byte. Exit codes:
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ def _csv_path(json_path: str) -> str:
 
 def cmd_sobolev_demo(cfg: RunConfig) -> int:
     """Gram table, oracle deltas, ratio trace, and per-grade constants."""
+    if _log_closed_form_diag(cfg.nu_max, cfg.k_max) >= math.log(sys.float_info.max):
+        raise ValueError(f"--k-max {cfg.k_max} overflows the closed-form Sobolev weight at --nu-max {cfg.nu_max}")
     tol = cfg.tol if cfg.tol is not None else ORACLE_TOL
     rows = []
     worst = 0.0

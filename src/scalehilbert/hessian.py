@@ -206,16 +206,16 @@ class ResolventData:
 def check_symmetry(op: ScaleOperator, tol: float = SYMMETRY_TOL) -> SymmetryReport:
     """Asymmetry of the operator matrix, in relative Frobenius norm.
 
-    The antisymmetric part is measured against the symmetric part, so a
-    strictly triangular matrix scores exactly 1 and a symmetric one 0.
+    The antisymmetric part is measured against the larger of the
+    symmetric and the antisymmetric part, so the defect lies in [0, 1]:
+    a symmetric matrix scores 0, a strictly triangular or skew-symmetric
+    one exactly 1, and the zero matrix 0. Where the symmetric part is the
+    larger this is ||A - A^T|| / ||A + A^T||.
     """
     a = op.matrix
     num = linalg.frobenius(a - a.T)
-    den = linalg.frobenius(a + a.T)
-    if den == 0.0:
-        defect = 0.0 if num == 0.0 else float("inf")
-    else:
-        defect = num / den
+    den = max(linalg.frobenius(a + a.T), num)
+    defect = num / den if den > 0.0 else 0.0
     return SymmetryReport(defect=float(defect), tol=float(tol), passed=defect <= tol)
 
 

@@ -16,7 +16,12 @@ inside fixed bounds and tends to pi^(2k) along large nu.
 A periodic trapezoid quadrature serves as the independent oracle for
 the closed form. The integrands are trigonometric polynomials, so the
 trapezoid rule is exact (up to roundoff) once the node count exceeds
-the bandwidth.
+the bandwidth. The table oracle samples the basis at exact integer
+phases, accumulates one node Gram over blocks of nodes and reads every
+grade off it through the derivative amplitudes: an identity of the
+integrands at each node, so the table is the trapezoid sum itself and
+never reads the closed form it checks. The scalar
+:func:`fourier_gram_quadrature` is its pointwise reference.
 """
 
 import math
@@ -97,7 +102,8 @@ def _log_closed_form_diag(nu, k: int):
 
 
 def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
-    """j-th derivative of a basis function on the grid t, analytically."""
+    """j-th derivative of a basis function on the grid t, analytically
+    (the pointwise reference behind :func:`fourier_gram_quadrature`)."""
     if kind == "constant":
         return np.ones_like(t) if j == 0 else np.zeros_like(t)
     amp = math.sqrt(2.0) * (2.0 * math.pi * m) ** j
@@ -107,6 +113,10 @@ def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
     if kind == "cosine":
         return amp * np.cos(phase)
     raise ValueError(f"unknown basis kind {kind!r}")
+
+
+# nodes per block of the streamed node Gram in fourier_gram_quadrature_table
+_NODE_BLOCK = 1024
 
 
 def _require_nodes(q: int, max_m: int, k: int):
@@ -123,7 +133,8 @@ def fourier_gram_quadrature(nu: int, nu_prime: int, k: int, q: int) -> float:
 
     Derivatives are taken analytically (phase shifts by multiples of
     pi/2 and amplitude factors (2 pi m)^j), so the only numerical step
-    is the quadrature itself.
+    is the quadrature itself. The pointwise reference for
+    :func:`fourier_gram_quadrature_table`.
     """
     _require_index(nu)
     _require_index(nu_prime, "nu_prime")
@@ -141,21 +152,68 @@ def fourier_gram_quadrature(nu: int, nu_prime: int, k: int, q: int) -> float:
 
 
 def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> np.ndarray:
-    """The full quadrature Gram matrix of grade k, one row per basis index."""
-    spec = FourierBasisSpec(nu_max)
+    """The full quadrature Gram matrix of grade k, one row per basis index.
+
+    The trapezoid sum of :func:`fourier_gram_quadrature` on q nodes, for
+    all pairs at once. The basis is gathered at the exact integer phases
+    (m * i) mod q from one length-q cosine/sine table, and the node Gram
+    G = E E^T / q is accumulated over blocks of _NODE_BLOCK nodes, so no
+    nu_max x q matrix is held. The j-th derivative of a basis function
+    is (2 pi m)^j times, up to sign, the function (j even) or its
+    derivative direction (j odd: sine -> cosine, cosine -> -sine,
+    constant -> 0), so the table is
+
+        sum_{j=0}^k (w w^T)^j o G_{j mod 2},    w_nu = 2 pi floor(nu / 2),
+
+    with G_0 the basis Gram and G_1 the Gram of the directions, both
+    read out of G.
+    """
+    FourierBasisSpec(nu_max)
+    if k < 0:
+        raise ValueError(f"grade must be >= 0, got {k}")
     max_m = nu_max // 2
     if q is None:
         q = max(64, 4 * max_m * (k + 1))
     _require_nodes(q, max_m, k)
-    t = np.arange(q, dtype=float) / q
-    gram = np.zeros((nu_max, nu_max))
-    for j in range(k + 1):
-        d = np.empty((nu_max, q))
-        for nu in range(1, nu_max + 1):
-            m, kind = spec.mode(nu)
-            d[nu - 1] = _derivative_values(m, kind, j, t)
-        gram += d @ d.T / q
-    return gram
+    return _trapezoid_table(nu_max, k, q)
+
+
+def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
+    """:func:`fourier_gram_quadrature_table` at any q >= 1; the identity
+    holds node by node, so also where q aliases two frequencies."""
+    max_m = nu_max // 2
+    rows = 2 * max_m + 1  # basis indices 1..2 max_m + 1: const, sin 1, cos 1, ..., sin M, cos M
+    angle = (2.0 * math.pi / q) * np.arange(q)
+    sin_table, cos_table = math.sqrt(2.0) * np.sin(angle), math.sqrt(2.0) * np.cos(angle)
+    m = np.arange(1, max_m + 1)
+    gram = np.zeros((rows, rows))
+    for start in range(0, q, _NODE_BLOCK):
+        nodes = np.arange(start, min(start + _NODE_BLOCK, q))
+        phase = np.outer(m, nodes)
+        phase %= q
+        block = np.empty((rows, nodes.size))
+        block[0] = 1.0
+        block[1::2] = sin_table[phase]
+        block[2::2] = cos_table[phase]
+        gram += block @ block.T
+    gram /= q
+    g0 = gram[:nu_max, :nu_max]
+    # derivative directions: index 2m (sine) -> 2m + 1 (cosine),
+    # 2m + 1 (cosine) -> -(2m) (sine), 1 (constant) -> 0; 0-based below
+    idx = np.arange(nu_max)
+    partner = np.where(idx % 2 == 1, idx + 1, idx - 1)
+    partner[0] = 0
+    sign = np.where(idx % 2 == 1, 1.0, -1.0)
+    sign[0] = 0.0
+    g1 = gram[np.ix_(partner, partner)] * np.outer(sign, sign)
+    table = g0.copy()  # the j = 0 term
+    w = 2.0 * math.pi * (np.arange(1, nu_max + 1) // 2)
+    for j in range(1, k + 1):
+        wj = w**j
+        term = np.outer(wj, wj)
+        term *= g1 if j % 2 else g0
+        table += term
+    return table
 
 
 def oracle_delta(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -169,7 +227,8 @@ def oracle_delta(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """
     diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
     quad = fourier_gram_quadrature_table(nu_max, k)
-    scale = np.maximum(1.0, np.sqrt(np.outer(diag, diag)))
+    root = np.sqrt(diag)  # the outer product of diag itself overflows from d ~ 1e154 on
+    scale = np.maximum(1.0, np.outer(root, root))
     return diag, quad, float((np.abs(np.diag(diag) - quad) / scale).max())
 
 

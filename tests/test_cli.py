@@ -25,6 +25,10 @@ def read_report(path):
         return json.load(fh)
 
 
+def reject_non_finite(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig("verify-all")
@@ -79,6 +83,22 @@ class TestSobolevDemo:
         assert row["closed_form"] == 1.0
         assert row["quadrature"] == pytest.approx(1.0, rel=1e-14)
         assert row["ratio"] == pytest.approx(1.0, rel=1e-14)
+
+    def test_overflowing_k_max_is_an_input_error(self, capsys):
+        # the grade-70 weight at frequency 32 is about 4e4 ** 70 ~ 1e322
+        code = main(["--command", "sobolev-demo", "--nu-max", "64", "--k-max", "70"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--k-max 70" in err
+        assert "Traceback" not in err
+
+    def test_high_k_max_below_overflow_passes(self):
+        code = main(["--command", "sobolev-demo", "--nu-max", "64", "--k-max", "60"])
+        assert code == 0
+        with open("scalehilbert_sobolev_demo.json") as fh:
+            report = json.load(fh, parse_constant=reject_non_finite)
+        assert report["oracle"]["passed"]
+        assert len(report["rows"]) == 64 * 61
 
     def test_unattainable_tol_fails(self):
         code = main(["--command", "sobolev-demo", "--nu-max", "8", "--tol", "1e-30"])
@@ -145,6 +165,16 @@ class TestHessianAnalyze:
         assert report["halted_after"] == "symmetry"
         assert not report["passed"]
         assert len(report["certificates"]) == 1
+        assert report["certificates"][0]["defect"] == 1.0
+
+    def test_skew_symmetric_report_is_strict_json(self, tmp_path):
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps({"n": 2, "matrix": [[0, 1], [-1, 0]]}))
+        code = main(["--command", "hessian-analyze", "--input", str(path)])
+        assert code == 1
+        with open("scalehilbert_hessian_analyze.json") as fh:
+            report = json.load(fh, parse_constant=reject_non_finite)
+        assert report["halted_after"] == "symmetry"
         assert report["certificates"][0]["defect"] == 1.0
 
     def test_tol_override_reaches_the_symmetry_gate(self, tmp_path):

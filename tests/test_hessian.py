@@ -87,9 +87,23 @@ class TestSymmetry:
     def test_zero_matrix(self):
         assert check_symmetry(ScaleOperator(np.zeros((3, 3)))).defect == 0.0
 
-    def test_antisymmetric_is_infinite(self):
+    def test_antisymmetric_scores_exactly_one(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert check_symmetry(ScaleOperator(a)).defect == np.inf
+        report = check_symmetry(ScaleOperator(a))
+        assert report.defect == 1.0
+        assert not report.passed
+
+    def test_defect_is_the_plain_ratio_up_to_one_and_capped_beyond(self):
+        rng = np.random.default_rng(5)
+        for eps in (1e-12, 1e-3, 0.5, 0.99):
+            s = rng.standard_normal((6, 6))
+            a = s + s.T + eps * (s - s.T)
+            plain = np.linalg.norm(a - a.T) / np.linalg.norm(a + a.T)
+            assert plain <= 1.0
+            assert check_symmetry(ScaleOperator(a)).defect == plain
+        # mostly antisymmetric: ||A - A^T|| = 3 ||A + A^T||
+        report = check_symmetry(ScaleOperator(np.array([[0.0, 1.0], [-0.5, 0.0]])))
+        assert report.defect == 1.0
 
     def test_huge_diagonal_is_symmetric_without_overflow(self):
         # ||A + A^T||_F overflows as a plain sum of squares; with the

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scalehilbert.sobolev_circle import (
+    _NODE_BLOCK,
     FourierBasisSpec,
+    _derivative_values,
+    _trapezoid_table,
     build_sobolev_space,
     fourier_gram_closed_form,
     fourier_gram_quadrature,
@@ -112,6 +116,75 @@ class TestQuadratureOracle:
     def test_table_rejects_undersampling(self):
         with pytest.raises(ValueError, match="insufficient node count"):
             fourier_gram_quadrature_table(10, 3, q=16)
+
+
+def scaled_table_delta(table, reference, k):
+    """Largest entrywise |table - reference|, scaled as the oracle scales
+    it: by max(1, sqrt(d_nu d_nu')) with d the closed-form diagonal."""
+    d = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, table.shape[0] + 1)])
+    return float((np.abs(table - reference) / np.maximum(1.0, np.sqrt(np.outer(d, d)))).max())
+
+
+def pointwise_table(nu_max, k, q):
+    """The trapezoid table from pointwise derivative samples, at any q."""
+    spec = FourierBasisSpec(nu_max)
+    t = np.arange(q, dtype=float) / q
+    table = np.zeros((nu_max, nu_max))
+    for j in range(k + 1):
+        d = np.array([_derivative_values(m, kind, j, t) for m, kind in spec.modes()])
+        table += d @ d.T / q
+    return table
+
+
+class TestStreamedTable:
+    """The node-block table against the scalar pointwise reference."""
+
+    @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("nodes", ["default", "not_multiple_of_4", "ragged_blocks"])
+    def test_table_equals_scalar_entrywise(self, nu_max, k, nodes):
+        default_q = max(64, 4 * (nu_max // 2) * (k + 1))
+        q = {
+            "default": None,
+            "not_multiple_of_4": max(2, 4 * (nu_max // 2) * (k + 1)) + 1,
+            "ragged_blocks": 2 * _NODE_BLOCK + 37,
+        }[nodes]
+        table = fourier_gram_quadrature_table(nu_max, k, q)
+        q_used = default_q if q is None else q
+        scalar = np.array(
+            [[fourier_gram_quadrature(a, b, k, q_used) for b in range(1, nu_max + 1)] for a in range(1, nu_max + 1)]
+        )
+        assert scaled_table_delta(table, scalar, k) <= 1e-13
+
+    @pytest.mark.parametrize("q", [1, 3, 5, 8])
+    def test_identity_is_exact_for_aliased_node_counts(self, q):
+        # below the alias-free node count, products of two sines or two
+        # cosines of different frequencies no longer sum to 0, so odd grades
+        # see whether G_1 really swaps sine and cosine (above it G_0 and G_1
+        # agree to roundoff); sine-cosine products sum to 0 at every q, as
+        # the node set is symmetric under t -> -t, so no table shows the
+        # sign of the cosine's derivative direction
+        for nu_max in (9, 12):
+            for k in range(4):
+                table = _trapezoid_table(nu_max, k, q)
+                assert np.array_equal(table, table.T)
+                assert scaled_table_delta(table, pointwise_table(nu_max, k, q), k) <= 1e-13
+
+    def test_rejects_negative_grade(self):
+        with pytest.raises(ValueError, match="grade"):
+            fourier_gram_quadrature_table(4, -1)
+
+    def test_memory_stays_below_the_full_sample_matrix(self):
+        # the seed's derivative matrix alone was nu_max x q doubles, 64 MiB
+        # at (1024, 3), with two copies alive; streaming keeps the peak to a
+        # few nu_max x nu_max arrays
+        tracemalloc.start()
+        try:
+            fourier_gram_quadrature_table(1024, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
 
 class TestFractalRatio:
