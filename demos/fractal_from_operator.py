@@ -11,16 +11,20 @@ decomposition, then build the graph-norm ladder and read off the weight
 import numpy as np
 
 from scalehilbert import (
+    GramGrade,
     ScaleOperator,
+    TruncatedScaleSpace,
     build_fractal_structure,
     check_kernel_cokernel,
     check_symmetry,
     fractal_weight,
+    graph_ladder,
     is_scale_isometric,
     normality_defect,
     resolvent,
     resolvent_consistency,
     spectral_decompose,
+    weighted_sequence_space,
 )
 
 rng = np.random.default_rng(1729)
@@ -59,6 +63,10 @@ print("per-grade Gram deviations of the rescaled eigenbasis:")
 for k, d in enumerate(structure.deviations):
     print(f"  grade {k}: {d:.3e}")
 
-report = is_scale_isometric(structure.space, structure.target, structure.mapping)
+# the certificate above reads the ladder Grams only; as scale spaces, the
+# graph ladder maps onto the weighted model by the sorted eigenbasis
+ladder = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in graph_ladder(op.matrix, 3)))
+model = weighted_sequence_space(structure.weight, 3)
+report = is_scale_isometric(ladder, model, structure.spectral.sorted_vectors().T)
 print(f"scale isometry onto the weighted model: {report.is_isometric} "
       f"(worst grade defect {max(report.defects):.3e})")

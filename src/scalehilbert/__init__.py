@@ -23,7 +23,6 @@ from .hessian import (
     conjugated_diagonal,
     fractal_weight,
     graph_equivalence_constants,
-    graph_gram,
     graph_inner_product,
     graph_ladder,
     normality_defect,

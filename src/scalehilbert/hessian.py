@@ -16,8 +16,9 @@ kernel SVD, the ``eigh`` spectral data and its reconstruction residual,
 the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one solve, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
-fractal weight, the graph Gram and ladder, and the graph-equivalence
-constants. The certificate functions accept either a bare
+fractal weight, the graph ladder and the graph-equivalence constants.
+The graph form has one definition, :func:`graph_ladder`: the graph Gram
+I + A^T A is its grade 1. The certificate functions accept either a bare
 :class:`ScaleOperator`, which gets a fresh analysis of its own, or an
 analysis shared between them; none re-runs another.
 ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them in the order
@@ -33,14 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .spaces import (
-    GramGrade,
-    TruncatedScaleSpace,
-    gram_matrix,
-    space_from_json,
-    space_to_json,
-    weighted_sequence_space,
-)
+from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json, space_to_json
 from .weights import Weight
 
 __all__ = [
@@ -59,7 +53,6 @@ __all__ = [
     "check_kernel_cokernel",
     "regularity_constant",
     "graph_inner_product",
-    "graph_gram",
     "graph_ladder",
     "graph_equivalence_constants",
     "resolvent",
@@ -241,15 +234,10 @@ def check_kernel_cokernel(op: ScaleOperator, rank_tol: float | None = None) -> K
     return KernelReport(ker_dim=op.n - rank, coker_dim=op.n - rank, subspace_angle=angle)
 
 
-def graph_gram(op: ScaleOperator) -> np.ndarray:
-    """Gram matrix of the graph inner product, identity + A^T A, symmetrized."""
-    a = op.matrix
-    return linalg.sym_part(np.eye(op.n) + a.T @ a)
-
-
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
-    G_{k+1} = G_k + A^T G_k A, symmetrized at every step."""
+    G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
+    graph Gram identity + A^T A of :func:`graph_inner_product`."""
     a = linalg.as_square_matrix(matrix, "operator matrix")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -350,12 +338,8 @@ class OperatorAnalysis:
         return resolvent_consistency(self, self.spectral)
 
     @cached_property
-    def graph_gram(self) -> np.ndarray:
-        return _frozen(graph_gram(self.op))
-
-    @cached_property
     def graph_equivalence(self) -> tuple[float, float, float]:
-        """:func:`graph_equivalence_constants` at the default point."""
+        """:func:`graph_equivalence_constants` of the operator."""
         return graph_equivalence_constants(self)
 
     def ladder(self, k: int) -> list[np.ndarray]:
@@ -363,15 +347,6 @@ class OperatorAnalysis:
         if not 0 <= k < len(self._ladder):
             self._ladder = [_frozen(g) for g in graph_ladder(self.op.matrix, k)]
         return self._ladder[: k + 1]
-
-    def grade_grams(self, k: int) -> list[np.ndarray]:
-        """Grams of grades 0..k of the ambient scale (graph ladder if none)."""
-        scale = self.op.scale
-        if scale is None:
-            return self.ladder(k)
-        if k > scale.k_max:
-            raise IndexError(f"scale is missing grade {k} (has 0..{scale.k_max})")
-        return [gram_matrix(scale, j) for j in range(k + 1)]
 
 
 def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
@@ -381,13 +356,19 @@ def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> f
     (||Ax||_n + ||x||_n) within a factor sqrt(2), so C certifies the
     truncated regularity property up to that documented slack. Computed
     as the square root of the largest generalized eigenvalue between the
-    grade-(n+1) Gram and the right-hand side form.
+    grade-(n+1) Gram of the explicit scale and the right-hand side form.
+
+    Under the graph default C is exactly 1 and nothing is solved: grade
+    n + 1 of the graph ladder is sym_part(G_n + A^T G_n A), which is the
+    right-hand side form itself.
     """
     if n_grade < 0:
         raise IndexError("grade must be >= 0")
     an = OperatorAnalysis.of(op)
-    grams = an.grade_grams(n_grade + 1)
-    g_n, g_next = grams[n_grade], grams[n_grade + 1]
+    scale = an.op.scale
+    if scale is None:
+        return 1.0
+    g_n, g_next = gram_matrix(scale, n_grade), gram_matrix(scale, n_grade + 1)
     a = an.op.matrix
     rhs = linalg.sym_part(g_n + a.T @ g_n @ a)
     _, mu_hi = linalg.extreme_generalized_eigenvalues(g_next, rhs)
@@ -406,29 +387,35 @@ def graph_inner_product(op: ScaleOperator, xi, eta) -> float:
     return float(x @ y + (a @ x) @ (a @ y))
 
 
-def graph_equivalence_constants(
-    op: ScaleOperator | OperatorAnalysis,
-    point: complex = DEFAULT_RESOLVENT_POINT,
-) -> tuple[float, float, float]:
+def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[float, float, float]:
     """(c_lo, c_hi, c_step1) between the grade-1 norm and the graph norm.
 
     c_lo and c_hi are the attained extreme generalized eigenvalues of the
-    grade-1 Gram against the graph Gram, so
-    c_lo ||x||_graph^2 <= ||x||_1^2 <= c_hi ||x||_graph^2 with equality
-    somewhere. c_step1 is the constructive bound max(c0, |point| * c0),
-    with c0 the operator norm of the resolvent at ``point`` as a map
-    into grade 1; it is reported for comparison and only finiteness is
-    contractual. With the graph-default scale both exact constants
-    are 1.
+    grade-1 Gram of the explicit scale against the graph Gram (grade 1 of
+    the graph ladder), so c_lo ||x||_graph^2 <= ||x||_1^2 <=
+    c_hi ||x||_graph^2 with equality somewhere. c_step1 is the
+    constructive bound max(c0, |i| c0) = c0, with c0 the operator norm
+    of the resolvent at :data:`DEFAULT_RESOLVENT_POINT` = i as a map into
+    grade 1; it is reported for comparison and only finiteness is
+    contractual.
+
+    Under the graph default all three are exactly 1 and nothing is
+    solved: grade 1 is the graph Gram, so c_lo = c_hi = 1, and for
+    symmetric A at the point i, c0 = max_gamma sqrt(1 + gamma^2) /
+    |gamma - i| = 1. That last identity needs symmetry, so this branch
+    passes the symmetry gate of :attr:`OperatorAnalysis.symmetric_spectral`
+    (ValueError on a non-symmetric operator).
     """
     an = OperatorAnalysis.of(op)
-    g_one = an.grade_grams(1)[1]
-    c_lo, c_hi = linalg.extreme_generalized_eigenvalues(g_one, an.graph_gram)
-    r = an.resolvent_at(point)
+    scale = an.op.scale
+    if scale is None:
+        an.symmetric_spectral  # the gate: c0 = 1 holds for symmetric A only
+        return 1.0, 1.0, 1.0
+    g_one = gram_matrix(scale, 1)
+    c_lo, c_hi = linalg.extreme_generalized_eigenvalues(g_one, an.ladder(1)[1])
     chol = linalg.cholesky_spd(g_one, "grade 1 Gram")
-    c_zero = float(np.linalg.norm(chol.T @ r.b_matrix, 2))
-    c_step1 = max(c_zero, abs(point) * c_zero)
-    return float(c_lo), float(c_hi), float(c_step1)
+    c_step1 = float(np.linalg.norm(chol.T @ an.resolvent.b_matrix, 2))
+    return float(c_lo), float(c_hi), c_step1
 
 
 def resolvent(
@@ -575,21 +562,23 @@ def rescaled_basis(data: SpectralData, fw: FractalWeight, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FractalStructure:
-    """Graph-norm ladder of an operator plus its diagonal model.
+    """The fractal weight of an operator and its ladder certificate.
 
-    ``mapping`` sends grade-0 coordinates to the diagonal model's
-    coordinates (the analysis map onto the sorted eigenbasis).
     ``deviations[k]`` is the Frobenius distance from identity of the
-    grade-k Gram of the rescaled basis; small deviations certify that
-    the ladder is scale isometric to the weighted sequence model (the
-    fractal certificate of ``scalehilbert.verify``).
+    grade-k graph-ladder Gram of the rescaled basis; small deviations
+    certify that the ladder is scale isometric to the weighted sequence
+    model (the fractal certificate of ``scalehilbert.verify``). The
+    identity behind it: in the eigenbasis the graph ladder is
+    diag((1 + gamma^2)^k), because grade k + 1 is G_k + A^T G_k A, so
+    weight^(-k/2) rescales every grade to the identity. The scale spaces
+    themselves are not built here; ``TruncatedScaleSpace`` over
+    :func:`graph_ladder`, ``weighted_sequence_space(weight, k_max)`` and
+    the map ``spectral.sorted_vectors().T`` give them, for
+    ``is_scale_isometric``.
     """
 
-    space: TruncatedScaleSpace
-    target: TruncatedScaleSpace
     weight: FractalWeight
     spectral: SpectralData
-    mapping: np.ndarray
     deviations: tuple
 
 
@@ -607,21 +596,11 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
     n = an.op.n
     data = an.symmetric_spectral
     fw = an.fractal_weight
-    grams = an.ladder(k_max)
-    space = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in grams))
-    target = weighted_sequence_space(fw, k_max)
     deviations = []
-    for k, g in enumerate(grams):
+    for k, g in enumerate(an.ladder(k_max)):
         basis = rescaled_basis(data, fw, k)
         deviations.append(linalg.frobenius(basis.T @ g @ basis - np.eye(n)))
-    return FractalStructure(
-        space=space,
-        target=target,
-        weight=fw,
-        spectral=data,
-        mapping=data.sorted_vectors().T,
-        deviations=tuple(float(d) for d in deviations),
-    )
+    return FractalStructure(weight=fw, spectral=data, deviations=tuple(float(d) for d in deviations))
 
 
 def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
@@ -633,7 +612,7 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     an = OperatorAnalysis.of(op)
     data = an.symmetric_spectral
     basis = rescaled_basis(data, an.fractal_weight, 1)
-    in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
+    in_graph = basis.T @ an.ladder(1)[1] @ (an.op.matrix @ basis)
     in_flat = np.diag(data.sorted_gammas())
     return linalg.frobenius(in_graph - in_flat)
 
@@ -645,7 +624,7 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     an = OperatorAnalysis.of(op)
     data = an.symmetric_spectral
     vs = data.sorted_vectors()
-    actual = vs.T @ an.graph_gram @ vs
+    actual = vs.T @ an.ladder(1)[1] @ vs
     g = data.sorted_gammas()
     expected = np.diag(1.0 + g * g)
     dev = np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))

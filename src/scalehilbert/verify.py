@@ -85,7 +85,8 @@ class Certificate:
 
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
-    """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else inf."""
+    """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else
+    inf; 0 by identity under the graph default, where both constants are 1."""
     c_lo, c_hi, _ = an.graph_equivalence
     return 0.0 if 0.0 < c_lo <= c_hi else float("inf")
 

@@ -6,14 +6,20 @@ from scalehilbert.hessian import (
     build_fractal_structure,
     conjugated_diagonal,
     fractal_weight,
-    graph_gram,
+    graph_ladder,
     pair_isometry_certificate,
     rescaled_basis,
     restriction_invariance,
     spectral_decompose,
 )
 from scalehilbert.sobolev_circle import FourierBasisSpec, fourier_gram_closed_form
-from scalehilbert.spaces import gram_matrix, is_scale_isometric
+from scalehilbert.spaces import (
+    GramGrade,
+    TruncatedScaleSpace,
+    gram_matrix,
+    is_scale_isometric,
+    weighted_sequence_space,
+)
 from scalehilbert.verify import FRACTAL
 from scalehilbert.weights import validate_weight, weight_power
 
@@ -93,27 +99,41 @@ class TestRescaledBasis:
             rescaled_basis(data, fractal_weight(data), -1)
 
 
+def ladder_spaces(op, fs, k_max):
+    """The scale spaces behind the fractal certificate: the graph ladder,
+    the weighted model of the fractal weight and the map between them."""
+    space = TruncatedScaleSpace(op.n, tuple(GramGrade(g) for g in graph_ladder(op.matrix, k_max)))
+    target = weighted_sequence_space(fs.weight, k_max)
+    return space, target, fs.spectral.sorted_vectors().T
+
+
 class TestBuildFractalStructure:
     def test_zero_operator_is_exactly_flat(self):
-        fs = build_fractal_structure(ScaleOperator(np.zeros((4, 4))), k_max=3)
+        op = ScaleOperator(np.zeros((4, 4)))
+        fs = build_fractal_structure(op, k_max=3)
         assert fs.deviations == (0.0,) * 4
         assert fs.weight.values() == pytest.approx(np.ones(4))
+        space, _, _ = ladder_spaces(op, fs, 3)
         for k in range(4):
-            assert np.array_equal(gram_matrix(fs.space, k), np.eye(4))
+            assert np.array_equal(gram_matrix(space, k), np.eye(4))
 
     def test_diagonal_operator_ladder(self):
         g = np.array([1.0, 2.0, 3.0])
-        fs = build_fractal_structure(ScaleOperator(np.diag(g)), k_max=3)
+        op = ScaleOperator(np.diag(g))
+        fs = build_fractal_structure(op, k_max=3)
         assert max(fs.deviations) <= FRACTAL.tol
+        space, _, _ = ladder_spaces(op, fs, 3)
         for k in range(4):
             expected = np.diag((1.0 + g * g) ** k)
-            assert gram_matrix(fs.space, k) == pytest.approx(expected, rel=1e-13)
+            assert gram_matrix(space, k) == pytest.approx(expected, rel=1e-13)
 
     def test_target_is_weighted_sequence_model(self):
-        fs = build_fractal_structure(conjugated_diagonal([1.0, -2.0, 0.5], seed=9), k_max=2)
+        op = conjugated_diagonal([1.0, -2.0, 0.5], seed=9)
+        fs = build_fractal_structure(op, k_max=2)
+        _, target, _ = ladder_spaces(op, fs, 2)
         for k in range(3):
             expected = np.diag(fs.weight.values() ** k)
-            assert gram_matrix(fs.target, k) == pytest.approx(expected, rel=1e-13)
+            assert gram_matrix(target, k) == pytest.approx(expected, rel=1e-13)
 
     def test_random_operator_certificate(self):
         rng = np.random.default_rng(51)
@@ -125,7 +145,7 @@ class TestBuildFractalStructure:
     def test_mapping_is_scale_isometry(self):
         op = conjugated_diagonal(np.linspace(-2.0, 2.0, 12), seed=13)
         fs = build_fractal_structure(op, k_max=3)
-        report = is_scale_isometric(fs.space, fs.target, fs.mapping, tol=1e-8)
+        report = is_scale_isometric(*ladder_spaces(op, fs, 3), tol=1e-8)
         assert report.is_isometric
 
     def test_rejects_negative_k_max(self):
@@ -157,7 +177,7 @@ class TestPairIsometry:
         op = ScaleOperator(np.diag([1.0, 2.0]))
         data = spectral_decompose(op)
         vs = data.sorted_vectors()
-        assert np.array_equal(vs.T @ graph_gram(op) @ vs, np.diag([2.0, 5.0]))
+        assert np.array_equal(vs.T @ graph_ladder(op.matrix, 1)[1] @ vs, np.diag([2.0, 5.0]))
 
     def test_random_operator(self):
         op = conjugated_diagonal(np.linspace(0.0, 3.0, 24), seed=31)

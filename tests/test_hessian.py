@@ -14,7 +14,6 @@ from scalehilbert.hessian import (
     check_symmetry,
     conjugated_diagonal,
     graph_equivalence_constants,
-    graph_gram,
     graph_inner_product,
     graph_ladder,
     normality_defect,
@@ -27,6 +26,7 @@ from scalehilbert.hessian import (
     restriction_invariance,
     spectral_decompose,
 )
+from scalehilbert.sobolev_circle import build_sobolev_space
 from scalehilbert.spaces import (
     GramGrade,
     TruncatedScaleSpace,
@@ -159,8 +159,7 @@ class TestKernelCokernel:
 
 class TestGraphLadder:
     def test_graph_gram_of_diagonal(self):
-        op = ScaleOperator(np.diag([1.0, 2.0]))
-        assert np.array_equal(graph_gram(op), np.diag([2.0, 5.0]))
+        assert np.array_equal(graph_ladder(np.diag([1.0, 2.0]), 1)[1], np.diag([2.0, 5.0]))
 
     def test_ladder_starts_at_identity(self):
         grams = graph_ladder(np.diag([1.0, 2.0]), 2)
@@ -193,7 +192,8 @@ class TestGraphLadder:
         rng = np.random.default_rng(8)
         op = ScaleOperator(random_symmetric(rng, 6))
         x, y = rng.standard_normal(6), rng.standard_normal(6)
-        assert graph_inner_product(op, x, y) == pytest.approx(x @ graph_gram(op) @ y, rel=1e-12)
+        gram = graph_ladder(op.matrix, 1)[1]
+        assert graph_inner_product(op, x, y) == pytest.approx(x @ gram @ y, rel=1e-12)
 
     def test_graph_inner_product_dimension_check(self):
         op = ScaleOperator(np.eye(3))
@@ -205,7 +205,7 @@ class TestRegularity:
     def test_graph_default_constant_is_one(self):
         op = ScaleOperator(np.diag([1.0, 3.0, 0.5]))
         for k in (0, 1, 2):
-            assert regularity_constant(op, k) == pytest.approx(1.0, rel=1e-10)
+            assert regularity_constant(op, k) == 1.0
 
     def test_zero_operator_flat_scale(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 2)
@@ -220,8 +220,7 @@ class TestRegularity:
     def test_random_graph_default_within_slack(self):
         rng = np.random.default_rng(17)
         op = ScaleOperator(random_symmetric(rng, 12))
-        c = regularity_constant(op, 2)
-        assert 0 < c <= np.sqrt(2.0) + 1e-10
+        assert regularity_constant(op, 2) == 1.0
 
     def test_missing_grade_raises(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 1)
@@ -235,9 +234,7 @@ class TestRegularity:
 class TestGraphEquivalence:
     def test_graph_default_constants_are_one(self):
         op = ScaleOperator(np.diag([0.0, 1.0, 4.0]))
-        c_lo, c_hi, c_step1 = graph_equivalence_constants(op)
-        assert (c_lo, c_hi) == pytest.approx((1.0, 1.0), rel=1e-12)
-        assert np.isfinite(c_step1) and c_step1 > 0
+        assert graph_equivalence_constants(op) == (1.0, 1.0, 1.0)
 
     def test_scaled_grade_one(self):
         a = np.diag([1.0, 2.0])
@@ -249,9 +246,46 @@ class TestGraphEquivalence:
     def test_random_operator_sanity(self):
         rng = np.random.default_rng(29)
         op = ScaleOperator(random_symmetric(rng, 9))
+        assert graph_equivalence_constants(op) == (1.0, 1.0, 1.0)
+
+
+class TestShiftedFloerHessian:
+    """J d/dt + s on the circle with the Sobolev ladder as explicit scale.
+
+    In the Fourier basis of ``build_sobolev_space`` it is diagonal:
+    lambda = s on the constant, s + 2 pi m on the sine and s - 2 pi m on
+    the cosine of frequency m. With w_k = sum_{j <= k} (2 pi m)^(2j) the
+    grade-k weight, every constant is a per-index ratio of diagonals.
+    """
+
+    S, NU_MAX, K_MAX = 0.5, 9, 3
+
+    def fixture(self):
+        nu = np.arange(1, self.NU_MAX + 1)
+        freq = 2.0 * np.pi * (nu // 2)
+        lam = np.where(nu % 2 == 0, self.S + freq, self.S - freq)
+        w = np.cumsum(freq[:, None] ** (2.0 * np.arange(self.K_MAX + 1)), axis=1)
+        op = ScaleOperator(np.diag(lam), build_sobolev_space(self.NU_MAX, self.K_MAX))
+        return op, lam, w
+
+    def test_graph_equivalence_closed_form(self):
+        op, lam, w = self.fixture()
+        ratio = w[:, 1] / (1.0 + lam**2)
         c_lo, c_hi, c_step1 = graph_equivalence_constants(op)
-        assert 0 < c_lo <= c_hi
-        assert np.isfinite(c_step1) and c_step1 > 0
+        assert c_lo == pytest.approx(ratio.min(), rel=1e-12)
+        assert c_hi == pytest.approx(ratio.max(), rel=1e-12)
+        assert c_step1 == pytest.approx(np.sqrt(ratio.max()), rel=1e-12)
+        assert (c_lo, c_hi, c_step1) == pytest.approx(
+            (0.8, 1.175152986489625, 1.084044734542641), rel=1e-12
+        )
+
+    def test_regularity_closed_form(self):
+        op, lam, w = self.fixture()
+        pinned = (1.084044734542641, 1.0709055066400917, 1.070579071480327)
+        for n, value in enumerate(pinned):
+            closed = np.sqrt(np.max(w[:, n + 1] / (w[:, n] * (1.0 + lam**2))))
+            assert regularity_constant(op, n) == pytest.approx(closed, rel=1e-12)
+            assert regularity_constant(op, n) == pytest.approx(value, rel=1e-12)
 
 
 class TestResolvent:
@@ -610,7 +644,7 @@ class TestOperatorAnalysis:
     def test_cached_grams_are_read_only(self):
         an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])))
         with pytest.raises(ValueError):
-            an.graph_gram[0, 0] = 0.0
+            an.ladder(1)[1][0, 0] = 0.0
         with pytest.raises(ValueError):
             an.ladder(2)[2][0, 0] = 0.0
 
@@ -620,3 +654,5 @@ class TestOperatorAnalysis:
             spectral_decompose(an)
         with pytest.raises(ValueError, match="not symmetric"):
             restriction_invariance(an)
+        with pytest.raises(ValueError, match="not symmetric"):
+            graph_equivalence_constants(an)

@@ -1,8 +1,9 @@
 """Dense-kernel call counts: each factorization runs once per operator.
 
-The counters wrap ``numpy.linalg.{eig, eigh, svd, solve}`` for one test.
-The package calls these through the ``numpy.linalg`` namespace, so every
-factorization it makes is counted; ``numpy.linalg.norm`` calls its
+The counters wrap ``numpy.linalg.{eig, eigh, svd, solve}`` and
+``scipy.linalg.eigh``/``cholesky`` (as ``scipy_eigh``/``cholesky``) for
+one test. The package calls these through the module namespaces, so
+every factorization it makes is counted; ``numpy.linalg.norm`` calls its
 module-internal SVD and does not show up.
 """
 
@@ -14,26 +15,34 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scalehilbert
 from scalehilbert import verify
 from scalehilbert.cli import main
 from scalehilbert.verify import analyze_operator_batch, run_verify_all, standard_operator_set
 
-KERNELS = ("eig", "eigh", "svd", "solve")
+KERNELS = {
+    "eig": (np.linalg, "eig"),
+    "eigh": (np.linalg, "eigh"),
+    "svd": (np.linalg, "svd"),
+    "solve": (np.linalg, "solve"),
+    "scipy_eigh": (scipy.linalg, "eigh"),
+    "cholesky": (scipy.linalg, "cholesky"),
+}
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = collections.Counter({name: 0 for name in KERNELS})
-    for name in KERNELS:
-        fn = getattr(np.linalg, name)
+    for name, (module, attr) in KERNELS.items():
+        fn = getattr(module, attr)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, attr, counted)
     return calls
 
 
@@ -46,15 +55,17 @@ def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     # eigh: spectral data; svd: kernel; solve: resolvent (its guard, the
-    # adjoint and the consistency residual read the solve's result)
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1}
+    # adjoint and the consistency residual read the solve's result); the
+    # graph-default constants are identities, so no generalized eigh or
+    # Cholesky runs
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "scipy_eigh": 0, "cholesky": 0}
 
 
 def test_batch_factorizes_once_per_operator(kernel_calls):
     ops = standard_operator_set(count=6)
     rows = analyze_operator_batch(ops)
     assert len(rows) == 6
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 6}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 6, "scipy_eigh": 0, "cholesky": 0}
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
