@@ -15,7 +15,7 @@ from scalehilbert import (
     build_sobolev_space,
     fourier_gram_closed_form,
     inclusion_singular_values,
-    oracle_delta,
+    oracle_deltas,
     ratio_trace,
     sigma_equivalence_constants,
 )
@@ -28,9 +28,9 @@ diag = [fourier_gram_closed_form(nu, nu, 1) for nu in range(1, 8)]
 print(" ", np.array(diag))
 
 # a periodic trapezoid rule is exact for trigonometric polynomials, so it
-# serves as an independent oracle for every Gram entry
-for k in range(k_max + 1):
-    _, _, delta = oracle_delta(nu_max, k)
+# serves as an independent oracle for every Gram entry; one node Gram
+# gives every grade
+for k, (_, _, delta) in enumerate(oracle_deltas(nu_max, k_max)):
     print(f"grade {k}: worst scaled quadrature delta {delta:.3e}")
 
 # the whole ladder as a truncated scale space; the inclusion of grade k

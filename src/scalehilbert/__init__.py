@@ -42,7 +42,7 @@ from .sobolev_circle import (
     fourier_gram_closed_form,
     fourier_gram_quadrature,
     fourier_gram_quadrature_table,
-    oracle_delta,
+    oracle_deltas,
     ratio_trace,
     sigma_equivalence_constants,
 )

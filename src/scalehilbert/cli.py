@@ -33,7 +33,7 @@ from .hessian import (
     regularity_constant,
     resolvent,  # noqa: F401  (kept bound here: certbench's tracer test patches cli.resolvent)
 )
-from .sobolev_circle import _log_closed_form_diag, oracle_delta, ratio_trace, sigma_equivalence_constants
+from .sobolev_circle import _log_closed_form_diag, oracle_deltas, ratio_trace, sigma_equivalence_constants
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
 from .weights import weight_from_json
@@ -104,8 +104,7 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
     tol = cfg.tol if cfg.tol is not None else ORACLE_TOL
     rows = []
     worst = 0.0
-    for k in range(cfg.k_max + 1):
-        diag, quad, delta = oracle_delta(cfg.nu_max, k)
+    for k, (diag, quad, delta) in enumerate(oracle_deltas(cfg.nu_max, cfg.k_max)):
         ratios = ratio_trace(cfg.nu_max, k)
         worst = max(worst, delta)
         for nu in range(1, cfg.nu_max + 1):
@@ -152,12 +151,19 @@ def _default_operator(n: int) -> ScaleOperator:
     return ScaleOperator(np.diag(np.arange(1.0, n + 1.0)))
 
 
+def _read_input(path: str) -> dict:
+    """The JSON object of an --input file."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"input {path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
     if cfg.input_path is None:
         return _default_operator(cfg.n), f"diag(1..{cfg.n})"
-    with open(cfg.input_path) as fh:
-        obj = json.load(fh)
-    return operator_from_json(obj), cfg.input_path
+    return operator_from_json(_read_input(cfg.input_path)), cfg.input_path
 
 
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
@@ -216,42 +222,46 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _parse_ladder_side(side):
-    """One ladder side as a function (n, k) -> log weight table of grade k at size n."""
+def _parse_ladder_side(side, n: int):
+    """One ladder side as a function k -> log weight table of grade k on
+    indices 1..n. Both kinds of side are elementwise in nu, so the table
+    of a smaller size is a prefix of this one."""
     if side == "sobolev":
-        return lambda n, k: _log_closed_form_diag(np.arange(1, n + 1), k)
-    if not (isinstance(side, dict) and "weight" in side):
+        nu = np.arange(1, n + 1)
+        return lambda k: _log_closed_form_diag(nu, k)
+    if not (isinstance(side, dict) and isinstance(side.get("weight"), dict)):
         raise ValueError(f"invalid ladder side {side!r}")
     spec, power = side["weight"], int(side.get("power", 1))
     if spec.get("kind") != "closed_form":
         raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:
         raise ValueError("ladder side power must be >= 1")
-    return lambda n, k: weight_from_json({**spec, "n": n}).log_values * (power * k)
+    log_values = weight_from_json({**spec, "n": n}).log_values
+    return lambda k: log_values * (power * k)
 
 
 def cmd_ladder(cfg: RunConfig) -> int:
     """Equivalence constants between two diagonal families across sizes."""
     sizes = cfg.ladder if cfg.ladder is not None else DEFAULT_LADDER
     if cfg.input_path is not None:
-        with open(cfg.input_path) as fh:
-            sides = json.load(fh)
+        sides = _read_input(cfg.input_path)
+        missing = [name for name in ("left", "right") if name not in sides]
+        if missing:
+            raise ValueError(f"input {cfg.input_path}: missing ladder side {' and '.join(map(repr, missing))}")
         left, right = sides["left"], sides["right"]
     else:
         left = "sobolev"
         right = {"weight": {"n": sizes[-1], "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}}
-    left_logs, right_logs = _parse_ladder_side(left), _parse_ladder_side(right)
-    rungs = []
-    csv_rows = []
-    for n in sizes:
-        grades = []
-        for k in range(cfg.k_max + 1):
-            log_l, log_r = left_logs(n, k), right_logs(n, k)
-            c_lo, c_hi = diagonal_equivalence_constants(log_l, log_r)
-            spread = c_hi / c_lo
-            grades.append({"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": spread})
-            csv_rows.append([n, k, c_lo, c_hi, spread])
-        rungs.append({"n": n, "grades": grades})
+    # each side once per grade at the largest size; every rung reads a prefix
+    left_logs, right_logs = _parse_ladder_side(left, sizes[-1]), _parse_ladder_side(right, sizes[-1])
+    grades = {n: [] for n in sizes}
+    for k in range(cfg.k_max + 1):
+        log_l, log_r = left_logs(k), right_logs(k)
+        for n in sizes:
+            c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
+            grades[n].append({"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": c_hi / c_lo})
+    rungs = [{"n": n, "grades": grades[n]} for n in sizes]
+    csv_rows = [[n, g["k"], g["c_lo"], g["c_hi"], g["spread"]] for n in sizes for g in grades[n]]
     stability = []
     for k in range(cfg.k_max + 1):
         spreads = [r["grades"][k]["spread"] for r in rungs]

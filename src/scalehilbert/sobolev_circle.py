@@ -22,13 +22,16 @@ grade off it through the derivative amplitudes: an identity of the
 integrands at each node, so the table is the trapezoid sum itself and
 never reads the closed form it checks. The scalar
 :func:`fourier_gram_quadrature` is its pointwise reference.
+
+One run of the oracle (:func:`oracle_deltas`) builds one node Gram, at
+grade k_max's node count, and streams grades 0..k_max through one
+reused table, so only one grade is alive at a time.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .spaces import DiagonalGrade, TruncatedScaleSpace, diagonal_equivalence_constants
 from .weights import Weight, sigma_weight
@@ -38,7 +41,7 @@ __all__ = [
     "fourier_gram_closed_form",
     "fourier_gram_quadrature",
     "fourier_gram_quadrature_table",
-    "oracle_delta",
+    "oracle_deltas",
     "ratio_trace",
     "sigma_equivalence_constants",
     "build_sobolev_space",
@@ -90,14 +93,22 @@ def fourier_gram_closed_form(nu: int, nu_prime: int, k: int) -> float:
 
 
 def _log_closed_form_diag(nu, k: int):
-    """log of the diagonal closed form, vectorized over nu (1-based)."""
-    m = np.asarray(nu, dtype=float) // 2
-    j = np.arange(k + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = 2.0 * np.log(2.0 * math.pi * m)  # -inf at m = 0
-        terms = np.atleast_1d(log_r)[..., None] * j
-    terms[..., 0] = 0.0  # the j = 0 term is exactly 1, also for m = 0
-    out = logsumexp(terms, axis=-1)
+    """log of the diagonal closed form, vectorized over nu (1-based).
+
+    With r = (2 pi m)^2 >= 4 pi^2 for m >= 1, the sum is r^k times
+    1 + sum_{j<k} r^(j-k), so its log is k log r + log1p of terms below
+    1/39: nothing overflows, and the constant function (m = 0, where the
+    sum is exactly 1) gives exactly 0.
+    """
+    m = np.atleast_1d(np.asarray(nu, dtype=float)) // 2
+    out = np.zeros_like(m)
+    freq = m > 0
+    log_r = 2.0 * np.log(2.0 * math.pi * m[freq])
+    top = log_r * k
+    tail = np.zeros_like(log_r)
+    for j in range(k):
+        tail += np.exp(log_r * j - top)
+    out[freq] = np.log1p(tail) + top
     return out if np.ndim(nu) else float(out[0])
 
 
@@ -171,16 +182,19 @@ def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> 
     FourierBasisSpec(nu_max)
     if k < 0:
         raise ValueError(f"grade must be >= 0, got {k}")
-    max_m = nu_max // 2
     if q is None:
-        q = max(64, 4 * max_m * (k + 1))
-    _require_nodes(q, max_m, k)
+        q = _default_nodes(nu_max, k)
+    _require_nodes(q, nu_max // 2, k)
     return _trapezoid_table(nu_max, k, q)
 
 
-def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
-    """:func:`fourier_gram_quadrature_table` at any q >= 1; the identity
-    holds node by node, so also where q aliases two frequencies."""
+def _default_nodes(nu_max: int, k: int) -> int:
+    return max(64, 4 * (nu_max // 2) * (k + 1))
+
+
+def _node_gram(nu_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G_0, G_1) of :func:`fourier_gram_quadrature_table` on q >= 1 nodes,
+    read out of one node Gram streamed over node blocks."""
     max_m = nu_max // 2
     rows = 2 * max_m + 1  # basis indices 1..2 max_m + 1: const, sin 1, cos 1, ..., sin M, cos M
     angle = (2.0 * math.pi / q) * np.arange(q)
@@ -197,7 +211,6 @@ def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
         block[2::2] = cos_table[phase]
         gram += block @ block.T
     gram /= q
-    g0 = gram[:nu_max, :nu_max]
     # derivative directions: index 2m (sine) -> 2m + 1 (cosine),
     # 2m + 1 (cosine) -> -(2m) (sine), 1 (constant) -> 0; 0-based below
     idx = np.arange(nu_max)
@@ -205,19 +218,39 @@ def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
     partner[0] = 0
     sign = np.where(idx % 2 == 1, 1.0, -1.0)
     sign[0] = 0.0
-    g1 = gram[np.ix_(partner, partner)] * np.outer(sign, sign)
+    return gram[:nu_max, :nu_max], gram[np.ix_(partner, partner)] * np.outer(sign, sign)
+
+
+def _grade_tables(nu_max: int, k_max: int, q: int):
+    """Yield the trapezoid tables of grades 0..k_max on q nodes, summed up
+    in one buffer that each grade overwrites, from one node Gram."""
+    g0, g1 = _node_gram(nu_max, q)
     table = g0.copy()  # the j = 0 term
+    yield table
+    term = np.empty_like(table)
     w = 2.0 * math.pi * (np.arange(1, nu_max + 1) // 2)
-    for j in range(1, k + 1):
+    for j in range(1, k_max + 1):
         wj = w**j
-        term = np.outer(wj, wj)
+        np.outer(wj, wj, out=term)
         term *= g1 if j % 2 else g0
         table += term
+        yield table
+
+
+def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
+    """:func:`fourier_gram_quadrature_table` at any q >= 1; the identity
+    holds node by node, so also where q aliases two frequencies."""
+    *_, table = _grade_tables(nu_max, k, q)  # every grade is the same buffer
     return table
 
 
-def oracle_delta(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(closed-form diagonal, quadrature Gram, worst scaled delta) of grade k.
+def oracle_deltas(nu_max: int, k_max: int):
+    """Yield (closed-form diagonal, quadrature Gram, worst scaled delta)
+    for grades 0..k_max.
+
+    Every grade is read off one node Gram, on grade k_max's default node
+    count, which is alias-free for all lower grades too. The quadrature
+    Gram is one buffer that the next grade overwrites; copy it to keep it.
 
     Deltas are measured relative to max(1, sqrt(d_nu * d_nu')) with d the
     closed-form diagonal; on the diagonal this is the plain
@@ -225,11 +258,19 @@ def oracle_delta(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     quadrature residue against the size of the two factors (the raw
     integrands reach 1e14, so an absolute delta is not meaningful there).
     """
-    diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
-    quad = fourier_gram_quadrature_table(nu_max, k)
-    root = np.sqrt(diag)  # the outer product of diag itself overflows from d ~ 1e154 on
-    scale = np.maximum(1.0, np.outer(root, root))
-    return diag, quad, float((np.abs(np.diag(diag) - quad) / scale).max())
+    FourierBasisSpec(nu_max)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    scale, resid = np.empty((nu_max, nu_max)), np.empty((nu_max, nu_max))
+    for k, quad in enumerate(_grade_tables(nu_max, k_max, _default_nodes(nu_max, k_max))):
+        diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
+        root = np.sqrt(diag)  # the outer product of diag itself overflows from d ~ 1e154 on
+        np.outer(root, root, out=scale)
+        np.maximum(scale, 1.0, out=scale)
+        np.abs(quad, out=resid)  # the closed form is exactly 0 off the diagonal
+        np.fill_diagonal(resid, np.abs(diag - quad.diagonal()))
+        resid /= scale
+        yield diag, quad, float(resid.max())
 
 
 def ratio_trace(nu_max: int, k: int) -> np.ndarray:

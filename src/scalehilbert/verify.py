@@ -37,7 +37,7 @@ from .hessian import (
     restriction_invariance,
     spectral_decompose,
 )
-from .sobolev_circle import _log_closed_form_diag, oracle_delta
+from .sobolev_circle import _log_closed_form_diag, oracle_deltas
 
 __all__ = [
     "DEFAULT_SEED",
@@ -205,14 +205,10 @@ def _batch(batch, seed):
 
 def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
     """Closed-form Gram entries against the trapezoid oracle, as scaled
-    deltas (:func:`scalehilbert.sobolev_circle.oracle_delta`)."""
+    deltas (:func:`scalehilbert.sobolev_circle.oracle_deltas`)."""
     tol = ORACLE_TOL if tol is None else tol
-    worst = 0.0
-    per_grade = []
-    for k in range(k_max + 1):
-        grade_worst = oracle_delta(nu_max, k)[2]
-        per_grade.append(grade_worst)
-        worst = max(worst, grade_worst)
+    per_grade = [delta for _, _, delta in oracle_deltas(nu_max, k_max)]
+    worst = max(per_grade)
     return CriterionResult(
         number=1,
         name="sobolev-oracle-equivalence",

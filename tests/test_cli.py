@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scalehilbert import sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
 from scalehilbert.hessian import operator_to_json
 from scalehilbert.verify import (
@@ -104,6 +105,20 @@ class TestSobolevDemo:
         code = main(["--command", "sobolev-demo", "--nu-max", "8", "--tol", "1e-30"])
         assert code == 1
         assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
+
+    @pytest.mark.parametrize("k_max", [3, 10])
+    def test_one_node_gram_per_run(self, monkeypatch, k_max):
+        builds = []
+        node_gram = sobolev_circle._node_gram
+
+        def counted(nu_max, q):
+            builds.append(q)
+            return node_gram(nu_max, q)
+
+        monkeypatch.setattr(sobolev_circle, "_node_gram", counted)
+        assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", str(k_max)]) == 0
+        # grade k_max's own default node count, which every lower grade accepts
+        assert builds == [max(64, 4 * 8 * (k_max + 1))]
 
     def test_custom_output_path(self, tmp_path):
         target = tmp_path / "demo.json"
@@ -230,6 +245,14 @@ class TestHessianAnalyze:
         path.write_text("{not json")
         assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
 
+    def test_non_object_input_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "expected a JSON object" in err
+        assert "Traceback" not in err
+
     def test_unknown_operator_kind(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"n": 2, "kind": "sparse", "matrix": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -294,6 +317,39 @@ class TestLadder:
         path = tmp_path / "sides.json"
         path.write_text(json.dumps({"left": "sobolev"}))
         assert main(["--command", "ladder", "--input", str(path)]) == 2
+
+    def test_missing_side_is_named(self, tmp_path, capsys):
+        path = tmp_path / "sides.json"
+        path.write_text(json.dumps({"left": "sobolev"}))
+        assert main(["--command", "ladder", "--input", str(path)]) == 2
+        assert "missing ladder side 'right'" in capsys.readouterr().err
+        path.write_text("{}")
+        assert main(["--command", "ladder", "--input", str(path)]) == 2
+        assert "missing ladder side 'left' and 'right'" in capsys.readouterr().err
+
+    def test_non_object_input_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["--command", "ladder", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "expected a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sides", [None, "poly_plus_one"])
+    def test_rungs_equal_single_size_reports(self, tmp_path, sides):
+        # each side is evaluated once at the largest size and every rung
+        # reads a prefix: a rung must not see the sizes around it
+        argv = ["--command", "ladder", "--k-max", "2"]
+        if sides == "poly_plus_one":
+            w = {"n": 4, "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 3}}
+            path = tmp_path / "sides.json"
+            path.write_text(json.dumps({"left": "sobolev", "right": {"weight": w, "power": 2}}))
+            argv += ["--input", str(path)]
+        assert main(argv + ["--ladder", "8,16,64"]) == 0
+        rungs = read_report("scalehilbert_ladder.json")["rungs"]
+        for n, rung in zip((8, 16, 64), rungs):
+            assert main(argv + ["--ladder", str(n)]) == 0
+            assert read_report("scalehilbert_ladder.json")["rungs"] == [rung]
 
 
 class TestVerifyAll:

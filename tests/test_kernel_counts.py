@@ -7,9 +7,11 @@ every factorization it makes is counted; ``numpy.linalg.norm`` calls its
 module-internal SVD and does not show up.
 """
 
+import ast
 import collections
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -97,8 +99,19 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    """No certificate needs an assignment solver, so the CLI does not load one."""
-    code = "import sys, scalehilbert.cli; print('scipy.optimize' in sys.modules)"
+    """No certificate needs an assignment solver, and the Sobolev log
+    weights are plain numpy, so the CLI loads neither scipy.optimize nor
+    scipy.special (scipy.linalg alone loads neither)."""
+    code = "import sys, scalehilbert.cli; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scalehilbert.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+    for path in pathlib.Path(scalehilbert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.special") for name in names), path.name

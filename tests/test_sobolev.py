@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,13 @@ from scalehilbert.sobolev_circle import (
     _NODE_BLOCK,
     FourierBasisSpec,
     _derivative_values,
+    _log_closed_form_diag,
     _trapezoid_table,
     build_sobolev_space,
     fourier_gram_closed_form,
     fourier_gram_quadrature,
     fourier_gram_quadrature_table,
+    oracle_deltas,
     ratio_trace,
     sigma_equivalence_constants,
 )
@@ -54,6 +57,32 @@ class TestClosedForm:
         r = (2.0 * math.pi * 2) ** 2
         assert fourier_gram_closed_form(4, 4, 2) == pytest.approx(1 + r + r**2, rel=1e-14)
         assert fourier_gram_closed_form(5, 5, 2) == pytest.approx(1 + r + r**2, rel=1e-14)
+
+    def test_log_diagonal_is_exactly_zero_for_the_constant(self):
+        # criterion 2's lower endpoint 2^-k is attained exactly at nu = 1
+        for k in range(201):
+            assert _log_closed_form_diag(1, k) == 0.0
+            assert _log_closed_form_diag(np.arange(1, 4), k)[0] == 0.0
+
+    def test_log_diagonal_matches_log_of_the_float_sum(self):
+        nu = np.arange(1, 4097)
+        for k in range(6):
+            reference = np.log([fourier_gram_closed_form(n, n, k) for n in nu])
+            assert np.all(np.abs(_log_closed_form_diag(nu, k) - reference) <= 4 * np.finfo(float).eps * reference)
+
+    @pytest.mark.parametrize("nu, ks", [(64, (66, 67)), (1024, (43, 44)), (3, (193, 194))])
+    def test_overflow_gate_agrees_with_the_float_sum(self, nu, ks):
+        # each pair straddles the last grade whose weight is finite
+        gate = []
+        for k in ks:
+            try:
+                finite = math.isfinite(fourier_gram_closed_form(nu, nu, k))
+            except OverflowError:
+                finite = False
+            below = _log_closed_form_diag(nu, k) < math.log(sys.float_info.max)
+            assert below == finite
+            gate.append(below)
+        assert gate == [True, False]
 
     def test_off_diagonal_is_exactly_zero(self):
         assert fourier_gram_closed_form(2, 3, 1) == 0.0
@@ -173,6 +202,8 @@ class TestStreamedTable:
     def test_rejects_negative_grade(self):
         with pytest.raises(ValueError, match="grade"):
             fourier_gram_quadrature_table(4, -1)
+        with pytest.raises(ValueError, match="k_max"):
+            next(oracle_deltas(4, -1))
 
     def test_memory_stays_below_the_full_sample_matrix(self):
         # the seed's derivative matrix alone was nu_max x q doubles, 64 MiB
@@ -184,6 +215,34 @@ class TestStreamedTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 80 * 2**20
+
+
+class TestOracleStream:
+    """Every grade of the oracle from one node Gram at grade k_max's q."""
+
+    @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
+    @pytest.mark.parametrize("k_max", [0, 3])
+    def test_streamed_grades_equal_the_table_at_the_shared_q(self, nu_max, k_max):
+        q_shared = max(64, 4 * (nu_max // 2) * (k_max + 1))
+        streamed = [(diag, quad.copy(), delta) for diag, quad, delta in oracle_deltas(nu_max, k_max)]
+        assert len(streamed) == k_max + 1
+        for k, (diag, quad, delta) in enumerate(streamed):
+            assert np.array_equal(quad, _trapezoid_table(nu_max, k, q_shared))
+            assert np.array_equal(diag, [fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
+            assert delta == pytest.approx(scaled_table_delta(quad, np.diag(diag), k), rel=1e-12)
+            assert delta <= 1e-13
+        # the top grade is the table at its own default node count
+        assert np.array_equal(streamed[-1][1], fourier_gram_quadrature_table(nu_max, k_max))
+
+    def test_whole_stream_stays_below_the_full_sample_matrix(self):
+        tracemalloc.start()
+        try:
+            deltas = [delta for _, _, delta in oracle_deltas(1024, 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(deltas) == 4
         assert peak < 80 * 2**20
 
 
