@@ -36,7 +36,7 @@ from .hessian import (
 from .sobolev_circle import _log_closed_form_diag, oracle_deltas, ratio_trace, sigma_equivalence_constants
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
-from .weights import weight_from_json
+from .weights import json_field, weight_from_json
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
@@ -222,21 +222,20 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _parse_ladder_side(side, n: int):
-    """One ladder side as a function k -> log weight table of grade k on
-    indices 1..n. Both kinds of side are elementwise in nu, so the table
-    of a smaller size is a prefix of this one."""
+def _parse_ladder_side(name: str, side, n: int):
+    """Ladder side ``name`` as a function k -> log weight table of grade k
+    on indices 1..n. Both kinds of side are elementwise in nu, so the
+    table of a smaller size is a prefix of this one."""
     if side == "sobolev":
         nu = np.arange(1, n + 1)
         return lambda k: _log_closed_form_diag(nu, k)
-    if not (isinstance(side, dict) and isinstance(side.get("weight"), dict)):
-        raise ValueError(f"invalid ladder side {side!r}")
-    spec, power = side["weight"], int(side.get("power", 1))
-    if spec.get("kind") != "closed_form":
+    spec = json_field(side, "weight", name)
+    power = int(json_field(side, "power", name, 1))
+    if json_field(spec, "kind", f"{name}.weight") != "closed_form":
         raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:
         raise ValueError("ladder side power must be >= 1")
-    log_values = weight_from_json({**spec, "n": n}).log_values
+    log_values = weight_from_json({**spec, "n": n}, f"{name}.weight").log_values
     return lambda k: log_values * (power * k)
 
 
@@ -253,7 +252,7 @@ def cmd_ladder(cfg: RunConfig) -> int:
         left = "sobolev"
         right = {"weight": {"n": sizes[-1], "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}}
     # each side once per grade at the largest size; every rung reads a prefix
-    left_logs, right_logs = _parse_ladder_side(left, sizes[-1]), _parse_ladder_side(right, sizes[-1])
+    left_logs, right_logs = _parse_ladder_side("left", left, sizes[-1]), _parse_ladder_side("right", right, sizes[-1])
     grades = {n: [] for n in sizes}
     for k in range(cfg.k_max + 1):
         log_l, log_r = left_logs(k), right_logs(k)

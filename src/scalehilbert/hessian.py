@@ -12,7 +12,8 @@ diagonal model.
 
 Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` computes lazily and at most once: the
-kernel SVD, the ``eigh`` spectral data and its reconstruction residual,
+kernel SVD (singular values, plus vectors only when there is a kernel),
+the ``eigh`` spectral data and its reconstruction residual,
 the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one solve, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json, space_to_json
-from .weights import Weight
+from .weights import Weight, json_field
 
 __all__ = [
     "DEFAULT_RESOLVENT_POINT",
@@ -221,30 +222,36 @@ def check_kernel_cokernel(op: ScaleOperator, rank_tol: float | None = None) -> K
     complement of the range; for a symmetric operator the two subspaces
     coincide and the angle vanishes. The index ker_dim - coker_dim is 0
     for every square matrix, which is the truncated Fredholm statement.
+
+    The rank comes from a values-only SVD. At full rank both subspaces
+    are empty and the angle is 0, so no singular vectors are computed;
+    otherwise one full SVD gives the kernel and the range complement as
+    orthonormal slices of V and U, cut at that same rank.
     """
-    u, s, vt = np.linalg.svd(op.matrix)
+    s = np.linalg.svd(op.matrix, compute_uv=False)
     if rank_tol is None:
         rank_tol = op.n * linalg.EPS
     cutoff = rank_tol * (float(s[0]) if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
-    kernel = vt[rank:].T
-    range_perp = u[:, rank:]
-    angles = linalg.principal_angles(kernel, range_perp)
-    angle = float(np.max(angles)) if angles.size else 0.0
+    if rank == op.n:
+        return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
+    u, _, vt = np.linalg.svd(op.matrix)
+    angle = float(np.max(linalg.principal_angles(vt[rank:].T, u[:, rank:])))
     return KernelReport(ker_dim=op.n - rank, coker_dim=op.n - rank, subspace_angle=angle)
 
 
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
     G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
-    graph Gram identity + A^T A of :func:`graph_inner_product`."""
+    graph Gram identity + A^T A of :func:`graph_inner_product`, formed
+    without the product through G_0 = I."""
     a = linalg.as_square_matrix(matrix, "operator matrix")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     grams = [np.eye(a.shape[0])]
-    for _ in range(k_max):
+    for k in range(k_max):
         g = grams[-1]
-        grams.append(linalg.sym_part(g + a.T @ g @ a))
+        grams.append(linalg.sym_part(g + (a.T @ a if k == 0 else a.T @ g @ a)))
     return grams
 
 
@@ -329,7 +336,7 @@ class OperatorAnalysis:
     def relative_reconstruction(self) -> float:
         """||A - V diag(gamma) V^T||_F / ||A||_F."""
         d = self.spectral
-        residual = linalg.frobenius(self.op.matrix - d.vectors @ np.diag(d.gammas) @ d.vectors.T)
+        residual = linalg.frobenius(self.op.matrix - (d.vectors * d.gammas) @ d.vectors.T)
         return residual / max(linalg.frobenius(self.op.matrix), np.finfo(float).tiny)
 
     @cached_property
@@ -599,7 +606,8 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
     deviations = []
     for k, g in enumerate(an.ladder(k_max)):
         basis = rescaled_basis(data, fw, k)
-        deviations.append(linalg.frobenius(basis.T @ g @ basis - np.eye(n)))
+        gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
+        deviations.append(linalg.frobenius(gram - np.eye(n)))
     return FractalStructure(weight=fw, spectral=data, deviations=tuple(float(d) for d in deviations))
 
 
@@ -649,23 +657,23 @@ def operator_to_json(op: ScaleOperator) -> dict:
     }
 
 
-def operator_from_json(obj: dict) -> ScaleOperator:
+def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     """Load {"n", "kind": "dense"|"diagonal"|"conjugated_diagonal", ...}.
 
     Dense operators carry "matrix", diagonal ones "diag", conjugated
     diagonal ones "diag" plus "seed". "scale" is a space object or
-    "graph_default".
+    "graph_default". ``path`` names the object in input errors.
     """
-    n = int(obj["n"])
-    kind = obj.get("kind", "dense")
-    raw_scale = obj.get("scale", "graph_default")
-    scale = None if raw_scale == "graph_default" else space_from_json(raw_scale)
+    n = int(json_field(obj, "n", path))
+    kind = json_field(obj, "kind", path, "dense")
+    raw_scale = json_field(obj, "scale", path, "graph_default")
+    scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
     if kind == "dense":
-        matrix = np.asarray(obj["matrix"], dtype=float)
+        matrix = np.asarray(json_field(obj, "matrix", path), dtype=float)
     elif kind == "diagonal":
-        matrix = np.diag(np.asarray(obj["diag"], dtype=float))
+        matrix = np.diag(np.asarray(json_field(obj, "diag", path), dtype=float))
     elif kind == "conjugated_diagonal":
-        op = conjugated_diagonal(obj["diag"], int(obj["seed"]), scale)
+        op = conjugated_diagonal(json_field(obj, "diag", path), int(json_field(obj, "seed", path)), scale)
         if op.n != n:
             raise ValueError(f"operator has dimension {op.n}, expected n={n}")
         return op

@@ -84,10 +84,24 @@ def extreme_generalized_eigenvalues(a, b):
 
 
 def principal_angles(x, y):
-    """Principal angles between column spans, largest first (empty -> [])."""
+    """Principal angles between the spans of two real matrices with
+    orthonormal columns, largest first (empty -> []).
+
+    The Knyazev-Argentati steps of ``scipy.linalg.subspace_angles``, which
+    first re-orthonormalizes both inputs; here the columns must already
+    be orthonormal. The cosines are the singular values of x^T y and the
+    sines those of the residual of the side with more columns (scipy's
+    branch); an angle is the arcsine of a sine where scipy's mask
+    cosine^2 >= 1/2 holds and the arccosine of a cosine elsewhere.
+    """
     if x.size == 0 or y.size == 0:
         return np.zeros(0)
-    return sla.subspace_angles(x, y)
+    cross = x.T @ y
+    cosines = sla.svdvals(cross)
+    residual = y - x @ cross if x.shape[1] >= y.shape[1] else x - y @ cross.T
+    small = cosines**2 >= 0.5
+    sines = np.arcsin(np.clip(sla.svdvals(residual, overwrite_a=True), -1.0, 1.0)) if small.any() else 0.0
+    return np.where(small, sines, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
 
 
 def random_orthogonal(n, rng):

@@ -18,6 +18,7 @@ from . import linalg
 from .weights import (
     Weight,
     constant_weight,
+    json_field,
     validate_weight,
     weight_from_json,
     weight_power,
@@ -306,19 +307,25 @@ def space_to_json(s: TruncatedScaleSpace) -> dict:
     return {"n": s.n, "k_max": s.k_max, "grades": grades}
 
 
-def space_from_json(obj: dict) -> TruncatedScaleSpace:
-    """Load {"n", "k_max", "grades": [{"type": "diagonal"|"gram", ...}]}."""
-    n = int(obj["n"])
-    k_max = int(obj["k_max"])
-    raw = obj["grades"]
+def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
+    """Load {"n", "k_max", "grades": [{"type": "diagonal"|"gram", ...}]};
+    ``path`` names the object in input errors."""
+    n = int(json_field(obj, "n", path))
+    k_max = int(json_field(obj, "k_max", path))
+    raw = json_field(obj, "grades", path)
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}.grades: expected a list, got {type(raw).__name__}")
     if len(raw) != k_max + 1:
         raise ValueError(f"expected {k_max + 1} grades, got {len(raw)}")
     grades = []
-    for entry in raw:
-        if entry["type"] == "diagonal":
-            grades.append(DiagonalGrade(weight_from_json(entry["weight"])))
-        elif entry["type"] == "gram":
-            grades.append(GramGrade(np.asarray(entry["matrix"], dtype=float)))
+    for k, entry in enumerate(raw):
+        entry_path = f"{path}.grades[{k}]"
+        kind = json_field(entry, "type", entry_path)
+        if kind == "diagonal":
+            weight = json_field(entry, "weight", entry_path)
+            grades.append(DiagonalGrade(weight_from_json(weight, f"{entry_path}.weight")))
+        elif kind == "gram":
+            grades.append(GramGrade(np.asarray(json_field(entry, "matrix", entry_path), dtype=float)))
         else:
-            raise ValueError(f"unknown grade type {entry['type']!r}")
+            raise ValueError(f"unknown grade type {kind!r}")
     return TruncatedScaleSpace(n, tuple(grades))

@@ -170,23 +170,41 @@ def weight_to_json(w: Weight) -> dict:
     return {"n": w.n, "kind": "table", "values": [float(v) for v in w.values()]}
 
 
-def weight_from_json(obj: dict) -> Weight:
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, path: str, default=_REQUIRED):
+    """``obj[key]`` of the JSON object at ``path``, or ``default`` when
+    the key is absent and a default is given. Input errors name the
+    path: "path: expected an object, got int" or "path.key missing"."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValueError(f"{path}.{key} missing")
+    return default
+
+
+def weight_from_json(obj: dict, path: str = "weight") -> Weight:
     """Load {"n", "kind": "table"|"closed_form", "values"|"formula": ...}.
 
-    Closed-form weights are expanded to log tables on load.
+    Closed-form weights are expanded to log tables on load. ``path``
+    names the object in input errors.
     """
-    n = int(obj["n"])
-    kind = obj["kind"]
+    n = int(json_field(obj, "n", path))
+    kind = json_field(obj, "kind", path)
     if kind == "table":
-        values = np.asarray(obj["values"], dtype=float)
+        values = np.asarray(json_field(obj, "values", path), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"weight table has {values.shape[0]} values, expected n={n}")
         if not (np.isfinite(values).all() and (values > 0).all()):
             raise ValueError("weight table values must be finite and positive")
         return Weight(np.log(values))
     if kind == "closed_form":
-        formula = obj["formula"]
-        if formula["name"] != "poly_plus_one":
-            raise ValueError(f"unknown weight formula {formula['name']!r}")
-        return poly_plus_one_weight(n, int(formula["degree"]))
+        formula = json_field(obj, "formula", path)
+        name = json_field(formula, "name", f"{path}.formula")
+        if name != "poly_plus_one":
+            raise ValueError(f"unknown weight formula {name!r}")
+        return poly_plus_one_weight(n, int(json_field(formula, "degree", f"{path}.formula")))
     raise ValueError(f"unknown weight kind {kind!r}")

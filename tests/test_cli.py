@@ -253,6 +253,31 @@ class TestHessianAnalyze:
         assert str(path) in err and "expected a JSON object" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"scale": 5}, "operator.scale: expected an object, got int"),
+            ({"matrix": None}, "operator.matrix missing"),
+            ({"scale": {"n": 2, "grades": []}}, "operator.scale.k_max missing"),
+            ({"scale": {"n": 2, "k_max": 0, "grades": 3}}, "operator.scale.grades: expected a list, got int"),
+            ({"scale": {"n": 2, "k_max": 1, "grades": [5, 6]}}, "operator.scale.grades[0]: expected an object, got int"),
+            (
+                {"scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]},
+                                                           {"type": "diagonal", "weight": [1, 2]}]}},
+                "operator.scale.grades[1].weight: expected an object, got list",
+            ),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0]}, "operator.seed missing"),
+        ],
+        ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed"],
+    )
+    def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
+        obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
+        obj = {key: value for key, value in obj.items() if value is not None}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(obj))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_operator_kind(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"n": 2, "kind": "sparse", "matrix": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -334,6 +359,25 @@ class TestLadder:
         err = capsys.readouterr().err
         assert str(path) in err and "expected a JSON object" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "right, message",
+        [
+            ({"weight": {"kind": "closed_form"}}, "right.weight.formula missing"),
+            ({"weight": {"kind": "closed_form", "formula": 3}}, "right.weight.formula: expected an object, got int"),
+            ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one"}}},
+             "right.weight.formula.degree missing"),
+            ({"power": 2}, "right.weight missing"),
+            ({"weight": 2}, "right.weight: expected an object, got int"),
+            ("sobolev2", "right: expected an object, got str"),
+        ],
+        ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type"],
+    )
+    def test_malformed_side_field_is_named(self, tmp_path, capsys, right, message):
+        path = tmp_path / "sides.json"
+        path.write_text(json.dumps({"left": "sobolev", "right": right}))
+        assert main(["--command", "ladder", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("sides", [None, "poly_plus_one"])
     def test_rungs_equal_single_size_reports(self, tmp_path, sides):

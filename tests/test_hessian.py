@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from scalehilbert import linalg
@@ -156,6 +157,45 @@ class TestKernelCokernel:
         assert check_kernel_cokernel(op).ker_dim == 0
         assert check_kernel_cokernel(op, rank_tol=1e-3).ker_dim == 1
 
+    @staticmethod
+    def full_svd_reference(a):
+        """(ker_dim, angle) from one vector SVD, angles by scipy."""
+        u, s, vt = np.linalg.svd(a)
+        rank = int(np.sum(s > a.shape[0] * linalg.EPS * s[0]))
+        if rank == a.shape[0]:
+            return 0, 0.0
+        return a.shape[0] - rank, float(np.max(scipy.linalg.subspace_angles(vt[rank:].T, u[:, rank:])))
+
+    @staticmethod
+    def dense_kinds(n=64, seed=512):
+        """GOE-like, rank-deficient, clustered (width 1e-11) and GOE-like."""
+        rng = np.random.default_rng(seed)
+        goe = [random_symmetric(rng, n) / np.sqrt(n) for _ in range(2)]
+        live = n - int(rng.integers(1, n // 4 + 1))
+        deficient = np.zeros(n)
+        deficient[n - live:] = rng.uniform(0.5, 2.0, live) * rng.choice([-1.0, 1.0], live)
+        clustered = np.array([-1.75, -0.6, 0.8, 1.9])[rng.integers(0, 4, n)] + 1e-11 * rng.standard_normal(n)
+        return [goe[0], conjugated_diagonal(deficient, 1).matrix, conjugated_diagonal(clustered, 2).matrix, goe[1]]
+
+    def test_matches_the_full_svd(self):
+        matrices = [op.matrix for op in standard_operator_set(1729)] + self.dense_kinds()
+        ker_dims = []
+        for a in matrices:
+            report = check_kernel_cokernel(ScaleOperator(a))
+            ker_dim, angle = self.full_svd_reference(a)
+            assert report.ker_dim == report.coker_dim == ker_dim
+            assert abs(report.subspace_angle - angle) <= 1e-14
+            ker_dims.append(ker_dim)
+        assert sum(k > 0 for k in ker_dims) == 26
+
+    def test_values_only_rank_decision_at_the_cutoff(self):
+        n = 6
+        cutoff = n * linalg.EPS
+        op = ScaleOperator(np.diag([1.0, 0.5, 0.25, 10 * cutoff, 0.1 * cutoff, 0.0]))
+        report = check_kernel_cokernel(op)
+        assert report.ker_dim == self.full_svd_reference(op.matrix)[0] == 2
+        assert report.subspace_angle == 0.0
+
 
 class TestGraphLadder:
     def test_graph_gram_of_diagonal(self):
@@ -166,6 +206,12 @@ class TestGraphLadder:
         assert np.array_equal(grams[0], np.eye(2))
         assert np.array_equal(grams[1], np.diag([2.0, 5.0]))
         assert grams[2] == pytest.approx(np.diag([4.0, 25.0]), rel=1e-15)
+
+    def test_non_symmetric_ladder_transports_through_a(self):
+        # A = e1 e2^T: A^T G A = G_11 e2 e2^T, while A G A^T would be G_22 e1 e1^T
+        grams = graph_ladder(NILPOTENT, 3)
+        assert [np.diag(g).tolist() for g in grams] == [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]
+        assert all(g[0, 1] == g[1, 0] == 0.0 for g in grams)
 
     def test_ladder_grams_are_spd_and_growing(self):
         rng = np.random.default_rng(21)

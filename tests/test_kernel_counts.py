@@ -1,10 +1,13 @@
 """Dense-kernel call counts: each factorization runs once per operator.
 
-The counters wrap ``numpy.linalg.{eig, eigh, svd, solve}`` and
-``scipy.linalg.eigh``/``cholesky`` (as ``scipy_eigh``/``cholesky``) for
-one test. The package calls these through the module namespaces, so
-every factorization it makes is counted; ``numpy.linalg.norm`` calls its
-module-internal SVD and does not show up.
+The counters wrap ``numpy.linalg.{eig, eigh, svd, solve}``,
+``scipy.linalg.eigh``/``cholesky`` (as ``scipy_eigh``/``cholesky``) and
+``scipy.linalg.subspace_angles`` for one test; ``svd_uv`` lists the
+``compute_uv`` flag of every ``svd`` call. The package calls these
+through the module namespaces, so every factorization it makes is
+counted; ``numpy.linalg.norm`` calls its module-internal SVD and does
+not show up. The kernel certificate takes a values-only SVD and a
+second one with vectors only when the operator has a kernel.
 """
 
 import ast
@@ -31,43 +34,68 @@ KERNELS = {
     "solve": (np.linalg, "solve"),
     "scipy_eigh": (scipy.linalg, "eigh"),
     "cholesky": (scipy.linalg, "cholesky"),
+    "subspace_angles": (scipy.linalg, "subspace_angles"),
 }
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = collections.Counter({name: 0 for name in KERNELS})
+    calls.svd_uv = []
     for name, (module, attr) in KERNELS.items():
         fn = getattr(module, attr)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
+            if _name == "svd":
+                calls.svd_uv.append(kwargs.get("compute_uv", True))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
     return calls
 
 
-def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
-    spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
-            "diag": [0.0, 0.0, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
+def analyze_spec(spec, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(spec))
     code = main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")])
     capsys.readouterr()
     assert code == 0
-    # eigh: spectral data; svd: kernel; solve: resolvent (its guard, the
-    # adjoint and the consistency residual read the solve's result); the
-    # graph-default constants are identities, so no generalized eigh or
-    # Cholesky runs
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "scipy_eigh": 0, "cholesky": 0}
+    return json.loads((tmp_path / "r.json").read_text())
+
+
+def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
+    spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
+            "diag": [0.0, 0.0, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
+    assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 2
+    # eigh: spectral data; svd: the kernel's singular values, then its
+    # vectors (this operator has a kernel); solve: resolvent (its guard,
+    # the adjoint and the consistency residual read the solve's result);
+    # the graph-default constants are identities, so no generalized eigh
+    # or Cholesky runs; the principal angles read the SVD's own bases
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 1, "scipy_eigh": 0, "cholesky": 0,
+                                  "subspace_angles": 0}
+    assert kernel_calls.svd_uv == [False, True]
+
+
+def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
+    spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
+            "diag": [0.3, -0.8, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
+    assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 0
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "scipy_eigh": 0, "cholesky": 0,
+                                  "subspace_angles": 0}
+    assert kernel_calls.svd_uv == [False]
 
 
 def test_batch_factorizes_once_per_operator(kernel_calls):
     ops = standard_operator_set(count=6)
     rows = analyze_operator_batch(ops)
     assert len(rows) == 6
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 6, "scipy_eigh": 0, "cholesky": 0}
+    # one values-only svd per operator, a vector svd per rank-deficient one
+    assert [row["kernel"].ker_dim > 0 for row in rows] == [False, True] * 3
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 6, "scipy_eigh": 0, "cholesky": 0,
+                                  "subspace_angles": 0}
+    assert kernel_calls.svd_uv == [False, False, True] * 3
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):

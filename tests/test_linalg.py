@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scalehilbert.linalg import (
     EPS,
@@ -77,6 +78,47 @@ def test_principal_angles():
     assert principal_angles(e1, e2)[0] == pytest.approx(np.pi / 2, rel=1e-12)
     assert principal_angles(e1, e1)[0] == pytest.approx(0.0, abs=1e-12)
     assert principal_angles(np.zeros((3, 0)), e1).size == 0
+
+
+def prescribed_bases(angles, extra_x, extra_y, seed, n=24):
+    """Orthonormal x, y (QR-built) whose spans meet at ``angles``, with
+    ``extra_x``/``extra_y`` further columns orthogonal to the other span;
+    each basis is mixed by a random rotation of its own columns."""
+    rng = np.random.default_rng(seed)
+    m = len(angles)
+    q = random_orthogonal(n, rng)
+    pair, rest = q[:, m + extra_x:2 * m + extra_x], q[:, 2 * m + extra_x:2 * m + extra_x + extra_y]
+    x = q[:, :m + extra_x]
+    y = np.hstack([q[:, :m] * np.cos(angles) + pair * np.sin(angles), rest])
+    return x @ random_orthogonal(x.shape[1], rng), y @ random_orthogonal(y.shape[1], rng)
+
+
+# All at most pi/4 (every angle from the sines), all above it (every
+# angle from the cosines) and both in one call. scipy picks sine or
+# cosine by a mask on the descending cosines, so a set that mixes an
+# angle near 0 with one near pi/2 reads arccos near 1 or arcsin near 1,
+# where one ulp of input moves the angle by about 1e-8 on either side.
+ANGLE_SETS = {
+    "sines": np.geomspace(1e-12, 0.7, 6),
+    "cosines": np.linspace(0.9, np.pi / 2, 5),
+    "both": np.array([0.2, 0.5, 1.0, 1.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_SETS))
+@pytest.mark.parametrize("extra_x, extra_y", [(0, 0), (2, 0), (0, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_principal_angles_match_scipy(name, extra_x, extra_y, seed):
+    angles = ANGLE_SETS[name]
+    x, y = prescribed_bases(angles, extra_x, extra_y, seed)
+    assert x.T @ x == pytest.approx(np.eye(x.shape[1]), abs=1e-14)
+    assert y.T @ y == pytest.approx(np.eye(y.shape[1]), abs=1e-14)
+    expected = np.sort(angles)[::-1]
+    for a, b in ((x, y), (y, x)):
+        got = principal_angles(a, b)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - scipy.linalg.subspace_angles(a, b))) <= 1e-14
+        assert np.max(np.abs(got - expected)) <= 1e-14
 
 
 def test_random_orthogonal_is_deterministic_and_orthogonal():
