@@ -9,7 +9,6 @@ pipeline that turns a symmetric operator into its fractal weight
 from .hessian import (
     DEFAULT_RESOLVENT_POINT,
     FractalStructure,
-    FractalWeight,
     KernelReport,
     OperatorAnalysis,
     ResolventData,

@@ -36,7 +36,7 @@ from .hessian import (
 from .sobolev_circle import _log_closed_form_diag, oracle_deltas, ratio_trace, sigma_equivalence_constants
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
-from .weights import json_field, weight_from_json
+from .weights import _json_int, json_field, weight_from_json
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
@@ -191,10 +191,9 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
             # the gate passed at the tolerance reported above
             analysis.symmetric = True
 
-    fw = analysis.fractal_weight
     weight_rows = [
         {"nu": i + 1, "gamma": float(g), "weight": float(np.exp(lv))}
-        for i, (g, lv) in enumerate(zip(fw.gammas_sorted, fw.log_values))
+        for i, (g, lv) in enumerate(zip(analysis.spectral.sorted_gammas(), analysis.fractal_weight.log_values))
     ]
     c_lo, c_hi, c_step1 = analysis.graph_equivalence
     report["constants"] = {
@@ -230,7 +229,7 @@ def _parse_ladder_side(name: str, side, n: int):
         nu = np.arange(1, n + 1)
         return lambda k: _log_closed_form_diag(nu, k)
     spec = json_field(side, "weight", name)
-    power = int(json_field(side, "power", name, 1))
+    power = _json_int(side, "power", name, 1)
     if json_field(spec, "kind", f"{name}.weight") != "closed_form":
         raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:

@@ -29,14 +29,14 @@ Complex arithmetic appears only inside resolvent computations; every
 other result is real.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json, space_to_json
-from .weights import Weight, json_field
+from .weights import Weight, _json_int, json_field
 
 __all__ = [
     "DEFAULT_RESOLVENT_POINT",
@@ -47,7 +47,6 @@ __all__ = [
     "SymmetryReport",
     "KernelReport",
     "SpectralData",
-    "FractalWeight",
     "ResolventData",
     "FractalStructure",
     "check_symmetry",
@@ -166,24 +165,6 @@ class SpectralData:
 
 
 @dataclass(frozen=True, eq=False)
-class FractalWeight(Weight):
-    """The weight 1 + gamma^2 in absolute-eigenvalue order.
-
-    Entries are >= 1 and nondecreasing, so this is a valid scale weight;
-    the eigenvalues it came from ride along in ``gammas_sorted``.
-    """
-
-    gammas_sorted: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.gammas_sorted is not None:
-            g = np.array(self.gammas_sorted, dtype=float)
-            g.setflags(write=False)
-            object.__setattr__(self, "gammas_sorted", g)
-
-
-@dataclass(frozen=True, eq=False)
 class ResolventData:
     """The inverse of (operator - point * identity) at an off-spectrum point."""
 
@@ -198,18 +179,9 @@ class ResolventData:
 
 
 def check_symmetry(op: ScaleOperator, tol: float = SYMMETRY_TOL) -> SymmetryReport:
-    """Asymmetry of the operator matrix, in relative Frobenius norm.
-
-    The antisymmetric part is measured against the larger of the
-    symmetric and the antisymmetric part, so the defect lies in [0, 1]:
-    a symmetric matrix scores 0, a strictly triangular or skew-symmetric
-    one exactly 1, and the zero matrix 0. Where the symmetric part is the
-    larger this is ||A - A^T|| / ||A + A^T||.
-    """
-    a = op.matrix
-    num = linalg.frobenius(a - a.T)
-    den = max(linalg.frobenius(a + a.T), num)
-    defect = num / den if den > 0.0 else 0.0
+    """:func:`scalehilbert.linalg.symmetry_defect` of the operator matrix,
+    in [0, 1], against ``tol``."""
+    defect = linalg.symmetry_defect(op.matrix)
     return SymmetryReport(defect=float(defect), tol=float(tol), passed=defect <= tol)
 
 
@@ -328,7 +300,7 @@ class OperatorAnalysis:
         return self.spectral
 
     @cached_property
-    def fractal_weight(self) -> FractalWeight:
+    def fractal_weight(self) -> Weight:
         """:func:`fractal_weight` of the shared spectral data."""
         return fractal_weight(self.spectral)
 
@@ -535,27 +507,25 @@ def resolvent_consistency(
     return float(dev.max())
 
 
-def fractal_weight(data: SpectralData) -> FractalWeight:
-    """The weight 1 + gamma^2, listed in |gamma|-sorted order.
+def fractal_weight(data: SpectralData) -> Weight:
+    """The weight 1 + gamma^2, listed in |gamma|-sorted order: entry nu
+    belongs to ``data.sorted_gammas()[nu - 1]``.
 
     Stored in log scale so huge eigenvalues stay finite: above |gamma| = 1
     the log is taken as 2 log|gamma| + log1p(gamma^-2), which never forms
     gamma^2 and so survives even |gamma| past the square-root of the
-    double-precision range. Nondecreasing because the sort is by |gamma|.
+    double-precision range. Entries are >= 1 and nondecreasing because the
+    sort is by |gamma|, so this is a valid scale weight.
     """
     g = data.sorted_gammas()
     abs_g = np.abs(g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         big = 2.0 * np.log(abs_g) + np.log1p(abs_g**-2.0)
         logs = np.where(abs_g > 1.0, big, np.log1p(g * g))
-    return FractalWeight(
-        logs,
-        growth_note="1 + gamma^2, |gamma| nondecreasing",
-        gammas_sorted=g,
-    )
+    return Weight(logs)
 
 
-def rescaled_basis(data: SpectralData, fw: FractalWeight, k: int) -> np.ndarray:
+def rescaled_basis(data: SpectralData, fw: Weight, k: int) -> np.ndarray:
     """Eigenvectors in |gamma| order, column nu scaled by weight^(-k/2).
 
     The scaling happens in the log domain, so high grades of rapidly
@@ -584,7 +554,7 @@ class FractalStructure:
     ``is_scale_isometric``.
     """
 
-    weight: FractalWeight
+    weight: Weight
     spectral: SpectralData
     deviations: tuple
 
@@ -664,7 +634,7 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     diagonal ones "diag" plus "seed". "scale" is a space object or
     "graph_default". ``path`` names the object in input errors.
     """
-    n = int(json_field(obj, "n", path))
+    n = _json_int(obj, "n", path)
     kind = json_field(obj, "kind", path, "dense")
     raw_scale = json_field(obj, "scale", path, "graph_default")
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
@@ -673,7 +643,7 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     elif kind == "diagonal":
         matrix = np.diag(np.asarray(json_field(obj, "diag", path), dtype=float))
     elif kind == "conjugated_diagonal":
-        op = conjugated_diagonal(json_field(obj, "diag", path), int(json_field(obj, "seed", path)), scale)
+        op = conjugated_diagonal(json_field(obj, "diag", path), _json_int(obj, "seed", path), scale)
         if op.n != n:
             raise ValueError(f"operator has dimension {op.n}, expected n={n}")
         return op

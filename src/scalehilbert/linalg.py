@@ -38,16 +38,17 @@ def frobenius(m):
 
 
 def symmetry_defect(m):
-    """Relative Frobenius asymmetry ||M - M^T|| / ||M|| (0 for the zero matrix)."""
-    denom = frobenius(m)
-    if denom == 0.0:
-        return 0.0
-    return frobenius(m - m.T) / denom
+    """Frobenius asymmetry ||M - M^T|| / max(||M + M^T||, ||M - M^T||) in
+    [0, 1]: 0 for a symmetric or zero matrix, exactly 1 for a strictly
+    triangular or skew-symmetric one."""
+    num = frobenius(m - m.T)
+    den = max(frobenius(m + m.T), num)
+    return num / den if den > 0.0 else 0.0
 
 
 def require_symmetric(m, tol=1e-10, name="matrix"):
-    """The symmetric part of a square matrix; LinAlgError if its relative
-    asymmetry exceeds tol."""
+    """The symmetric part of a square matrix; LinAlgError if its
+    :func:`symmetry_defect` exceeds tol."""
     a = as_square_matrix(m, name)
     if symmetry_defect(a) > tol:
         raise np.linalg.LinAlgError(f"{name} is not symmetric")
@@ -91,15 +92,17 @@ def principal_angles(x, y):
     first re-orthonormalizes both inputs; here the columns must already
     be orthonormal. The cosines are the singular values of x^T y and the
     sines those of the residual of the side with more columns (scipy's
-    branch); an angle is the arcsine of a sine where scipy's mask
-    cosine^2 >= 1/2 holds and the arccosine of a cosine elsewhere.
+    branch); an angle is the arcsine of its sine where its cosine^2 >= 1/2
+    and the arccosine of its cosine elsewhere. scipy reads that mask in
+    cosine order, not angle order, and so loses about 1e-8 on spans that
+    meet at both a tiny angle and one near pi/2.
     """
     if x.size == 0 or y.size == 0:
         return np.zeros(0)
     cross = x.T @ y
     cosines = sla.svdvals(cross)
     residual = y - x @ cross if x.shape[1] >= y.shape[1] else x - y @ cross.T
-    small = cosines**2 >= 0.5
+    small = cosines[::-1] ** 2 >= 0.5
     sines = np.arcsin(np.clip(sla.svdvals(residual, overwrite_a=True), -1.0, 1.0)) if small.any() else 0.0
     return np.where(small, sines, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
 

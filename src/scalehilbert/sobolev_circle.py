@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DiagonalGrade, TruncatedScaleSpace, diagonal_equivalence_constants
+from .spaces import DiagonalGrade, TruncatedScaleSpace
 from .weights import Weight, sigma_weight
 
 __all__ = [
@@ -273,6 +273,15 @@ def oracle_deltas(nu_max: int, k_max: int):
         yield diag, quad, float(resid.max())
 
 
+def _log_sigma_ratio(nu_max: int, k: int) -> np.ndarray:
+    """log S_k(nu) - k log sigma(nu) over nu = 1..nu_max, log sigma read
+    from :func:`sigma_weight`; exactly -k log1p(1) at nu = 1."""
+    _require_index(nu_max, "nu_max")
+    if k < 0:
+        raise ValueError(f"grade must be >= 0, got {k}")
+    return _log_closed_form_diag(np.arange(1, nu_max + 1), k) - k * sigma_weight(nu_max).log_values
+
+
 def ratio_trace(nu_max: int, k: int) -> np.ndarray:
     """Ratio of the Sobolev grade-k weight to sigma(nu)^k, sigma(nu) = nu^2 + 1,
     over nu = 1..nu_max.
@@ -282,20 +291,15 @@ def ratio_trace(nu_max: int, k: int) -> np.ndarray:
     these bounds witness that the Sobolev ladder and the sigma-weighted
     sequence model are the same scale structure.
     """
-    _require_index(nu_max, "nu_max")
-    if k < 0:
-        raise ValueError(f"grade must be >= 0, got {k}")
-    nu = np.arange(1, nu_max + 1, dtype=float)
-    log_sigma = np.log1p(nu**2)
-    return np.exp(_log_closed_form_diag(nu, k) - k * log_sigma)
+    return np.exp(_log_sigma_ratio(nu_max, k))
 
 
 def sigma_equivalence_constants(nu_max: int, k: int) -> tuple[float, float]:
     """Attained equivalence constants between the grade-k Sobolev weight
-    and the k-th power of sigma, over the first nu_max indices."""
-    log_diag = _log_closed_form_diag(np.arange(1, nu_max + 1), k)
-    log_sigma_k = k * sigma_weight(nu_max).log_values
-    return diagonal_equivalence_constants(log_diag, log_sigma_k)
+    and the k-th power of sigma, over the first nu_max indices: the
+    extremes of :func:`ratio_trace`."""
+    ratio = ratio_trace(nu_max, k)
+    return float(ratio.min()), float(ratio.max())
 
 
 def build_sobolev_space(nu_max: int, k_max: int) -> TruncatedScaleSpace:

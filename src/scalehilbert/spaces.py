@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .weights import (
     Weight,
+    _json_int,
     constant_weight,
     json_field,
     validate_weight,
@@ -101,8 +102,7 @@ class TruncatedScaleSpace:
             if g.n != self.n:
                 raise ValueError(f"grade {k} has dimension {g.n}, expected {self.n}")
             if isinstance(g, GramGrade):
-                name = f"grade {k} Gram matrix"
-                linalg.cholesky_spd(linalg.require_symmetric(g.matrix, name=name), name)
+                linalg.require_spd(g.matrix, name=f"grade {k} Gram matrix")
             else:
                 if not np.isfinite(g.weight.log_values).all():
                     raise ValueError(f"grade {k} weight has non-finite log values")
@@ -310,8 +310,8 @@ def space_to_json(s: TruncatedScaleSpace) -> dict:
 def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
     """Load {"n", "k_max", "grades": [{"type": "diagonal"|"gram", ...}]};
     ``path`` names the object in input errors."""
-    n = int(json_field(obj, "n", path))
-    k_max = int(json_field(obj, "k_max", path))
+    n = _json_int(obj, "n", path)
+    k_max = _json_int(obj, "k_max", path)
     raw = json_field(obj, "grades", path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}.grades: expected a list, got {type(raw).__name__}")

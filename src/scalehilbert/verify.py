@@ -37,7 +37,7 @@ from .hessian import (
     restriction_invariance,
     spectral_decompose,
 )
-from .sobolev_circle import _log_closed_form_diag, oracle_deltas
+from .sobolev_circle import _log_sigma_ratio, oracle_deltas
 
 __all__ = [
     "DEFAULT_SEED",
@@ -197,12 +197,6 @@ def _analysis_row(an: OperatorAnalysis) -> dict:
     return row
 
 
-def _batch(batch, seed):
-    if batch is None:
-        batch = analyze_operator_batch(standard_operator_set(seed))
-    return batch
-
-
 def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
     """Closed-form Gram entries against the trapezoid oracle, as scaled
     deltas (:func:`scalehilbert.sobolev_circle.oracle_deltas`)."""
@@ -222,20 +216,19 @@ def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: 
 def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResult:
     """Per-index ratio between the Sobolev weight and sigma^k.
 
-    Interval membership is evaluated in the log domain; the lower
+    Interval membership is evaluated in the log domain, on the log ratio
+    behind :func:`scalehilbert.sobolev_circle.ratio_trace`; the lower
     endpoint 2^(-k) is attained exactly at the first index, where both
     sides reduce to the identical expression -k * log1p(1). The large
     indices must sit within 1 percent of pi^(2k).
     """
     tail_rtol = 0.01
     tail_from = 1000
-    nu = np.arange(1, nu_max + 1, dtype=float)
-    log_sigma = np.log1p(nu**2)
     bounds_ok = True
     worst_tail = 0.0
     per_grade = []
     for k in range(k_max + 1):
-        log_ratio = _log_closed_form_diag(nu, k) - k * log_sigma
+        log_ratio = _log_sigma_ratio(nu_max, k)
         lo = -k * np.log1p(1.0)
         hi = k * np.log1p(4.0 * np.pi**2)
         inside = bool((log_ratio >= lo).all() and (log_ratio <= hi).all())
@@ -263,9 +256,8 @@ def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResu
     )
 
 
-def criterion_kernel_cokernel(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
+def criterion_kernel_cokernel(batch, tol: float | None = None) -> CriterionResult:
     """Kernel and range-complement coincide (principal angle) with index 0."""
-    batch = _batch(batch, seed)
     tol = KERNEL_ANGLE.tolerance(tol)
     worst = max(row[KERNEL_ANGLE.name] for row in batch)
     indices_zero = all(row["kernel"].index == 0 for row in batch)
@@ -283,10 +275,9 @@ def criterion_kernel_cokernel(batch=None, seed: int = DEFAULT_SEED, tol: float |
     )
 
 
-def criterion_resolvent_normality(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
+def criterion_resolvent_normality(batch, tol: float | None = None) -> CriterionResult:
     """Resolvents of the batch are normal with the conjugate-point adjoint;
     the non-symmetric control must show a macroscopic commutator."""
-    batch = _batch(batch, seed)
     tol = NORMALITY.tolerance(tol)
     control_floor = 1e-2
     worst = max(max(row[NORMALITY.name], row[ADJOINT.name]) for row in batch)
@@ -309,15 +300,13 @@ def criterion_resolvent_normality(batch=None, seed: int = DEFAULT_SEED, tol: flo
 
 
 def criterion_spectral_consistency(
-    batch=None,
-    seed: int = DEFAULT_SEED,
+    batch,
     eig_tol: float | None = None,
     recon_tol: float | None = None,
 ) -> CriterionResult:
     """Eigenvalues agree with the resolvent's, within the eigen-residual
     bound of :func:`resolvent_consistency`, and the eigendecomposition
     reconstructs the operator."""
-    batch = _batch(batch, seed)
     eig_tol = CONSISTENCY.tolerance(eig_tol)
     recon_tol = RECONSTRUCTION.tolerance(recon_tol)
     worst_eig = max(row[CONSISTENCY.name] for row in batch)
@@ -360,9 +349,8 @@ def criterion_fractal_certificate(
     )
 
 
-def criterion_restriction(batch=None, seed: int = DEFAULT_SEED, tol: float | None = None) -> CriterionResult:
+def criterion_restriction(batch, tol: float | None = None) -> CriterionResult:
     """The operator looks identical in the graph-rescaled eigenbasis."""
-    batch = _batch(batch, seed)
     tol = RESTRICTION.tolerance(tol)
     worst = max(row[RESTRICTION.name] for row in batch)
     return CriterionResult(

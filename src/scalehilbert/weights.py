@@ -30,15 +30,9 @@ EXP_OVERFLOW_LOG = 700.0
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Positive weight f on 1..n as a read-only table of log f(nu).
-
-    ``growth_note`` is an optional free-text tag for the declared asymptotic
-    behaviour (informational only; nothing at a finite truncation can test
-    unboundedness, so it is never validated).
-    """
+    """Positive weight f on 1..n as a read-only table of log f(nu)."""
 
     log_values: np.ndarray
-    growth_note: str | None = None
     # Integer powers are tracked against a base table and materialized with a
     # single multiplication, so repeated powering composes exactly in log scale.
     _power_base: np.ndarray | None = field(default=None, repr=False)
@@ -83,12 +77,7 @@ def weight_power(w: Weight, k: int) -> Weight:
         raise ValueError(f"power must be a nonnegative integer, got {k}")
     k = int(k)
     exponent = w._power_exponent * k
-    return Weight(
-        w._power_base * exponent,
-        growth_note=w.growth_note,
-        _power_base=w._power_base,
-        _power_exponent=exponent,
-    )
+    return Weight(w._power_base * exponent, _power_base=w._power_base, _power_exponent=exponent)
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ def validate_weight(w: Weight) -> WeightValidation:
 def constant_weight(n: int) -> Weight:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Weight(np.zeros(n), growth_note="constant 1")
+    return Weight(np.zeros(n))
 
 
 def poly_plus_one_weight(n: int, degree: int) -> Weight:
@@ -152,7 +141,7 @@ def poly_plus_one_weight(n: int, degree: int) -> Weight:
         raise ValueError("degree must be >= 0")
     nu = np.arange(1, n + 1, dtype=float)
     logs = degree * np.log(nu) + np.log1p(nu ** (-float(degree)))
-    return Weight(logs, growth_note=f"poly_plus_one degree {degree}")
+    return Weight(logs)
 
 
 def sigma_weight(n: int) -> Weight:
@@ -186,13 +175,24 @@ def json_field(obj, key: str, path: str, default=_REQUIRED):
     return default
 
 
+def _json_int(obj, key: str, path: str, default=_REQUIRED) -> int:
+    """:func:`json_field` read as an integer; a value ``int()`` rejects
+    is an input error that names the path:
+    "path.key: expected an integer, got list"."""
+    value = json_field(obj, key, path, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path}.{key}: expected an integer, got {type(value).__name__}") from None
+
+
 def weight_from_json(obj: dict, path: str = "weight") -> Weight:
     """Load {"n", "kind": "table"|"closed_form", "values"|"formula": ...}.
 
     Closed-form weights are expanded to log tables on load. ``path``
     names the object in input errors.
     """
-    n = int(json_field(obj, "n", path))
+    n = _json_int(obj, "n", path)
     kind = json_field(obj, "kind", path)
     if kind == "table":
         values = np.asarray(json_field(obj, "values", path), dtype=float)
@@ -206,5 +206,5 @@ def weight_from_json(obj: dict, path: str = "weight") -> Weight:
         name = json_field(formula, "name", f"{path}.formula")
         if name != "poly_plus_one":
             raise ValueError(f"unknown weight formula {name!r}")
-        return poly_plus_one_weight(n, int(json_field(formula, "degree", f"{path}.formula")))
+        return poly_plus_one_weight(n, _json_int(formula, "degree", f"{path}.formula"))
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from scalehilbert.cli import main
+from scalehilbert.sobolev_circle import sigma_equivalence_constants
 from scalehilbert.verify import (
     DEFAULT_SEED,
     CriterionResult,
@@ -61,6 +62,8 @@ def test_criterion_02_sigma_witness():
     result, elapsed = timed(criterion_sigma_witness)
     assert result.details["nu_max"] == 4096
     assert all(g["inside_interval"] for g in result.details["per_grade"])
+    for g in result.details["per_grade"]:
+        assert (g["ratio_min"], g["ratio_max"]) == sigma_equivalence_constants(4096, g["k"])
     settle(result, elapsed)
 
 

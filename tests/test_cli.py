@@ -13,6 +13,9 @@ from scalehilbert.verify import (
     standard_operator_set,
 )
 
+# a spec value that removes its key from the operator object
+DROP = object()
+
 
 @pytest.fixture(autouse=True)
 def run_in_tmp(tmp_path, monkeypatch):
@@ -257,7 +260,7 @@ class TestHessianAnalyze:
         "spec, message",
         [
             ({"scale": 5}, "operator.scale: expected an object, got int"),
-            ({"matrix": None}, "operator.matrix missing"),
+            ({"matrix": DROP}, "operator.matrix missing"),
             ({"scale": {"n": 2, "grades": []}}, "operator.scale.k_max missing"),
             ({"scale": {"n": 2, "k_max": 0, "grades": 3}}, "operator.scale.grades: expected a list, got int"),
             ({"scale": {"n": 2, "k_max": 1, "grades": [5, 6]}}, "operator.scale.grades[0]: expected an object, got int"),
@@ -267,12 +270,21 @@ class TestHessianAnalyze:
                 "operator.scale.grades[1].weight: expected an object, got list",
             ),
             ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0]}, "operator.seed missing"),
+            ({"n": None}, "operator.n: expected an integer, got NoneType"),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0], "seed": [3]},
+             "operator.seed: expected an integer, got list"),
+            ({"scale": {"n": 2, "k_max": {}, "grades": []}}, "operator.scale.k_max: expected an integer, got dict"),
+            (
+                {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "diagonal", "weight": {"n": "two"}}]}},
+                "operator.scale.grades[0].weight.n: expected an integer, got str",
+            ),
         ],
-        ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed"],
+        ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
+             "n-null", "seed-list", "k_max-object", "weight-n-str"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
-        obj = {key: value for key, value in obj.items() if value is not None}
+        obj = {key: value for key, value in obj.items() if value is not DROP}
         path = tmp_path / "op.json"
         path.write_text(json.dumps(obj))
         assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
@@ -370,8 +382,12 @@ class TestLadder:
             ({"power": 2}, "right.weight missing"),
             ({"weight": 2}, "right.weight: expected an object, got int"),
             ("sobolev2", "right: expected an object, got str"),
+            ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": None}}},
+             "right.weight.formula.degree: expected an integer, got NoneType"),
+            ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}, "power": [2]},
+             "right.power: expected an integer, got list"),
         ],
-        ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type"],
+        ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type", "degree-null", "power-list"],
     )
     def test_malformed_side_field_is_named(self, tmp_path, capsys, right, message):
         path = tmp_path / "sides.json"

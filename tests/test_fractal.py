@@ -34,9 +34,10 @@ class TestFractalWeight:
         assert fw.values() == pytest.approx([1.0])
 
     def test_mixed_spectrum(self):
-        fw = fractal_weight(decompose_diag([3.0, -1.0, 2.0]))
+        data = decompose_diag([3.0, -1.0, 2.0])
+        fw = fractal_weight(data)
         assert fw.values() == pytest.approx([2.0, 5.0, 10.0], rel=1e-14)
-        assert np.array_equal(fw.gammas_sorted, [-1.0, 2.0, 3.0])
+        assert np.array_equal(data.sorted_gammas(), [-1.0, 2.0, 3.0])
 
     def test_is_a_valid_weight(self):
         rng = np.random.default_rng(3)
@@ -195,9 +196,9 @@ class TestInvariances:
         rng = np.random.default_rng(53)
         b = rng.standard_normal((10, 10))
         a = (b + b.T) / 2
-        fw = fractal_weight(spectral_decompose(ScaleOperator(a)))
-        fw2 = fractal_weight(spectral_decompose(ScaleOperator(2.0 * a)))
-        assert np.array_equal(fw2.gammas_sorted, 2.0 * fw.gammas_sorted)
+        data, data2 = spectral_decompose(ScaleOperator(a)), spectral_decompose(ScaleOperator(2.0 * a))
+        fw, fw2 = fractal_weight(data), fractal_weight(data2)
+        assert np.array_equal(data2.sorted_gammas(), 2.0 * data.sorted_gammas())
         assert np.expm1(fw2.log_values) == pytest.approx(
             4.0 * np.expm1(fw.log_values), rel=1e-14
         )

@@ -113,6 +113,13 @@ class TestSymmetry:
         assert report.defect == 0.0
         assert report.passed
 
+    def test_defect_is_the_linalg_defect(self):
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal((5, 5))
+        for a in (NILPOTENT, np.zeros((2, 2)), s, s + s.T + 1e-11 * s, [[0.0, 1e200], [0.0, 1e200]]):
+            op = ScaleOperator(np.array(a))
+            assert check_symmetry(op).defect == linalg.symmetry_defect(op.matrix)
+
     def test_huge_asymmetric_defect_is_measured(self):
         # ||A - A^T|| / ||A + A^T|| = sqrt(2) / sqrt(6), not inf / inf
         report = check_symmetry(ScaleOperator(np.array([[0.0, 1e200], [0.0, 1e200]])))

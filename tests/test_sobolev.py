@@ -288,12 +288,10 @@ class TestEquivalenceConstants:
         assert sigma_equivalence_constants(16, 0) == (1.0, 1.0)
 
     def test_constants_match_ratio_extremes(self):
-        nu_max, k = 64, 2
-        c_lo, c_hi = sigma_equivalence_constants(nu_max, k)
-        trace = ratio_trace(nu_max, k)
-        assert c_lo == pytest.approx(trace.min(), rel=1e-13)
-        assert c_hi == pytest.approx(trace.max(), rel=1e-13)
-        assert c_lo == pytest.approx(0.25, rel=1e-13)
+        for nu_max, k in ((1, 3), (64, 2), (1024, 3), (64, 7)):
+            trace = ratio_trace(nu_max, k)
+            assert sigma_equivalence_constants(nu_max, k) == (trace.min(), trace.max())
+        assert sigma_equivalence_constants(64, 2)[0] == 0.25
 
     def test_constants_within_universal_bounds(self):
         for k in (1, 2, 3):
