@@ -36,7 +36,7 @@ from .hessian import (
 from .sobolev_circle import _log_closed_form_diag, oracle_deltas, ratio_trace, sigma_equivalence_constants
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
-from .weights import _json_int, json_field, weight_from_json
+from .weights import _json_int, _json_type, json_field, weight_from_json
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
@@ -156,7 +156,7 @@ def _read_input(path: str) -> dict:
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ValueError(f"input {path}: expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"input {path}: expected a JSON object, got {_json_type(obj)}")
     return obj
 
 

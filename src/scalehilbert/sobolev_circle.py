@@ -13,15 +13,16 @@ scale isomorphic to the weighted sequence model with sigma(nu) =
 nu^2 + 1; the per-index ratio between the two weight families stays
 inside fixed bounds and tends to pi^(2k) along large nu.
 
-A periodic trapezoid quadrature serves as the independent oracle for
-the closed form. The integrands are trigonometric polynomials, so the
-trapezoid rule is exact (up to roundoff) once the node count exceeds
-the bandwidth. The table oracle samples the basis at exact integer
-phases, accumulates one node Gram over blocks of nodes and reads every
-grade off it through the derivative amplitudes: an identity of the
-integrands at each node, so the table is the trapezoid sum itself and
-never reads the closed form it checks. The scalar
-:func:`fourier_gram_quadrature` is its pointwise reference.
+A periodic trapezoid quadrature serves as the independent oracle for the closed
+form. The integrands are trigonometric polynomials, so the trapezoid rule is
+exact (up to roundoff) once the node count exceeds the bandwidth. The table
+oracle samples the basis at exact integer phases and sums one node Gram over
+the node pairs (i, q - i): the node set is symmetric under t -> -t, so its
+sine-cosine block, a sum of odd integrands, is exactly 0. Every grade is read
+off that Gram through the derivative amplitudes, an identity of the integrands
+at each node, so the table is the trapezoid sum itself and never reads the
+closed form it checks. The scalar :func:`fourier_gram_quadrature` is its
+pointwise reference.
 
 One run of the oracle (:func:`oracle_deltas`) builds one node Gram, at
 grade k_max's node count, and streams grades 0..k_max through one
@@ -165,14 +166,16 @@ def fourier_gram_quadrature(nu: int, nu_prime: int, k: int, q: int) -> float:
 def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> np.ndarray:
     """The full quadrature Gram matrix of grade k, one row per basis index.
 
-    The trapezoid sum of :func:`fourier_gram_quadrature` on q nodes, for
-    all pairs at once. The basis is gathered at the exact integer phases
-    (m * i) mod q from one length-q cosine/sine table, and the node Gram
-    G = E E^T / q is accumulated over blocks of _NODE_BLOCK nodes, so no
-    nu_max x q matrix is held. The j-th derivative of a basis function
-    is (2 pi m)^j times, up to sign, the function (j even) or its
-    derivative direction (j odd: sine -> cosine, cosine -> -sine,
-    constant -> 0), so the table is
+    The trapezoid sum of :func:`fourier_gram_quadrature` on q nodes, for all
+    pairs at once. The basis is gathered at the exact integer phases (m * i)
+    mod q from sine/cosine tables on phases 0..q/2, mirrored exactly to the
+    rest (sin(-p) = -sin(p)). The node Gram G = E E^T / q is summed over the
+    pairs (i, q - i) in blocks of _NODE_BLOCK, each pair twice, plus the
+    unpaired nodes 0 and (even q) q/2 once, so no nu_max x q matrix is held;
+    over a pair the sine-cosine products cancel, so that block of G is exactly
+    0. The j-th derivative of a basis function is (2 pi m)^j times, up to sign,
+    the function (j even) or its derivative direction (j odd: sine -> cosine,
+    cosine -> -sine, constant -> 0), so the table is
 
         sum_{j=0}^k (w w^T)^j o G_{j mod 2},    w_nu = 2 pi floor(nu / 2),
 
@@ -194,22 +197,29 @@ def _default_nodes(nu_max: int, k: int) -> int:
 
 def _node_gram(nu_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(G_0, G_1) of :func:`fourier_gram_quadrature_table` on q >= 1 nodes,
-    read out of one node Gram streamed over node blocks."""
+    read out of one node Gram summed over the node pairs (i, q - i)."""
     max_m = nu_max // 2
-    rows = 2 * max_m + 1  # basis indices 1..2 max_m + 1: const, sin 1, cos 1, ..., sin M, cos M
-    angle = (2.0 * math.pi / q) * np.arange(q)
-    sin_table, cos_table = math.sqrt(2.0) * np.sin(angle), math.sqrt(2.0) * np.cos(angle)
+    half, pairs = q // 2, (q - 1) // 2  # node i pairs with node q - i for i = 1..pairs
+    angle = (2.0 * math.pi / q) * np.arange(half + 1)
+    sin_table, cos_table = math.sqrt(2.0) * np.sin(angle[: pairs + 1]), math.sqrt(2.0) * np.cos(angle)
+    # phase q - p mirrors phase p; the sine is exactly 0 at the phase q/2 of an even q
+    sin_table = np.concatenate([sin_table, np.zeros(half - pairs), -sin_table[:0:-1]])
+    cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])
     m = np.arange(1, max_m + 1)
-    gram = np.zeros((rows, rows))
-    for start in range(0, q, _NODE_BLOCK):
-        nodes = np.arange(start, min(start + _NODE_BLOCK, q))
-        phase = np.outer(m, nodes)
-        phase %= q
-        block = np.empty((rows, nodes.size))
-        block[0] = 1.0
-        block[1::2] = sin_table[phase]
-        block[2::2] = cos_table[phase]
-        gram += block @ block.T
+    gram = np.zeros((2 * max_m + 1, 2 * max_m + 1))  # const, sin 1, cos 1, ..., sin M, cos M
+    sines, evens = gram[1::2, 1::2], gram[0::2, 0::2]  # the sine-cosine block stays exactly 0
+    buffer = np.ones((max_m + 1, min(_NODE_BLOCK, pairs)))  # row 0: the constant
+    for start in range(1, pairs + 1, _NODE_BLOCK):
+        phase = np.outer(m, np.arange(start, min(start + _NODE_BLOCK, pairs + 1))) % q
+        block = buffer[:, : phase.shape[1]]
+        block[1:] = sin_table[phase]
+        sines += block[1:] @ block[1:].T
+        block[1:] = cos_table[phase]
+        evens += block @ block.T
+    gram *= 2.0  # each pair stands for two equal products
+    ends = cos_table[np.outer(np.arange(max_m + 1), [0, half][: 1 + (pairs < half)]) % q]
+    ends[0] = 1.0  # the constant at node 0 and, for even q, node q/2, where sin is 0
+    evens += ends @ ends.T
     gram /= q
     # derivative directions: index 2m (sine) -> 2m + 1 (cosine),
     # 2m + 1 (cosine) -> -(2m) (sine), 1 (constant) -> 0; 0-based below

@@ -18,6 +18,7 @@ from . import linalg
 from .weights import (
     Weight,
     _json_int,
+    _json_type,
     constant_weight,
     json_field,
     validate_weight,
@@ -314,7 +315,7 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
     k_max = _json_int(obj, "k_max", path)
     raw = json_field(obj, "grades", path)
     if not isinstance(raw, list):
-        raise ValueError(f"{path}.grades: expected a list, got {type(raw).__name__}")
+        raise ValueError(f"{path}.grades: expected an array, got {_json_type(raw)}")
     if len(raw) != k_max + 1:
         raise ValueError(f"expected {k_max + 1} grades, got {len(raw)}")
     grades = []

@@ -162,12 +162,18 @@ def weight_to_json(w: Weight) -> dict:
 _REQUIRED = object()
 
 
+def _json_type(value) -> str:
+    """The JSON type name of a parsed value (null, boolean, number, string, array or object)."""
+    names = {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
+    return "null" if value is None else names.get(type(value), type(value).__name__)
+
+
 def json_field(obj, key: str, path: str, default=_REQUIRED):
     """``obj[key]`` of the JSON object at ``path``, or ``default`` when
     the key is absent and a default is given. Input errors name the
-    path: "path: expected an object, got int" or "path.key missing"."""
+    path: "path: expected an object, got number" or "path.key missing"."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object, got {type(obj).__name__}")
+        raise ValueError(f"{path}: expected an object, got {_json_type(obj)}")
     if key in obj:
         return obj[key]
     if default is _REQUIRED:
@@ -176,14 +182,12 @@ def json_field(obj, key: str, path: str, default=_REQUIRED):
 
 
 def _json_int(obj, key: str, path: str, default=_REQUIRED) -> int:
-    """:func:`json_field` read as an integer; a value ``int()`` rejects
-    is an input error that names the path:
-    "path.key: expected an integer, got list"."""
+    """:func:`json_field` read as a JSON integer, a number with no fractional part (4 or 4.0);
+    3.9, "4" or true is an input error naming the path: "path.key: expected an integer, got string"."""
     value = json_field(obj, key, path, default)
-    try:
+    if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{path}.{key}: expected an integer, got {type(value).__name__}") from None
+    raise ValueError(f"{path}.{key}: expected an integer, got {_json_type(value)}")
 
 
 def weight_from_json(obj: dict, path: str = "weight") -> Weight:

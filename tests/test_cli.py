@@ -259,28 +259,32 @@ class TestHessianAnalyze:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ({"scale": 5}, "operator.scale: expected an object, got int"),
+            ({"scale": 5}, "operator.scale: expected an object, got number"),
             ({"matrix": DROP}, "operator.matrix missing"),
             ({"scale": {"n": 2, "grades": []}}, "operator.scale.k_max missing"),
-            ({"scale": {"n": 2, "k_max": 0, "grades": 3}}, "operator.scale.grades: expected a list, got int"),
-            ({"scale": {"n": 2, "k_max": 1, "grades": [5, 6]}}, "operator.scale.grades[0]: expected an object, got int"),
+            ({"scale": {"n": 2, "k_max": 0, "grades": 3}}, "operator.scale.grades: expected an array, got number"),
+            ({"scale": {"n": 2, "k_max": 1, "grades": [5, 6]}}, "operator.scale.grades[0]: expected an object, got number"),
             (
                 {"scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]},
                                                            {"type": "diagonal", "weight": [1, 2]}]}},
-                "operator.scale.grades[1].weight: expected an object, got list",
+                "operator.scale.grades[1].weight: expected an object, got array",
             ),
             ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0]}, "operator.seed missing"),
-            ({"n": None}, "operator.n: expected an integer, got NoneType"),
+            ({"n": None}, "operator.n: expected an integer, got null"),
             ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0], "seed": [3]},
-             "operator.seed: expected an integer, got list"),
-            ({"scale": {"n": 2, "k_max": {}, "grades": []}}, "operator.scale.k_max: expected an integer, got dict"),
+             "operator.seed: expected an integer, got array"),
+            ({"scale": {"n": 2, "k_max": {}, "grades": []}}, "operator.scale.k_max: expected an integer, got object"),
             (
                 {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "diagonal", "weight": {"n": "two"}}]}},
-                "operator.scale.grades[0].weight.n: expected an integer, got str",
+                "operator.scale.grades[0].weight.n: expected an integer, got string",
             ),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0], "seed": 3.9},
+             "operator.seed: expected an integer, got number"),
+            ({"n": "2"}, "operator.n: expected an integer, got string"),
+            ({"n": True}, "operator.n: expected an integer, got boolean"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
-             "n-null", "seed-list", "k_max-object", "weight-n-str"],
+             "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -376,16 +380,16 @@ class TestLadder:
         "right, message",
         [
             ({"weight": {"kind": "closed_form"}}, "right.weight.formula missing"),
-            ({"weight": {"kind": "closed_form", "formula": 3}}, "right.weight.formula: expected an object, got int"),
+            ({"weight": {"kind": "closed_form", "formula": 3}}, "right.weight.formula: expected an object, got number"),
             ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one"}}},
              "right.weight.formula.degree missing"),
             ({"power": 2}, "right.weight missing"),
-            ({"weight": 2}, "right.weight: expected an object, got int"),
-            ("sobolev2", "right: expected an object, got str"),
+            ({"weight": 2}, "right.weight: expected an object, got number"),
+            ("sobolev2", "right: expected an object, got string"),
             ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": None}}},
-             "right.weight.formula.degree: expected an integer, got NoneType"),
+             "right.weight.formula.degree: expected an integer, got null"),
             ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}, "power": [2]},
-             "right.power: expected an integer, got list"),
+             "right.power: expected an integer, got array"),
         ],
         ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type", "degree-null", "power-list"],
     )

@@ -599,6 +599,12 @@ class TestOperatorJson:
             [1.0, 2.0, 3.0, 4.0], rel=1e-12
         )
 
+    def test_integral_float_counts_are_integers(self):
+        # a JSON integer is a number with no fractional part, so 4.0 reads as 4
+        obj = {"n": 4, "kind": "conjugated_diagonal", "diag": [1.0, 2.0, 3.0, 4.0], "seed": 7}
+        op = operator_from_json({**obj, "n": 4.0, "seed": 7.0})
+        assert np.array_equal(op.matrix, operator_from_json(obj).matrix)
+
     def test_default_kind_is_dense(self):
         op = operator_from_json({"n": 2, "matrix": [[1.0, 0.0], [0.0, 2.0]]})
         assert np.array_equal(op.matrix, np.diag([1.0, 2.0]))

@@ -170,13 +170,14 @@ class TestStreamedTable:
 
     @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    @pytest.mark.parametrize("nodes", ["default", "not_multiple_of_4", "ragged_blocks"])
+    @pytest.mark.parametrize("nodes", ["default", "not_multiple_of_4", "ragged_blocks", "ragged_blocks_even"])
     def test_table_equals_scalar_entrywise(self, nu_max, k, nodes):
         default_q = max(64, 4 * (nu_max // 2) * (k + 1))
         q = {
             "default": None,
             "not_multiple_of_4": max(2, 4 * (nu_max // 2) * (k + 1)) + 1,
             "ragged_blocks": 2 * _NODE_BLOCK + 37,
+            "ragged_blocks_even": 2 * _NODE_BLOCK + 38,
         }[nodes]
         table = fourier_gram_quadrature_table(nu_max, k, q)
         q_used = default_q if q is None else q
@@ -185,7 +186,7 @@ class TestStreamedTable:
         )
         assert scaled_table_delta(table, scalar, k) <= 1e-13
 
-    @pytest.mark.parametrize("q", [1, 3, 5, 8])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8])
     def test_identity_is_exact_for_aliased_node_counts(self, q):
         # below the alias-free node count, products of two sines or two
         # cosines of different frequencies no longer sum to 0, so odd grades
@@ -198,6 +199,17 @@ class TestStreamedTable:
                 table = _trapezoid_table(nu_max, k, q)
                 assert np.array_equal(table, table.T)
                 assert scaled_table_delta(table, pointwise_table(nu_max, k, q), k) <= 1e-13
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 37, 2 * _NODE_BLOCK + 37, 2 * _NODE_BLOCK + 38])
+    def test_sine_cosine_block_is_exactly_zero(self, q):
+        # the node set {i/q} is symmetric under t -> -t, where a sine is odd
+        # and the constant and cosines are even: the trapezoid sum of their
+        # product cancels over the node pairs (i, q - i), and the node Gram
+        # sums over those pairs, so the entries are exactly 0, not roundoff
+        for k in range(4):
+            table = _trapezoid_table(12, k, q)
+            assert np.all(table[1::2, 0::2] == 0.0)
+            assert np.all(table[0::2, 1::2] == 0.0)
 
     def test_rejects_negative_grade(self):
         with pytest.raises(ValueError, match="grade"):
