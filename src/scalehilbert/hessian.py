@@ -35,8 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json, space_to_json
-from .weights import Weight, _json_int, json_field
+from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json
+from .weights import Weight, _json_int, _json_numbers, json_field
 
 __all__ = [
     "DEFAULT_RESOLVENT_POINT",
@@ -52,7 +52,6 @@ __all__ = [
     "check_symmetry",
     "check_kernel_cokernel",
     "regularity_constant",
-    "graph_inner_product",
     "graph_ladder",
     "graph_equivalence_constants",
     "resolvent",
@@ -66,7 +65,6 @@ __all__ = [
     "pair_isometry_certificate",
     "conjugated_diagonal",
     "operator_from_json",
-    "operator_to_json",
 ]
 
 # Purely imaginary points are never eigenvalues of a symmetric operator,
@@ -185,11 +183,11 @@ def check_symmetry(op: ScaleOperator, tol: float = SYMMETRY_TOL) -> SymmetryRepo
     return SymmetryReport(defect=float(defect), tol=float(tol), passed=defect <= tol)
 
 
-def check_kernel_cokernel(op: ScaleOperator, rank_tol: float | None = None) -> KernelReport:
+def check_kernel_cokernel(op: ScaleOperator) -> KernelReport:
     """Kernel and cokernel data from a singular value decomposition.
 
-    Dimensions count singular values at or below rank_tol times the
-    largest one (default n * machine epsilon). The reported angle is the
+    Dimensions count singular values at or below n * machine epsilon
+    times the largest one. The reported angle is the
     largest principal angle between the kernel and the orthogonal
     complement of the range; for a symmetric operator the two subspaces
     coincide and the angle vanishes. The index ker_dim - coker_dim is 0
@@ -201,9 +199,7 @@ def check_kernel_cokernel(op: ScaleOperator, rank_tol: float | None = None) -> K
     orthonormal slices of V and U, cut at that same rank.
     """
     s = np.linalg.svd(op.matrix, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = op.n * linalg.EPS
-    cutoff = rank_tol * (float(s[0]) if s.size else 0.0)
+    cutoff = op.n * linalg.EPS * (float(s[0]) if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     if rank == op.n:
         return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
@@ -215,8 +211,8 @@ def check_kernel_cokernel(op: ScaleOperator, rank_tol: float | None = None) -> K
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
     G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
-    graph Gram identity + A^T A of :func:`graph_inner_product`, formed
-    without the product through G_0 = I."""
+    graph Gram identity + A^T A of the graph form <x, y> + <Ax, Ay>,
+    formed without the product through G_0 = I."""
     a = linalg.as_square_matrix(matrix, "operator matrix")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -262,12 +258,6 @@ class OperatorAnalysis:
     def resolvent(self) -> ResolventData:
         """The resolvent at :data:`DEFAULT_RESOLVENT_POINT`."""
         return resolvent(self.op)
-
-    def resolvent_at(self, point: complex) -> ResolventData:
-        """The shared resolvent at the default point, a fresh one elsewhere."""
-        if complex(point) == DEFAULT_RESOLVENT_POINT:
-            return self.resolvent
-        return resolvent(self.op, point)
 
     @cached_property
     def normality(self) -> tuple[float, float]:
@@ -354,18 +344,6 @@ def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> f
     return float(np.sqrt(mu_hi))
 
 
-def graph_inner_product(op: ScaleOperator, xi, eta) -> float:
-    """<xi, eta> + <A xi, A eta> in grade-0 coordinates."""
-    x = np.asarray(getattr(xi, "coords", xi), dtype=float).reshape(-1)
-    y = np.asarray(getattr(eta, "coords", eta), dtype=float).reshape(-1)
-    if x.shape != (op.n,) or y.shape != (op.n,):
-        raise ValueError(
-            f"vector dimensions {x.shape[0]}, {y.shape[0]} do not match operator dimension {op.n}"
-        )
-    a = op.matrix
-    return float(x @ y + (a @ x) @ (a @ y))
-
-
 def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[float, float, float]:
     """(c_lo, c_hi, c_step1) between the grade-1 norm and the graph norm.
 
@@ -397,24 +375,18 @@ def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[f
     return float(c_lo), float(c_hi), c_step1
 
 
-def resolvent(
-    op: ScaleOperator,
-    point: complex = DEFAULT_RESOLVENT_POINT,
-    require_off_axis: bool = True,
-) -> ResolventData:
+def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> ResolventData:
     """Invert (operator - point * identity) at a point off the spectrum.
 
-    Real points are rejected by default: off the real axis the inverse
-    exists unconditionally for symmetric operators. An exactly singular
+    Real points are rejected: off the real axis the inverse exists
+    unconditionally for symmetric operators. An exactly singular
     solve, a non-finite inverse B or n eps kappa_1 >= 1, with the 1-norm
     condition number kappa_1 = ||A - point I||_1 ||B||_1 read off the
     solve's result, raise :class:`SpectrumError`.
     """
     point = complex(point)
-    if require_off_axis and point.imag == 0.0:
-        raise ValueError(
-            "resolvent point must lie off the real axis (pass require_off_axis=False to override)"
-        )
+    if point.imag == 0.0:
+        raise ValueError("resolvent point must lie off the real axis")
     shifted = op.matrix - point * np.eye(op.n)
     try:
         b = np.linalg.solve(shifted, np.eye(op.n, dtype=complex))
@@ -470,13 +442,9 @@ def spectral_decompose(op: ScaleOperator | OperatorAnalysis, tol: float = SYMMET
     return an.spectral
 
 
-def resolvent_consistency(
-    op: ScaleOperator | OperatorAnalysis,
-    data: SpectralData,
-    point: complex = DEFAULT_RESOLVENT_POINT,
-) -> float:
-    """Bound on the mismatch between the eigenvalues gamma and
-    point + 1/mu, mu the eigenvalues of the resolvent B at ``point``.
+def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralData) -> float:
+    """Bound on the mismatch between the eigenvalues gamma and point + 1/mu,
+    mu the eigenvalues of the shared resolvent B at the default point.
 
     Each pair (gamma_i, v_i) claims the eigenpair (1/(gamma_i - point),
     v_i) of B. B is normal (the resolvent-normality certificate), so an
@@ -486,14 +454,12 @@ def resolvent_consistency(
     the distance g_i from the claim to the other claims exceeds 2 s_i,
     else e_i = s_i (Bauer-Fike). Carried to first order onto gamma, the
     defect is max_i of that radius times |gamma_i - point|^2 /
-    (1 + |gamma_i|); at the default point, wherever it is at most 1e-8
-    it is within 1.5e-8 relative of the exact bound. Each pair is
-    bounded by its own residual, so the defect stays of order
-    eps ||A|| however wide the spectrum. The resolvent at the default
-    point is the analysis's shared one.
+    (1 + |gamma_i|); wherever it is at most 1e-8 it is within 1.5e-8
+    relative of the exact bound. Each pair is bounded by its own residual,
+    so the defect stays of order eps ||A|| however wide the spectrum.
     """
-    b = OperatorAnalysis.of(op).resolvent_at(point).b_matrix
-    v, shift = data.vectors, data.gammas - point
+    b = OperatorAnalysis.of(op).resolvent.b_matrix
+    v, shift = data.vectors, data.gammas - DEFAULT_RESOLVENT_POINT
     mu = 1.0 / shift
     r = b @ v - v * mu
     rq_offset = np.einsum("ij,ij->j", v.conj(), r)
@@ -617,16 +583,6 @@ def conjugated_diagonal(diag, seed: int, scale=None) -> ScaleOperator:
     return ScaleOperator(q.T @ np.diag(d) @ q, scale)
 
 
-def operator_to_json(op: ScaleOperator) -> dict:
-    scale = "graph_default" if op.scale is None else space_to_json(op.scale)
-    return {
-        "n": op.n,
-        "kind": "dense",
-        "matrix": [[float(v) for v in row] for row in op.matrix],
-        "scale": scale,
-    }
-
-
 def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     """Load {"n", "kind": "dense"|"diagonal"|"conjugated_diagonal", ...}.
 
@@ -639,11 +595,11 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     raw_scale = json_field(obj, "scale", path, "graph_default")
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
     if kind == "dense":
-        matrix = np.asarray(json_field(obj, "matrix", path), dtype=float)
+        matrix = _json_numbers(obj, "matrix", path)
     elif kind == "diagonal":
-        matrix = np.diag(np.asarray(json_field(obj, "diag", path), dtype=float))
+        matrix = np.diag(_json_numbers(obj, "diag", path))
     elif kind == "conjugated_diagonal":
-        op = conjugated_diagonal(json_field(obj, "diag", path), _json_int(obj, "seed", path), scale)
+        op = conjugated_diagonal(_json_numbers(obj, "diag", path), _json_int(obj, "seed", path), scale)
         if op.n != n:
             raise ValueError(f"operator has dimension {op.n}, expected n={n}")
         return op

@@ -72,9 +72,6 @@ class FourierBasisSpec:
             return 0, "constant"
         return m, "sine" if nu % 2 == 0 else "cosine"
 
-    def modes(self):
-        return [self.mode(nu) for nu in range(1, self.nu_max + 1)]
-
 
 def _require_index(nu: int, name: str = "nu"):
     if nu < 1:

@@ -18,33 +18,26 @@ from . import linalg
 from .weights import (
     Weight,
     _json_int,
+    _json_numbers,
     _json_type,
     constant_weight,
     json_field,
     validate_weight,
     weight_from_json,
     weight_power,
-    weight_to_json,
 )
 
 __all__ = [
     "DiagonalGrade",
     "GramGrade",
     "TruncatedScaleSpace",
-    "GradedVector",
     "IsometryReport",
     "weighted_sequence_space",
     "gram_matrix",
-    "inner_product",
     "inclusion_singular_values",
-    "shift",
-    "equivalence_constants",
     "diagonal_equivalence_constants",
     "is_scale_isometric",
-    "common_orthogonal_basis",
-    "validate_space",
     "space_from_json",
-    "space_to_json",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -83,9 +76,8 @@ class TruncatedScaleSpace:
 
     Construction checks that every Gram grade is SPD and that dimensions
     agree. The canonical normalization (grade 0 = constant weight 1) is
-    enforced only by :func:`weighted_sequence_space`; shifted spaces
-    legitimately start at a nontrivial grade, so here it is merely
-    reported by :func:`validate_space`.
+    enforced only by :func:`weighted_sequence_space`; an explicit scale
+    may start at a nontrivial grade.
     """
 
     n: int
@@ -119,23 +111,6 @@ class TruncatedScaleSpace:
         return self.grades[k]
 
 
-@dataclass(frozen=True, eq=False)
-class GradedVector:
-    """Coordinates in the grade-0 orthonormal basis, tagged with a grade."""
-
-    coords: np.ndarray
-    grade: int = 0
-
-    def __post_init__(self):
-        c = np.array(self.coords, dtype=float).reshape(-1)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-
-def _coords(x) -> np.ndarray:
-    return np.asarray(getattr(x, "coords", x), dtype=float).reshape(-1)
-
-
 def weighted_sequence_space(w: Weight, k_max: int) -> TruncatedScaleSpace:
     """The canonical weighted model: grade k carries the weight f**k.
 
@@ -159,19 +134,6 @@ def gram_matrix(s: TruncatedScaleSpace, k: int) -> np.ndarray:
     return g.matrix.copy()
 
 
-def inner_product(s: TruncatedScaleSpace, k: int, x, y) -> float:
-    """The grade-k inner product of x and y (symmetric bilinear form)."""
-    xv, yv = _coords(x), _coords(y)
-    g = s.grade(k)
-    if xv.shape != (s.n,) or yv.shape != (s.n,):
-        raise ValueError(
-            f"vector dimensions {xv.shape[0]}, {yv.shape[0]} do not match space dimension {s.n}"
-        )
-    if isinstance(g, DiagonalGrade):
-        return float(np.sum(g.weight.values() * xv * yv))
-    return float(xv @ g.matrix @ yv)
-
-
 def inclusion_singular_values(s: TruncatedScaleSpace, k: int) -> np.ndarray:
     """Singular values of the identity (H_k, <,>_k) -> (H_{k-1}, <,>_{k-1}).
 
@@ -191,28 +153,6 @@ def inclusion_singular_values(s: TruncatedScaleSpace, k: int) -> np.ndarray:
         )[0]
         sv = np.sqrt(np.maximum(mu, 0.0))
     return np.sort(sv)[::-1]
-
-
-def shift(s: TruncatedScaleSpace, m: int) -> TruncatedScaleSpace:
-    """Drop the first m grades: grade k of the result is grade k+m of s."""
-    if m < 0:
-        raise IndexError("shift must be nonnegative")
-    if m > s.k_max:
-        raise IndexError(f"shift {m} exceeds available grades 0..{s.k_max}")
-    return TruncatedScaleSpace(s.n, s.grades[m:])
-
-
-def equivalence_constants(g_a: np.ndarray, g_b: np.ndarray) -> tuple[float, float]:
-    """Best constants with c_lo ||x||_b^2 <= ||x||_a^2 <= c_hi ||x||_b^2.
-
-    Both bounds are attained (they are the extreme generalized eigenvalues
-    of g_a v = mu g_b v). Raises LinAlgError for non-SPD input.
-    """
-    g_a = linalg.require_spd(g_a, name="g_a")
-    g_b = linalg.require_spd(g_b, name="g_b")
-    if g_a.shape != g_b.shape:
-        raise ValueError("Gram matrices must have matching dimensions")
-    return linalg.extreme_generalized_eigenvalues(g_a, g_b)
 
 
 def diagonal_equivalence_constants(log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, float]:
@@ -259,53 +199,7 @@ def is_scale_isometric(
         transported = phi.T @ gram_matrix(t, k) @ phi
         defects.append(linalg.frobenius(transported - gk) / max(linalg.frobenius(gk), np.finfo(float).tiny))
     defects = tuple(float(d) for d in defects)
-    return IsometryReport(max(defects) <= tol, defects, tol)
-
-
-def common_orthogonal_basis(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
-    """A basis simultaneously orthogonal for two SPD forms.
-
-    Columns diagonalize both: B^T g_b B = I and B^T g_a B is diagonal
-    (generalized symmetric eigenproblem; any two SPD forms admit such a
-    basis, three in general do not).
-    """
-    g_a = linalg.require_spd(g_a, name="g_a")
-    g_b = linalg.require_spd(g_b, name="g_b")
-    if g_a.shape != g_b.shape:
-        raise ValueError("Gram matrices must have matching dimensions")
-    return linalg.generalized_eigh(g_a, g_b)[1]
-
-
-def validate_space(s: TruncatedScaleSpace, tol: float = DEFAULT_TOL) -> list[str]:
-    """Diagnostic findings (empty list = fully canonical).
-
-    Construction already guarantees SPD grades; this reports softer
-    conventions: canonical grade-0 normalization and per-grade weight
-    monotonicity of diagonal grades.
-    """
-    findings = []
-    g0 = s.grades[0]
-    if isinstance(g0, DiagonalGrade):
-        if not np.allclose(g0.weight.log_values, 0.0, atol=1e-12):
-            findings.append("grade 0 is diagonal but not the constant weight 1")
-    else:
-        if not np.allclose(g0.matrix, np.eye(s.n), atol=tol):
-            findings.append("grade 0 Gram is not the identity")
-    for k, g in enumerate(s.grades):
-        if isinstance(g, DiagonalGrade):
-            report = validate_weight(g.weight)
-            findings += [f"grade {k}: {v.message}" for v in report.violations]
-    return findings
-
-
-def space_to_json(s: TruncatedScaleSpace) -> dict:
-    grades = []
-    for g in s.grades:
-        if isinstance(g, DiagonalGrade):
-            grades.append({"type": "diagonal", "weight": weight_to_json(g.weight)})
-        else:
-            grades.append({"type": "gram", "matrix": [[float(v) for v in row] for row in g.matrix]})
-    return {"n": s.n, "k_max": s.k_max, "grades": grades}
+    return IsometryReport(bool(np.max(defects) <= tol), defects, tol)  # a NaN defect fails
 
 
 def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
@@ -326,7 +220,7 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
             weight = json_field(entry, "weight", entry_path)
             grades.append(DiagonalGrade(weight_from_json(weight, f"{entry_path}.weight")))
         elif kind == "gram":
-            grades.append(GramGrade(np.asarray(json_field(entry, "matrix", entry_path), dtype=float)))
+            grades.append(GramGrade(_json_numbers(entry, "matrix", entry_path)))
         else:
             raise ValueError(f"unknown grade type {kind!r}")
     return TruncatedScaleSpace(n, tuple(grades))

@@ -103,7 +103,7 @@ OPERATOR_CERTIFICATES = (
     CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an, k_max: an.consistency),
     RECONSTRUCTION := Certificate("spectral-reconstruction", 1e-10, lambda an, k_max: an.relative_reconstruction),
     FRACTAL := Certificate(
-        "fractal-certificate", 1e-8, lambda an, k_max: max(build_fractal_structure(an, k_max).deviations)
+        "fractal-certificate", 1e-8, lambda an, k_max: np.max(build_fractal_structure(an, k_max).deviations)
     ),
     RESTRICTION := Certificate("restriction-invariance", 1e-10, lambda an, k_max: restriction_invariance(an)),
     Certificate("pair-isometry", 1e-10, lambda an, k_max: pair_isometry_certificate(an)),
@@ -197,12 +197,17 @@ def _analysis_row(an: OperatorAnalysis) -> dict:
     return row
 
 
+def _worst(batch, cert: Certificate) -> float:
+    """The largest defect of ``cert`` over the batch; NaN if any is NaN, so that it fails."""
+    return float(np.max([row[cert.name] for row in batch]))
+
+
 def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
     """Closed-form Gram entries against the trapezoid oracle, as scaled
     deltas (:func:`scalehilbert.sobolev_circle.oracle_deltas`)."""
     tol = ORACLE_TOL if tol is None else tol
     per_grade = [delta for _, _, delta in oracle_deltas(nu_max, k_max)]
-    worst = max(per_grade)
+    worst = float(np.max(per_grade))
     return CriterionResult(
         number=1,
         name="sobolev-oracle-equivalence",
@@ -259,7 +264,7 @@ def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResu
 def criterion_kernel_cokernel(batch, tol: float | None = None) -> CriterionResult:
     """Kernel and range-complement coincide (principal angle) with index 0."""
     tol = KERNEL_ANGLE.tolerance(tol)
-    worst = max(row[KERNEL_ANGLE.name] for row in batch)
+    worst = _worst(batch, KERNEL_ANGLE)
     indices_zero = all(row["kernel"].index == 0 for row in batch)
     return CriterionResult(
         number=3,
@@ -280,7 +285,8 @@ def criterion_resolvent_normality(batch, tol: float | None = None) -> CriterionR
     the non-symmetric control must show a macroscopic commutator."""
     tol = NORMALITY.tolerance(tol)
     control_floor = 1e-2
-    worst = max(max(row[NORMALITY.name], row[ADJOINT.name]) for row in batch)
+    worst_commutator, worst_adjoint = _worst(batch, NORMALITY), _worst(batch, ADJOINT)
+    worst = float(np.max([worst_commutator, worst_adjoint]))
     control, _ = normality_defect(resolvent(ScaleOperator(np.array(NEGATIVE_CONTROL))))
     passed = worst <= tol and control >= control_floor
     return CriterionResult(
@@ -291,8 +297,8 @@ def criterion_resolvent_normality(batch, tol: float | None = None) -> CriterionR
         tol=tol,
         details={
             "operators": len(batch),
-            "worst_commutator": max(row[NORMALITY.name] for row in batch),
-            "worst_adjoint": max(row[ADJOINT.name] for row in batch),
+            "worst_commutator": worst_commutator,
+            "worst_adjoint": worst_adjoint,
             "negative_control_commutator": control,
             "negative_control_floor": control_floor,
         },
@@ -309,8 +315,8 @@ def criterion_spectral_consistency(
     reconstructs the operator."""
     eig_tol = CONSISTENCY.tolerance(eig_tol)
     recon_tol = RECONSTRUCTION.tolerance(recon_tol)
-    worst_eig = max(row[CONSISTENCY.name] for row in batch)
-    worst_recon = max(row[RECONSTRUCTION.name] for row in batch)
+    worst_eig = _worst(batch, CONSISTENCY)
+    worst_recon = _worst(batch, RECONSTRUCTION)
     return CriterionResult(
         number=5,
         name="spectral-consistency",
@@ -338,7 +344,7 @@ def criterion_fractal_certificate(
     b = rng.standard_normal((n, n))
     op = ScaleOperator((b + b.T) / (2.0 * np.sqrt(n)))
     structure = build_fractal_structure(op, k_max)
-    worst = max(structure.deviations)
+    worst = float(np.max(structure.deviations))
     return CriterionResult(
         number=6,
         name=FRACTAL.name,
@@ -352,7 +358,7 @@ def criterion_fractal_certificate(
 def criterion_restriction(batch, tol: float | None = None) -> CriterionResult:
     """The operator looks identical in the graph-rescaled eigenbasis."""
     tol = RESTRICTION.tolerance(tol)
-    worst = max(row[RESTRICTION.name] for row in batch)
+    worst = _worst(batch, RESTRICTION)
     return CriterionResult(
         number=7,
         name=RESTRICTION.name,
@@ -385,7 +391,7 @@ def criterion_roundtrip(
         op = ScaleOperator(np.diag(gammas))
         fw = fractal_weight(spectral_decompose(op))
         rel = np.abs(np.expm1(fw.log_values - logs))
-        worst = max(worst, float(rel.max()))
+        worst = float(np.max([worst, rel.max()]))
     return CriterionResult(
         number=8,
         name="fractal-weight-roundtrip",
@@ -416,7 +422,8 @@ def run_verify_all(seed: int = DEFAULT_SEED, tol: float | None = None) -> Verify
     """All nine criteria. ``tol`` overrides the defect-based tolerances
     (the sigma-witness interval and the negative-control floor stay
     pinned). The determinism criterion reruns the first eight checks and
-    compares the serialized reports byte for byte.
+    compares the serialized reports byte for byte. It covers reruns inside
+    one process only; across processes, see "Determinism" in the README.
     """
     results = _run_core(seed, tol)
     first = json.dumps([r.to_dict() for r in results], indent=2)

@@ -21,7 +21,6 @@ __all__ = [
     "poly_plus_one_weight",
     "sigma_weight",
     "weight_from_json",
-    "weight_to_json",
 ]
 
 # exp() overflows just above this; past it callers must stay in log scale
@@ -149,16 +148,6 @@ def sigma_weight(n: int) -> Weight:
     return poly_plus_one_weight(n, 2)
 
 
-def weight_to_json(w: Weight) -> dict:
-    """Schema: {"n", "kind": "table", "values": [linear-scale floats]}.
-
-    Always writes a table; linear values saturate to inf past the
-    double-precision range, so extreme weights should be exchanged as
-    closed forms instead.
-    """
-    return {"n": w.n, "kind": "table", "values": [float(v) for v in w.values()]}
-
-
 _REQUIRED = object()
 
 
@@ -190,6 +179,23 @@ def _json_int(obj, key: str, path: str, default=_REQUIRED) -> int:
     raise ValueError(f"{path}.{key}: expected an integer, got {_json_type(value)}")
 
 
+def _json_numbers(obj, key: str, path: str) -> np.ndarray:
+    """:func:`json_field` read as a (nested) array of JSON numbers, as floats; a string, boolean
+    or null element is an input error naming it: "path.key[0]: expected a number, got string"."""
+    value = json_field(obj, key, path)
+    _require_numbers(value, f"{path}.{key}")
+    return np.asarray(value, dtype=float)
+
+
+def _require_numbers(item, where: str):
+    if isinstance(item, list):
+        if not set(map(type, item)) <= {int, float}:  # a flat array of numbers is checked at C speed
+            for i, element in enumerate(item):
+                _require_numbers(element, f"{where}[{i}]")
+    elif type(item) not in (int, float):
+        raise ValueError(f"{where}: expected a number, got {_json_type(item)}")
+
+
 def weight_from_json(obj: dict, path: str = "weight") -> Weight:
     """Load {"n", "kind": "table"|"closed_form", "values"|"formula": ...}.
 
@@ -199,7 +205,7 @@ def weight_from_json(obj: dict, path: str = "weight") -> Weight:
     n = _json_int(obj, "n", path)
     kind = json_field(obj, "kind", path)
     if kind == "table":
-        values = np.asarray(json_field(obj, "values", path), dtype=float)
+        values = _json_numbers(obj, "values", path)
         if values.shape != (n,):
             raise ValueError(f"weight table has {values.shape[0]} values, expected n={n}")
         if not (np.isfinite(values).all() and (values > 0).all()):

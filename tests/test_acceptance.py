@@ -3,14 +3,24 @@
 Each test prints the one-line pass/fail verdict of its criterion and
 asserts it. Runtime budgets are enforced where the contract states one;
 criteria that share the seeded operator batch are charged its build
-time as well.
+time as well. The last tests pin the determinism contract across
+processes and BLAS thread counts, and that one NaN defect fails every
+criterion that aggregates defects.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import scalehilbert
+from scalehilbert import verify
 from scalehilbert.cli import main
+from scalehilbert.hessian import FractalStructure
+from scalehilbert.weights import Weight
 from scalehilbert.sobolev_circle import sigma_equivalence_constants
 from scalehilbert.verify import (
     DEFAULT_SEED,
@@ -128,3 +138,56 @@ def test_criterion_09_determinism(tmp_path, capsys):
         details={"runs": 2, "byte_identical": identical},
     )
     settle(result, 0.0)
+
+
+def test_determinism_across_processes_and_thread_counts(tmp_path):
+    """The contract beyond criterion 9's in-process rerun: two fresh
+    processes at one BLAS thread count write the same bytes, and another
+    thread count, which may move defects at roundoff, keeps every passed flag."""
+    root = os.path.dirname(os.path.dirname(scalehilbert.__file__))
+    threads = {"first": "1", "second": "1", "two_threads": "2"}
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-m", "scalehilbert.cli", "--command", "verify-all", "--output", str(tmp_path / name)],
+            env=dict(os.environ, PYTHONPATH=root, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count),
+            stdout=subprocess.DEVNULL,
+        )
+        for name, count in threads.items()
+    }  # run concurrently
+    assert {name: child.wait() for name, child in children.items()} == dict.fromkeys(threads, 0)
+    reports = {name: (tmp_path / name).read_bytes() for name in threads}
+    assert reports["first"] == reports["second"]
+
+    def flags(raw):
+        return [(c["number"], c["passed"]) for c in json.loads(raw)["criteria"]]
+
+    assert flags(reports["first"]) == flags(reports["two_threads"]) == [(n, True) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize(
+    "criterion, name",
+    [
+        (criterion_kernel_cokernel, "kernel-cokernel-angle"),
+        (criterion_resolvent_normality, "resolvent-normality"),
+        (criterion_resolvent_normality, "resolvent-adjoint"),
+        (criterion_spectral_consistency, "eigenvalue-resolvent-consistency"),
+        (criterion_spectral_consistency, "spectral-reconstruction"),
+        (criterion_restriction, "restriction-invariance"),
+    ],
+)
+def test_nan_batch_defect_fails(shared_batch, criterion, name):
+    # one NaN defect, not in the first row, fails the criterion
+    batch = [dict(row) for row in shared_batch[0]]
+    batch[1][name] = float("nan")
+    assert not criterion(batch=batch).passed
+
+
+def test_nan_grade_defect_fails(monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(verify, "oracle_deltas", lambda nu_max, k_max: iter([(None, None, 0.0), (None, None, nan)]))
+    assert not criterion_sobolev_oracle().passed
+    structure = FractalStructure(weight=None, spectral=None, deviations=(0.0, nan, 0.0))
+    monkeypatch.setattr(verify, "build_fractal_structure", lambda op, k_max: structure)
+    assert not criterion_fractal_certificate().passed
+    monkeypatch.setattr(verify, "fractal_weight", lambda data: Weight([nan] * 64))
+    assert not criterion_roundtrip().passed

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from scalehilbert import sobolev_circle
+import scalehilbert
+from scalehilbert import cli, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
-from scalehilbert.hessian import operator_to_json
 from scalehilbert.verify import (
     BATCH_CERTIFICATES,
     OPERATOR_CERTIFICATES,
@@ -20,7 +23,6 @@ DROP = object()
 @pytest.fixture(autouse=True)
 def run_in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SCALE_HILBERT_TOL", raising=False)
     return tmp_path
 
 
@@ -107,6 +109,18 @@ class TestSobolevDemo:
     def test_unattainable_tol_fails(self):
         code = main(["--command", "sobolev-demo", "--nu-max", "8", "--tol", "1e-30"])
         assert code == 1
+        assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
+
+    def test_nan_oracle_delta_fails(self, monkeypatch):
+        # a NaN delta at a grade after the first must not be skipped
+        deltas = cli.oracle_deltas
+
+        def with_nan(nu_max, k_max):
+            for k, (diag, quad, delta) in enumerate(deltas(nu_max, k_max)):
+                yield diag, quad, float("nan") if k == 1 else delta
+
+        monkeypatch.setattr(cli, "oracle_deltas", with_nan)
+        assert main(["--command", "sobolev-demo", "--nu-max", "4", "--k-max", "2"]) == 1
         assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
 
     @pytest.mark.parametrize("k_max", [3, 10])
@@ -224,10 +238,25 @@ class TestHessianAnalyze:
         assert [c["name"] for c in certificates] == [c.name for c in OPERATOR_CERTIFICATES]
         assert not all(c["passed"] for c in certificates)
 
+    def test_nan_ladder_defect_fails(self, tmp_path):
+        # The graph ladder of diag(1e9, 1) overflows from grade 18, so the
+        # fractal deviations from there on are NaN; the certificate must fail
+        # on them, not report the largest finite one. A child process, because
+        # the overflow RuntimeWarnings would be errors here.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 2, "kind": "diagonal", "diag": [1e9, 1]}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scalehilbert.__file__)))
+        argv = ["--command", "hessian-analyze", "--input", str(path), "--k-max", "40"]
+        child = subprocess.run([sys.executable, "-m", "scalehilbert.cli", *argv], capture_output=True, env=env)
+        assert child.returncode == 1
+        certificates = {c["name"]: c for c in read_report("scalehilbert_hessian_analyze.json")["certificates"]}
+        assert not certificates["fractal-certificate"]["passed"]
+        assert np.isnan(certificates["fractal-certificate"]["defect"])
+
     def test_certificates_match_the_batch_bitwise(self, tmp_path):
         op = standard_operator_set(count=2)[1]
         path = tmp_path / "op.json"
-        path.write_text(json.dumps(operator_to_json(op)))
+        path.write_text(json.dumps({"n": op.n, "kind": "dense", "matrix": op.matrix.tolist()}))
         assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
         certificates = read_report("scalehilbert_hessian_analyze.json")["certificates"]
         names = [c["name"] for c in certificates]
@@ -282,9 +311,22 @@ class TestHessianAnalyze:
              "operator.seed: expected an integer, got number"),
             ({"n": "2"}, "operator.n: expected an integer, got string"),
             ({"n": True}, "operator.n: expected an integer, got boolean"),
+            ({"kind": "diagonal", "diag": ["1", 1.0]}, "operator.diag[0]: expected a number, got string"),
+            ({"kind": "diagonal", "diag": [1.0, True]}, "operator.diag[1]: expected a number, got boolean"),
+            ({"matrix": [[1.0, 0.0], [0.0, None]]}, "operator.matrix[1][1]: expected a number, got null"),
+            (
+                {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "diagonal",
+                                                           "weight": {"n": 2, "kind": "table", "values": [1, "2"]}}]}},
+                "operator.scale.grades[0].weight.values[1]: expected a number, got string",
+            ),
+            (
+                {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "gram", "matrix": [[1, 0], [False, 1]]}]}},
+                "operator.scale.grades[0].matrix[1][0]: expected a number, got boolean",
+            ),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
-             "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool"],
+             "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
+             "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -435,14 +477,6 @@ class TestVerifyAll:
         report = read_report("scalehilbert_verify_all.json")
         assert not report["passed"]
         assert report["tol_override"] == 1e-300
-
-    def test_env_var_tolerance(self, monkeypatch):
-        monkeypatch.setenv("SCALE_HILBERT_TOL", "1e-300")
-        assert main(["--command", "verify-all"]) == 1
-
-    def test_flag_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("SCALE_HILBERT_TOL", "1e-300")
-        assert main(["--command", "verify-all", "--tol", "1e-8"]) == 0
 
 
 class TestArgumentHandling:

@@ -19,7 +19,8 @@ from scalehilbert.sobolev_circle import (
     ratio_trace,
     sigma_equivalence_constants,
 )
-from scalehilbert.spaces import gram_matrix, validate_space
+from scalehilbert.spaces import gram_matrix
+from scalehilbert.weights import validate_weight
 
 
 class TestBasisSpec:
@@ -32,7 +33,8 @@ class TestBasisSpec:
         assert spec.mode(7) == (3, "cosine")
 
     def test_modes_listing(self):
-        assert FourierBasisSpec(3).modes() == [(0, "constant"), (1, "sine"), (1, "cosine")]
+        spec = FourierBasisSpec(3)
+        assert [spec.mode(nu) for nu in (1, 2, 3)] == [(0, "constant"), (1, "sine"), (1, "cosine")]
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
@@ -160,7 +162,7 @@ def pointwise_table(nu_max, k, q):
     t = np.arange(q, dtype=float) / q
     table = np.zeros((nu_max, nu_max))
     for j in range(k + 1):
-        d = np.array([_derivative_values(m, kind, j, t) for m, kind in spec.modes()])
+        d = np.array([_derivative_values(*spec.mode(nu), j, t) for nu in range(1, nu_max + 1)])
         table += d @ d.T / q
     return table
 
@@ -325,7 +327,9 @@ class TestSobolevSpace:
             assert np.diag(gram_matrix(s, k)) == pytest.approx(expected, rel=1e-13)
 
     def test_grade_zero_is_canonical(self):
-        assert validate_space(build_sobolev_space(6, 3)) == []
+        s = build_sobolev_space(6, 3)
+        assert np.array_equal(s.grade(0).weight.log_values, np.zeros(6))
+        assert all(validate_weight(g.weight).ok for g in s.grades)
 
     def test_quadrature_cross_check(self):
         s = build_sobolev_space(7, 2)

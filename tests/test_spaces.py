@@ -1,26 +1,19 @@
 import numpy as np
 import pytest
 
-from scalehilbert.linalg import random_orthogonal
+from scalehilbert.linalg import extreme_generalized_eigenvalues, generalized_eigh, random_orthogonal
 from scalehilbert.spaces import (
     DiagonalGrade,
-    GradedVector,
     GramGrade,
     TruncatedScaleSpace,
-    common_orthogonal_basis,
     diagonal_equivalence_constants,
-    equivalence_constants,
     gram_matrix,
     inclusion_singular_values,
-    inner_product,
     is_scale_isometric,
-    shift,
     space_from_json,
-    space_to_json,
-    validate_space,
     weighted_sequence_space,
 )
-from scalehilbert.weights import Weight, sigma_weight
+from scalehilbert.weights import Weight, sigma_weight, validate_weight
 
 
 def sigma_space(n=6, k_max=3):
@@ -50,7 +43,7 @@ class TestConstruction:
         g0 = s.grade(0)
         assert isinstance(g0, DiagonalGrade)
         assert np.array_equal(g0.weight.log_values, np.zeros(s.n))
-        assert validate_space(s) == []
+        assert all(validate_weight(g.weight).ok for g in s.grades)
 
     def test_grade_k_is_kth_power(self):
         s = sigma_space(5, 3)
@@ -99,21 +92,24 @@ class TestConstruction:
 
 
 class TestInnerProduct:
+    """The grade-k form of a space is x^T gram_matrix(s, k) y."""
+
     def test_basis_vector_norm_is_weight(self):
         s = sigma_space(5, 2)
         e3 = basis_vector(5, 3)
-        assert inner_product(s, 1, e3, e3) == pytest.approx(10.0, rel=1e-14)
-        assert inner_product(s, 2, e3, e3) == pytest.approx(100.0, rel=1e-14)
-        assert inner_product(s, 0, e3, e3) == pytest.approx(1.0, rel=1e-15)
+        assert e3 @ gram_matrix(s, 1) @ e3 == pytest.approx(10.0, rel=1e-14)
+        assert e3 @ gram_matrix(s, 2) @ e3 == pytest.approx(100.0, rel=1e-14)
+        assert e3 @ gram_matrix(s, 0) @ e3 == pytest.approx(1.0, rel=1e-15)
 
     def test_distinct_basis_vectors_orthogonal(self):
         s = sigma_space(5, 2)
-        assert inner_product(s, 2, basis_vector(5, 1), basis_vector(5, 4)) == 0.0
+        assert basis_vector(5, 1) @ gram_matrix(s, 2) @ basis_vector(5, 4) == 0.0
 
     def test_graded_vector_inputs(self):
+        # grade-1 coordinates of the second basis vector carry sigma(2) = 5
         s = sigma_space(4, 1)
-        x = GradedVector(basis_vector(4, 2), grade=1)
-        assert inner_product(s, 1, x, x) == pytest.approx(5.0, rel=1e-14)
+        x = basis_vector(4, 2)
+        assert x @ gram_matrix(s, 1) @ x == pytest.approx(5.0, rel=1e-14)
 
     def test_gram_path_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -122,13 +118,15 @@ class TestInnerProduct:
         s = TruncatedScaleSpace(n, (GramGrade(np.eye(n)), GramGrade(g)))
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         expected = sum(x[i] * g[i, j] * y[j] for i in range(n) for j in range(n))
-        assert inner_product(s, 1, x, y) == pytest.approx(expected, rel=1e-12)
-        assert inner_product(s, 1, x, y) == pytest.approx(inner_product(s, 1, y, x), rel=1e-12)
+        gram = gram_matrix(s, 1)
+        assert x @ gram @ y == pytest.approx(expected, rel=1e-12)
+        assert x @ gram @ y == pytest.approx(y @ gram @ x, rel=1e-12)
 
     def test_dimension_mismatch(self):
         s = sigma_space(4, 1)
+        assert gram_matrix(s, 0).shape == (4, 4)
         with pytest.raises(ValueError):
-            inner_product(s, 0, np.ones(3), np.ones(4))
+            np.ones(3) @ gram_matrix(s, 0) @ np.ones(4)
 
 
 class TestInclusion:
@@ -166,52 +164,31 @@ class TestInclusion:
             inclusion_singular_values(sigma_space(), 0)
 
 
-class TestShift:
-    def test_shift_zero_is_identity(self):
-        s = sigma_space(4, 2)
-        assert shift(s, 0).grades == s.grades
-
-    def test_shift_drops_leading_grades(self):
-        s = sigma_space(4, 3)
-        t = shift(s, 2)
-        assert t.k_max == 1
-        assert np.array_equal(t.grade(0).weight.log_values, s.grade(2).weight.log_values)
-        assert np.array_equal(t.grade(1).weight.log_values, s.grade(3).weight.log_values)
-
-    def test_shifted_space_is_not_canonical(self):
-        findings = validate_space(shift(sigma_space(4, 3), 1))
-        assert any("grade 0" in f for f in findings)
-
-    def test_shift_out_of_range(self):
-        s = sigma_space(4, 2)
-        with pytest.raises(IndexError):
-            shift(s, 3)
-        with pytest.raises(IndexError):
-            shift(s, -1)
-
-
 class TestEquivalence:
+    """Equivalence constants of two SPD forms are the extreme generalized
+    eigenvalues, :func:`scalehilbert.linalg.extreme_generalized_eigenvalues`."""
+
     def test_identical_forms(self):
         g = random_spd(np.random.default_rng(0), 5)
-        assert equivalence_constants(g, g) == pytest.approx((1.0, 1.0), rel=1e-12)
+        assert extreme_generalized_eigenvalues(g, g) == pytest.approx((1.0, 1.0), rel=1e-12)
 
     def test_scaled_form(self):
         g = random_spd(np.random.default_rng(1), 5)
-        c_lo, c_hi = equivalence_constants(4.0 * g, g)
+        c_lo, c_hi = extreme_generalized_eigenvalues(4.0 * g, g)
         assert (c_lo, c_hi) == pytest.approx((4.0, 4.0), rel=1e-12)
 
     def test_bounds_hold_on_samples_and_are_attained(self):
         rng = np.random.default_rng(2)
         n = 12
         a, b = random_spd(rng, n), random_spd(rng, n)
-        c_lo, c_hi = equivalence_constants(a, b)
+        c_lo, c_hi = extreme_generalized_eigenvalues(a, b)
         x = rng.standard_normal((20000, n))
         ratios = np.einsum("si,ij,sj->s", x, a, x) / np.einsum("si,ij,sj->s", x, b, x)
         slack = 1e-10 * c_hi
         assert ratios.min() >= c_lo - slack
         assert ratios.max() <= c_hi + slack
         # the extreme generalized eigenvectors attain the bounds
-        basis = common_orthogonal_basis(a, b)
+        basis = generalized_eigh(a, b)[1]
         lo_vec, hi_vec = basis[:, 0], basis[:, -1]
         assert lo_vec @ a @ lo_vec / (lo_vec @ b @ lo_vec) == pytest.approx(c_lo, rel=1e-10)
         assert hi_vec @ a @ hi_vec / (hi_vec @ b @ hi_vec) == pytest.approx(c_hi, rel=1e-10)
@@ -219,22 +196,22 @@ class TestEquivalence:
     def test_swap_inverts_constants(self):
         rng = np.random.default_rng(3)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
-        c_lo, c_hi = equivalence_constants(a, b)
-        assert equivalence_constants(b, a) == pytest.approx((1.0 / c_hi, 1.0 / c_lo), rel=1e-10)
+        c_lo, c_hi = extreme_generalized_eigenvalues(a, b)
+        assert extreme_generalized_eigenvalues(b, a) == pytest.approx((1.0 / c_hi, 1.0 / c_lo), rel=1e-10)
 
     def test_rejects_non_spd(self):
         with pytest.raises(np.linalg.LinAlgError):
-            equivalence_constants(np.diag([1.0, -1.0]), np.eye(2))
+            extreme_generalized_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            equivalence_constants(np.eye(2), np.eye(3))
+            extreme_generalized_eigenvalues(np.eye(2), np.eye(3))
 
     def test_diagonal_path_matches_dense(self):
         log_a = np.log([1.0, 4.0, 9.0])
         log_b = np.log([2.0, 2.0, 2.0])
         fast = diagonal_equivalence_constants(log_a, log_b)
-        dense = equivalence_constants(np.diag(np.exp(log_a)), np.diag(np.exp(log_b)))
+        dense = extreme_generalized_eigenvalues(np.diag(np.exp(log_a)), np.diag(np.exp(log_b)))
         assert fast == pytest.approx(dense, rel=1e-12)
         assert fast == pytest.approx((0.5, 4.5), rel=1e-14)
 
@@ -285,6 +262,14 @@ class TestIsometry:
         assert not report.is_isometric
         assert min(report.defects) > 1.0
 
+    def test_nan_defect_is_not_isometric(self):
+        # exp(800) overflows, so the grade-1 transport holds inf * 0 = NaN
+        s = TruncatedScaleSpace(2, (DiagonalGrade(Weight(np.zeros(2))), DiagonalGrade(Weight([0.0, 800.0]))))
+        with np.errstate(invalid="ignore"):
+            report = is_scale_isometric(s, s, np.eye(2))
+        assert report.defects[0] == 0.0 and np.isnan(report.defects[1])
+        assert not report.is_isometric
+
     def test_rejects_singular_mapping(self):
         s = sigma_space(3, 1)
         with pytest.raises(ValueError):
@@ -300,10 +285,12 @@ class TestIsometry:
 
 
 class TestCommonBasis:
+    """:func:`scalehilbert.linalg.generalized_eigh` gives a basis orthogonal for both forms."""
+
     def test_identity_pair_gives_orthonormal_columns(self):
         n = 4
         a = np.diag([1.0, 2.0, 3.0, 4.0])
-        basis = common_orthogonal_basis(a, np.eye(n))
+        basis = generalized_eigh(a, np.eye(n))[1]
         assert basis.T @ basis == pytest.approx(np.eye(n), abs=1e-12)
         transported = basis.T @ a @ basis
         off = transported - np.diag(np.diag(transported))
@@ -313,7 +300,7 @@ class TestCommonBasis:
         rng = np.random.default_rng(5)
         n = 8
         a, b = random_spd(rng, n), random_spd(rng, n)
-        basis = common_orthogonal_basis(a, b)
+        basis = generalized_eigh(a, b)[1]
         in_b = basis.T @ b @ basis
         in_a = basis.T @ a @ basis
         assert in_b == pytest.approx(np.eye(n), abs=1e-10)
@@ -322,45 +309,37 @@ class TestCommonBasis:
 
 
 class TestJson:
+    @staticmethod
+    def gram_grade(matrix):
+        return {"type": "gram", "matrix": np.asarray(matrix).tolist()}
+
     def test_roundtrip_mixed_grades(self):
-        rng = np.random.default_rng(9)
-        n = 4
-        s = TruncatedScaleSpace(
-            n,
-            (
-                DiagonalGrade(sigma_weight(n)),
-                GramGrade(random_spd(rng, n)),
-            ),
-        )
-        back = space_from_json(space_to_json(s))
-        assert back.n == s.n and back.k_max == s.k_max
-        for k in range(2):
-            assert gram_matrix(back, k) == pytest.approx(gram_matrix(s, k), rel=1e-12)
+        g = random_spd(np.random.default_rng(9), 4)
+        obj = {
+            "n": 4,
+            "k_max": 1,
+            "grades": [
+                {"type": "diagonal", "weight": {"n": 4, "kind": "table", "values": [2.0, 5.0, 10.0, 17.0]}},
+                self.gram_grade(g),
+            ],
+        }
+        back = space_from_json(obj)
+        assert back.n == 4 and back.k_max == 1
+        assert gram_matrix(back, 0) == pytest.approx(gram_matrix(sigma_space(4, 1), 1), rel=1e-14)
+        assert np.array_equal(gram_matrix(back, 1), g)
 
     def test_roundtrip_is_stable_under_orthogonal_conjugation(self):
         q = random_orthogonal(5, np.random.default_rng(13))
         g = q.T @ np.diag([1.0, 2, 3, 4, 5]) @ q
-        s = TruncatedScaleSpace(5, (GramGrade(np.eye(5)), GramGrade(g)))
-        back = space_from_json(space_to_json(s))
+        back = space_from_json({"n": 5, "k_max": 1, "grades": [self.gram_grade(np.eye(5)), self.gram_grade(g)]})
         assert gram_matrix(back, 1) == pytest.approx(g, rel=1e-14)
 
     def test_rejects_bad_payloads(self):
-        good = space_to_json(sigma_space(3, 1))
+        weight = {"n": 3, "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}
+        good = {"n": 3, "k_max": 1, "grades": [self.gram_grade(np.eye(3)), {"type": "diagonal", "weight": weight}]}
+        assert space_from_json(good).k_max == 1
         with pytest.raises(ValueError):
             space_from_json({**good, "grades": good["grades"][:1]})
         bad_type = {**good, "grades": [dict(good["grades"][0], type="sparse")] + good["grades"][1:]}
         with pytest.raises(ValueError):
             space_from_json(bad_type)
-
-
-class TestValidateSpace:
-    def test_non_monotone_diagonal_grade_reported(self):
-        w = Weight(np.log([1.0, 1.0, 1.0]))
-        bad = Weight(np.log([3.0, 1.0, 2.0]))
-        s = TruncatedScaleSpace(3, (DiagonalGrade(w), DiagonalGrade(bad)))
-        findings = validate_space(s)
-        assert any("grade 1" in f for f in findings)
-
-    def test_gram_identity_grade_zero_accepted(self):
-        s = TruncatedScaleSpace(3, (GramGrade(np.eye(3)), GramGrade(2.0 * np.eye(3))))
-        assert validate_space(s) == []
