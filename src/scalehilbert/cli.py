@@ -163,6 +163,7 @@ def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
 
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
     """Every operator certificate, in registry order; halts early on asymmetry.
+    A non-finite defect, which fails, is written as null so the report stays strict JSON.
 
     All certificates read one :class:`OperatorAnalysis` of the operator.
     """
@@ -175,7 +176,8 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     for cert in OPERATOR_CERTIFICATES:
         defect, tol = float(cert.defect(analysis, cfg.k_max)), float(cert.tolerance(cfg.tol))
         passed = bool(defect <= tol)
-        certificates.append({"name": cert.name, "defect": defect, "tol": tol, "passed": passed})
+        certificates.append({"name": cert.name, "defect": defect if math.isfinite(defect) else None, "tol": tol,
+                             "passed": passed})
         if cert is SYMMETRY:
             if not passed:
                 report["passed"] = False

@@ -1,13 +1,12 @@
-# Shared dense linear algebra helpers.
+# Shared dense linear algebra helpers, all on numpy.linalg.
 #
-# Generalized symmetric eigenproblems are solved through the SPD factor
-# reduction (Cholesky of one Gram, symmetric eigensolve of the congruence
-# transform), which is what LAPACK's sygvd driver does under scipy.linalg.eigh.
-# Eigenvalues come back nondecreasing, which fixes the ordering convention
-# used throughout the package.
+# Generalized symmetric eigenproblems a v = mu b v are solved by the Cholesky
+# reduction of a definite pencil (Golub and Van Loan, Matrix Computations, 8.7),
+# as LAPACK's sygvd does: b = L L^T is factored once, L^-1 comes from one LU
+# solve against the identity, and the symmetric eigensolve of C = L^-1 a L^-T
+# gives mu, nondecreasing (the ordering convention of the package), and V = L^-T W.
 
 import numpy as np
-import scipy.linalg as sla
 
 EPS = float(np.finfo(float).eps)
 
@@ -47,9 +46,11 @@ def symmetry_defect(m):
 
 
 def require_symmetric(m, tol=1e-10, name="matrix"):
-    """The symmetric part of a square matrix; LinAlgError if its
-    :func:`symmetry_defect` exceeds tol."""
+    """The symmetric part of a square matrix; LinAlgError if an entry is
+    NaN or infinite or its :func:`symmetry_defect` exceeds tol."""
     a = as_square_matrix(m, name)
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError(f"{name} has a non-finite entry")
     if symmetry_defect(a) > tol:
         raise np.linalg.LinAlgError(f"{name} is not symmetric")
     return sym_part(a)
@@ -58,8 +59,8 @@ def require_symmetric(m, tol=1e-10, name="matrix"):
 def cholesky_spd(m, name="matrix"):
     """Lower Cholesky factor; raises LinAlgError('... not positive definite')."""
     try:
-        return sla.cholesky(m, lower=True)
-    except sla.LinAlgError as exc:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{name} is not positive definite") from exc
 
 
@@ -74,14 +75,10 @@ def generalized_eigh(a, b, name_a="a", name_b="b"):
 
     Returns (mu, V) with mu nondecreasing, V^T b V = I and V^T a V = diag(mu).
     """
-    a = require_symmetric(a, name=name_a)
-    b = require_spd(b, name=name_b)
-    return sla.eigh(a, b)
-
-
-def extreme_generalized_eigenvalues(a, b):
-    mu = generalized_eigh(a, b)[0]
-    return float(mu[0]), float(mu[-1])
+    a, b = require_symmetric(a, name=name_a), require_symmetric(b, name=name_b)
+    l_inv = np.linalg.solve(cholesky_spd(b, name_b), np.eye(b.shape[0]))
+    mu, w = np.linalg.eigh(sym_part(l_inv @ a @ l_inv.T))
+    return mu, l_inv.T @ w
 
 
 def principal_angles(x, y):
@@ -100,10 +97,10 @@ def principal_angles(x, y):
     if x.size == 0 or y.size == 0:
         return np.zeros(0)
     cross = x.T @ y
-    cosines = sla.svdvals(cross)
+    cosines = np.linalg.svd(cross, compute_uv=False)
     residual = y - x @ cross if x.shape[1] >= y.shape[1] else x - y @ cross.T
     small = cosines[::-1] ** 2 >= 0.5
-    sines = np.arcsin(np.clip(sla.svdvals(residual, overwrite_a=True), -1.0, 1.0)) if small.any() else 0.0
+    sines = np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), -1.0, 1.0)) if small.any() else 0.0
     return np.where(small, sines, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
 
 

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
-import scalehilbert
 from scalehilbert import cli, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
 from scalehilbert.verify import (
@@ -238,20 +235,37 @@ class TestHessianAnalyze:
         assert [c["name"] for c in certificates] == [c.name for c in OPERATOR_CERTIFICATES]
         assert not all(c["passed"] for c in certificates)
 
-    def test_nan_ladder_defect_fails(self, tmp_path):
+    def test_nan_ladder_defect_fails(self, tmp_path, capsys):
         # The graph ladder of diag(1e9, 1) overflows from grade 18, so the
         # fractal deviations from there on are NaN; the certificate must fail
-        # on them, not report the largest finite one. A child process, because
-        # the overflow RuntimeWarnings would be errors here.
+        # on them, not report the largest finite one. The failing defect is
+        # written as null, so the report stays strict JSON, and the overflow
+        # raises no RuntimeWarning.
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"n": 2, "kind": "diagonal", "diag": [1e9, 1]}))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scalehilbert.__file__)))
-        argv = ["--command", "hessian-analyze", "--input", str(path), "--k-max", "40"]
-        child = subprocess.run([sys.executable, "-m", "scalehilbert.cli", *argv], capture_output=True, env=env)
-        assert child.returncode == 1
-        certificates = {c["name"]: c for c in read_report("scalehilbert_hessian_analyze.json")["certificates"]}
-        assert not certificates["fractal-certificate"]["passed"]
-        assert np.isnan(certificates["fractal-certificate"]["defect"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--command", "hessian-analyze", "--input", str(path), "--k-max", "40"])
+        assert code == 1
+        assert "FAIL (fractal-certificate" in capsys.readouterr().out
+        with open("scalehilbert_hessian_analyze.json") as fh:
+            certificates = {c["name"]: c for c in json.load(fh, parse_constant=reject_non_finite)["certificates"]}
+        assert certificates["fractal-certificate"] == {
+            "name": "fractal-certificate", "defect": None, "tol": 1e-8, "passed": False
+        }
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_gram_is_named(self, tmp_path, capsys, bad):
+        # json.dumps writes NaN / Infinity, which json.load reads back
+        grades = [{"type": "gram", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                  {"type": "gram", "matrix": [[2.0, 0.0], [0.0, bad]]}]
+        obj = {"n": 2, "kind": "diagonal", "diag": [1.0, 2.0], "scale": {"n": 2, "k_max": 1, "grades": grades}}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: grade 1 Gram matrix has a non-finite entry\n"
 
     def test_certificates_match_the_batch_bitwise(self, tmp_path):
         op = standard_operator_set(count=2)[1]

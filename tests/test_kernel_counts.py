@@ -1,13 +1,14 @@
 """Dense-kernel call counts: each factorization runs once per operator.
 
-The counters wrap ``numpy.linalg.{eig, eigh, svd, solve}``,
-``scipy.linalg.eigh``/``cholesky`` (as ``scipy_eigh``/``cholesky``) and
-``scipy.linalg.subspace_angles`` for one test; ``svd_uv`` lists the
-``compute_uv`` flag of every ``svd`` call. The package calls these
-through the module namespaces, so every factorization it makes is
-counted; ``numpy.linalg.norm`` calls its module-internal SVD and does
-not show up. The kernel certificate takes a values-only SVD and a
-second one with vectors only when the operator has a kernel.
+The counters wrap ``numpy.linalg.{eig, eigh, svd, solve, cholesky}``;
+``svd_uv`` lists the ``compute_uv`` flag of every ``svd`` call. The
+package calls these through the module namespace, so every
+factorization it makes is counted; ``numpy.linalg.norm`` calls its
+module-internal SVD and does not show up. The values-only SVDs that
+:func:`scalehilbert.linalg.principal_angles` takes are counted apart,
+as ``angle_svd``, and stay out of ``svd_uv``. The kernel certificate
+takes a values-only SVD and a second one with vectors only when the
+operator has a kernel.
 """
 
 import ast
@@ -20,32 +21,34 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import scalehilbert
-from scalehilbert import verify
+from scalehilbert import linalg, verify
 from scalehilbert.cli import main
+from scalehilbert.hessian import OperatorAnalysis, graph_equivalence_constants, regularity_constant
 from scalehilbert.verify import analyze_operator_batch, run_verify_all, standard_operator_set
+
+import test_hessian
 
 KERNELS = {
     "eig": (np.linalg, "eig"),
     "eigh": (np.linalg, "eigh"),
     "svd": (np.linalg, "svd"),
     "solve": (np.linalg, "solve"),
-    "scipy_eigh": (scipy.linalg, "eigh"),
-    "cholesky": (scipy.linalg, "cholesky"),
-    "subspace_angles": (scipy.linalg, "subspace_angles"),
+    "cholesky": (np.linalg, "cholesky"),
 }
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    calls = collections.Counter({name: 0 for name in KERNELS})
+    calls = collections.Counter({name: 0 for name in [*KERNELS, "angle_svd"]})
     calls.svd_uv = []
     for name, (module, attr) in KERNELS.items():
         fn = getattr(module, attr)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
+            if _name == "svd" and sys._getframe(1).f_code is linalg.principal_angles.__code__:
+                _name = "angle_svd"
             calls[_name] += 1
             if _name == "svd":
                 calls.svd_uv.append(kwargs.get("compute_uv", True))
@@ -72,9 +75,10 @@ def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
     # vectors (this operator has a kernel); solve: resolvent (its guard,
     # the adjoint and the consistency residual read the solve's result);
     # the graph-default constants are identities, so no generalized eigh
-    # or Cholesky runs; the principal angles read the SVD's own bases
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 1, "scipy_eigh": 0, "cholesky": 0,
-                                  "subspace_angles": 0}
+    # or Cholesky runs; the principal angles read the SVD's own bases and
+    # take the values of their cosines and (kernel and cokernel meet at a
+    # small angle) of their sines
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 1, "cholesky": 0, "angle_svd": 2}
     assert kernel_calls.svd_uv == [False, True]
 
 
@@ -82,8 +86,7 @@ def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
     spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
             "diag": [0.3, -0.8, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 0
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "scipy_eigh": 0, "cholesky": 0,
-                                  "subspace_angles": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "cholesky": 0, "angle_svd": 0}
     assert kernel_calls.svd_uv == [False]
 
 
@@ -93,8 +96,7 @@ def test_batch_factorizes_once_per_operator(kernel_calls):
     assert len(rows) == 6
     # one values-only svd per operator, a vector svd per rank-deficient one
     assert [row["kernel"].ker_dim > 0 for row in rows] == [False, True] * 3
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 6, "scipy_eigh": 0, "cholesky": 0,
-                                  "subspace_angles": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 6, "cholesky": 0, "angle_svd": 6}
     assert kernel_calls.svd_uv == [False, False, True] * 3
 
 
@@ -126,14 +128,41 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     assert batch == [{"eigh": count, "solve": count}] * 2
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """No certificate needs an assignment solver, and the Sobolev log
-    weights are plain numpy, so the CLI loads neither scipy.optimize nor
-    scipy.special (scipy.linalg alone loads neither)."""
-    code = "import sys, scalehilbert.cli; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
+def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monkeypatch):
+    """J d/dt + s on the Sobolev ladder (the shifted Floer fixture): every
+    generalized solve factors its right-hand Gram by one Cholesky, takes
+    that factor's inverse by one LU solve and makes one ``eigh``; the
+    Sobolev grades are diagonal, so loading the scale factors nothing."""
+    solves = collections.Counter()
+    generalized_eigh = linalg.generalized_eigh
+
+    def counted(*args, **kwargs):
+        solves["generalized_eigh"] += 1
+        return generalized_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "generalized_eigh", counted)
+    analysis = OperatorAnalysis(test_hessian.TestShiftedFloerHessian().fixture()[0])
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "cholesky": 0, "angle_svd": 0}
+    graph_equivalence_constants(analysis)
+    # one generalized solve; c_step1 factors the grade-1 Gram once more and
+    # reads the resolvent's solve
+    assert solves["generalized_eigh"] == 1
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 2, "cholesky": 2, "angle_svd": 0}
+    for n_grade in range(3):
+        regularity_constant(analysis, n_grade)
+    assert solves["generalized_eigh"] == 4
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 4, "svd": 0, "solve": 5, "cholesky": 5, "angle_svd": 0}
+
+
+def test_cli_import_leaves_out_scipy(tmp_path):
+    """The runtime is numpy alone: a fresh process that imports the CLI and
+    runs ``hessian-analyze --n 8`` has no scipy module loaded, and no
+    package file imports scipy."""
+    code = ("import sys, scalehilbert.cli; code = scalehilbert.cli.main(['--command', 'hessian-analyze', '--n', '8']); "
+            "print(code, [name for name in sys.modules if name.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scalehilbert.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "0 []"
     for path in pathlib.Path(scalehilbert.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -142,4 +171,4 @@ def test_cli_import_leaves_out_scipy_optimize():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            assert not any(name.startswith("scipy.special") for name in names), path.name
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name

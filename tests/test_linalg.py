@@ -6,7 +6,6 @@ from scalehilbert.linalg import (
     EPS,
     as_square_matrix,
     cholesky_spd,
-    extreme_generalized_eigenvalues,
     frobenius,
     generalized_eigh,
     principal_angles,
@@ -68,8 +67,26 @@ def test_generalized_eigh_normalization():
     assert np.all(np.diff(mu) >= 0)
     assert v.T @ b @ v == pytest.approx(np.eye(n), abs=1e-10)
     assert v.T @ a @ v == pytest.approx(np.diag(mu), abs=1e-9)
-    lo, hi = extreme_generalized_eigenvalues(a, b)
-    assert (lo, hi) == (mu[0], mu[-1])
+    assert np.array_equal(generalized_eigh(a, b)[0], mu)
+
+
+@pytest.mark.parametrize("log10_kappa", [0, 10])
+def test_generalized_eigh_matches_lapack_sygvd(log10_kappa):
+    """The Cholesky reduction against scipy.linalg.eigh(a, b), LAPACK's
+    sygvd (a test-only oracle), for a well-conditioned b and one with
+    condition number 10**10. Both reduce the same pencil, so with a
+    well-conditioned a the eigenvalues agree to a small multiple of
+    eps * kappa(b); the largest gap measured is about 1 eps * kappa(b)."""
+    rng = np.random.default_rng(67)
+    n = 40
+    c = rng.standard_normal((n, n))
+    a = sym_part(c @ c.T) / n + np.eye(n)
+    q = random_orthogonal(n, rng)
+    b = sym_part((q * np.logspace(0, log10_kappa, n)) @ q.T)
+    assert np.linalg.cond(b) == pytest.approx(10.0**log10_kappa, rel=1e-2)
+    mu = generalized_eigh(a, b)[0]
+    oracle = scipy.linalg.eigh(a, b, eigvals_only=True)
+    assert np.max(np.abs(mu - oracle) / np.abs(oracle)) <= 32 * EPS * 10.0**log10_kappa
 
 
 def test_principal_angles():

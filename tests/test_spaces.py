@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalehilbert.linalg import extreme_generalized_eigenvalues, generalized_eigh, random_orthogonal
+from scalehilbert.linalg import generalized_eigh, random_orthogonal
 from scalehilbert.spaces import (
     DiagonalGrade,
     GramGrade,
@@ -166,29 +166,31 @@ class TestInclusion:
 
 class TestEquivalence:
     """Equivalence constants of two SPD forms are the extreme generalized
-    eigenvalues, :func:`scalehilbert.linalg.extreme_generalized_eigenvalues`."""
+    eigenvalues, the ends of :func:`scalehilbert.linalg.generalized_eigh`'s
+    nondecreasing eigenvalues."""
 
     def test_identical_forms(self):
         g = random_spd(np.random.default_rng(0), 5)
-        assert extreme_generalized_eigenvalues(g, g) == pytest.approx((1.0, 1.0), rel=1e-12)
+        mu = generalized_eigh(g, g)[0]
+        assert (mu[0], mu[-1]) == pytest.approx((1.0, 1.0), rel=1e-12)
 
     def test_scaled_form(self):
         g = random_spd(np.random.default_rng(1), 5)
-        c_lo, c_hi = extreme_generalized_eigenvalues(4.0 * g, g)
-        assert (c_lo, c_hi) == pytest.approx((4.0, 4.0), rel=1e-12)
+        mu = generalized_eigh(4.0 * g, g)[0]
+        assert (mu[0], mu[-1]) == pytest.approx((4.0, 4.0), rel=1e-12)
 
     def test_bounds_hold_on_samples_and_are_attained(self):
         rng = np.random.default_rng(2)
         n = 12
         a, b = random_spd(rng, n), random_spd(rng, n)
-        c_lo, c_hi = extreme_generalized_eigenvalues(a, b)
+        mu, basis = generalized_eigh(a, b)
+        c_lo, c_hi = mu[0], mu[-1]
         x = rng.standard_normal((20000, n))
         ratios = np.einsum("si,ij,sj->s", x, a, x) / np.einsum("si,ij,sj->s", x, b, x)
         slack = 1e-10 * c_hi
         assert ratios.min() >= c_lo - slack
         assert ratios.max() <= c_hi + slack
         # the extreme generalized eigenvectors attain the bounds
-        basis = generalized_eigh(a, b)[1]
         lo_vec, hi_vec = basis[:, 0], basis[:, -1]
         assert lo_vec @ a @ lo_vec / (lo_vec @ b @ lo_vec) == pytest.approx(c_lo, rel=1e-10)
         assert hi_vec @ a @ hi_vec / (hi_vec @ b @ hi_vec) == pytest.approx(c_hi, rel=1e-10)
@@ -196,23 +198,23 @@ class TestEquivalence:
     def test_swap_inverts_constants(self):
         rng = np.random.default_rng(3)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
-        c_lo, c_hi = extreme_generalized_eigenvalues(a, b)
-        assert extreme_generalized_eigenvalues(b, a) == pytest.approx((1.0 / c_hi, 1.0 / c_lo), rel=1e-10)
+        mu, swapped = generalized_eigh(a, b)[0], generalized_eigh(b, a)[0]
+        assert (swapped[0], swapped[-1]) == pytest.approx((1.0 / mu[-1], 1.0 / mu[0]), rel=1e-10)
 
     def test_rejects_non_spd(self):
         with pytest.raises(np.linalg.LinAlgError):
-            extreme_generalized_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
+            generalized_eigh(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            extreme_generalized_eigenvalues(np.eye(2), np.eye(3))
+            generalized_eigh(np.eye(2), np.eye(3))
 
     def test_diagonal_path_matches_dense(self):
         log_a = np.log([1.0, 4.0, 9.0])
         log_b = np.log([2.0, 2.0, 2.0])
         fast = diagonal_equivalence_constants(log_a, log_b)
-        dense = extreme_generalized_eigenvalues(np.diag(np.exp(log_a)), np.diag(np.exp(log_b)))
-        assert fast == pytest.approx(dense, rel=1e-12)
+        mu = generalized_eigh(np.diag(np.exp(log_a)), np.diag(np.exp(log_b)))[0]
+        assert fast == pytest.approx((mu[0], mu[-1]), rel=1e-12)
         assert fast == pytest.approx((0.5, 4.5), rel=1e-14)
 
     def test_diagonal_path_survives_huge_weights(self):
