@@ -28,8 +28,8 @@ diag = [fourier_gram_closed_form(nu, nu, 1) for nu in range(1, 8)]
 print(" ", np.array(diag))
 
 # a periodic trapezoid rule is exact for trigonometric polynomials, so it
-# serves as an independent oracle for every Gram entry; one node Gram
-# gives every grade
+# serves as an independent oracle for every Gram entry; one set of
+# cosine sums gives every grade
 for k, (_, _, delta) in enumerate(oracle_deltas(nu_max, k_max)):
     print(f"grade {k}: worst scaled quadrature delta {delta:.3e}")
 

@@ -33,7 +33,8 @@ from .hessian import (
     regularity_constant,
     resolvent,  # noqa: F401  (kept bound here: certbench's tracer test patches cli.resolvent)
 )
-from .sobolev_circle import _log_closed_form_diag, oracle_deltas, ratio_trace, sigma_equivalence_constants
+from .sobolev_circle import (_log_closed_form_diag, _log_closed_form_grades, oracle_deltas, ratio_trace,
+                             sigma_equivalence_constants)
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
 from .weights import _json_int, _json_type, json_field, weight_from_json
@@ -223,8 +224,7 @@ def _parse_ladder_side(name: str, side, n: int):
     on indices 1..n. Both kinds of side are elementwise in nu, so the
     table of a smaller size is a prefix of this one."""
     if side == "sobolev":
-        nu = np.arange(1, n + 1)
-        return lambda k: _log_closed_form_diag(nu, k)
+        return _log_closed_form_grades(n)
     spec = json_field(side, "weight", name)
     power = _json_int(side, "power", name, 1)
     if json_field(spec, "kind", f"{name}.weight") != "closed_form":
@@ -253,8 +253,13 @@ def cmd_ladder(cfg: RunConfig) -> int:
     for k in range(cfg.k_max + 1):
         log_l, log_r = left_logs(k), right_logs(k)
         for n in sizes:
-            c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
-            grades[n].append({"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": c_hi / c_lo})
+            with np.errstate(over="ignore"):  # an overflow is rejected below, by grade and rung
+                c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
+            grade = {"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": c_hi / c_lo if c_lo > 0.0 else math.inf}
+            bad = [name for name in ("c_lo", "c_hi", "spread") if not math.isfinite(grade[name])]
+            if bad:
+                raise ValueError(f"--k-max {cfg.k_max}: the {bad[0]} of grade {k} at rung n={n} is not a finite double")
+            grades[n].append(grade)
     rungs = [{"n": n, "grades": grades[n]} for n in sizes]
     csv_rows = [[n, g["k"], g["c_lo"], g["c_hi"], g["spread"]] for n in sizes for g in grades[n]]
     stability = []

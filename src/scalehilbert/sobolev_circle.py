@@ -16,17 +16,18 @@ inside fixed bounds and tends to pi^(2k) along large nu.
 A periodic trapezoid quadrature serves as the independent oracle for the closed
 form. The integrands are trigonometric polynomials, so the trapezoid rule is
 exact (up to roundoff) once the node count exceeds the bandwidth. The table
-oracle samples the basis at exact integer phases and sums one node Gram over
-the node pairs (i, q - i): the node set is symmetric under t -> -t, so its
-sine-cosine block, a sum of odd integrands, is exactly 0. Every grade is read
-off that Gram through the derivative amplitudes, an identity of the integrands
-at each node, so the table is the trapezoid sum itself and never reads the
-closed form it checks. The scalar :func:`fourier_gram_quadrature` is its
-pointwise reference.
+oracle writes every product of two basis functions as a sum of two cosines and
+sums those cosines over the nodes, at exact integer phases and over the node
+pairs (i, q - i): the node set is symmetric under t -> -t, so the sine-cosine
+block, a sum of odd integrands, is exactly 0. Every grade is read off those
+cosine sums through the derivative amplitudes, identities of the integrands at
+each node, so the table is the trapezoid sum itself and never reads the closed
+form it checks. The scalar :func:`fourier_gram_quadrature` is its pointwise
+reference.
 
-One run of the oracle (:func:`oracle_deltas`) builds one node Gram, at
-grade k_max's node count, and streams grades 0..k_max through one
-reused table, so only one grade is alive at a time.
+One run of the oracle (:func:`oracle_deltas`) sums the cosines once, at
+grade k_max's node count, and streams grades 0..k_max through one reused
+table, filled block by block, so it is the only n x n array alive.
 """
 
 import math
@@ -90,6 +91,15 @@ def fourier_gram_closed_form(nu: int, nu_prime: int, k: int) -> float:
     return float(sum(r**j for j in range(k + 1)))
 
 
+def _log_geometric_sum(log_r: np.ndarray, k: int) -> np.ndarray:
+    """log sum_{j=0}^k r^j, elementwise, from log r >= log(4 pi^2)."""
+    top = log_r * k
+    tail = np.zeros_like(log_r)
+    for j in range(k):
+        tail += np.exp(log_r * j - top)
+    return np.log1p(tail) + top
+
+
 def _log_closed_form_diag(nu, k: int):
     """log of the diagonal closed form, vectorized over nu (1-based).
 
@@ -101,13 +111,16 @@ def _log_closed_form_diag(nu, k: int):
     m = np.atleast_1d(np.asarray(nu, dtype=float)) // 2
     out = np.zeros_like(m)
     freq = m > 0
-    log_r = 2.0 * np.log(2.0 * math.pi * m[freq])
-    top = log_r * k
-    tail = np.zeros_like(log_r)
-    for j in range(k):
-        tail += np.exp(log_r * j - top)
-    out[freq] = np.log1p(tail) + top
+    out[freq] = _log_geometric_sum(2.0 * np.log(2.0 * math.pi * m[freq]), k)
     return out if np.ndim(nu) else float(out[0])
+
+
+def _log_closed_form_grades(n: int):
+    """k -> :func:`_log_closed_form_diag` over nu = 1..n, bitwise, evaluated
+    once per frequency m = nu // 2 from one log r shared by every grade."""
+    log_r = 2.0 * np.log(2.0 * math.pi * np.arange(1.0, n // 2 + 1))
+    index = np.arange(1, n + 1) // 2
+    return lambda k: np.concatenate(([0.0], _log_geometric_sum(log_r, k)))[index]
 
 
 def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
@@ -124,8 +137,8 @@ def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-# nodes per block of the streamed node Gram in fourier_gram_quadrature_table
-_NODE_BLOCK = 1024
+# nodes per block of the cosine sums in fourier_gram_quadrature_table
+_NODE_BLOCK = 256
 
 
 def _require_nodes(q: int, max_m: int, k: int):
@@ -164,20 +177,28 @@ def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> 
     """The full quadrature Gram matrix of grade k, one row per basis index.
 
     The trapezoid sum of :func:`fourier_gram_quadrature` on q nodes, for all
-    pairs at once. The basis is gathered at the exact integer phases (m * i)
-    mod q from sine/cosine tables on phases 0..q/2, mirrored exactly to the
-    rest (sin(-p) = -sin(p)). The node Gram G = E E^T / q is summed over the
-    pairs (i, q - i) in blocks of _NODE_BLOCK, each pair twice, plus the
-    unpaired nodes 0 and (even q) q/2 once, so no nu_max x q matrix is held;
-    over a pair the sine-cosine products cancel, so that block of G is exactly
-    0. The j-th derivative of a basis function is (2 pi m)^j times, up to sign,
-    the function (j even) or its derivative direction (j odd: sine -> cosine,
-    cosine -> -sine, constant -> 0), so the table is
+    pairs at once. Every product of two basis functions is a sum of two
+    cosines (2 sin a sin b = cos(a - b) - cos(a + b), 2 cos a cos b =
+    cos(a - b) + cos(a + b)), so the basis Gram G_0 is read off the cosine
+    sums S(p) = sum_i cos(2 pi p i / q), p = 0..2 floor(nu_max / 2):
+
+        sine block (S(m - m') - S(m + m')) / q,  cosine block (S(m - m') + S(m + m')) / q,
+        constant-cosine sqrt(2) S(m) / q,        constant-constant S(0) / q = 1,
+
+    and the sine-cosine block, a sum of odd integrands over a node set
+    symmetric under t -> -t, is never written, so it is exactly 0. Each S(p)
+    is gathered at the exact integer phases (p * i) mod q from a cosine table
+    on phases 0..q/2, mirrored exactly to the rest, and summed over the node
+    pairs (i, q - i) in blocks of _NODE_BLOCK. The j-th derivative of a basis
+    function is (2 pi m)^j times, up to sign, the function (j even) or its
+    derivative direction (j odd: sine -> cosine, cosine -> -sine, constant ->
+    0), so the table is
 
         sum_{j=0}^k (w w^T)^j o G_{j mod 2},    w_nu = 2 pi floor(nu / 2),
 
-    with G_0 the basis Gram and G_1 the Gram of the directions, both
-    read out of G.
+    with G_1, the Gram of the directions, G_0 with its sine and cosine
+    blocks swapped and its constant row zeroed. Each grade is added block by
+    block into the one n x n array returned.
     """
     FourierBasisSpec(nu_max)
     if k < 0:
@@ -192,61 +213,49 @@ def _default_nodes(nu_max: int, k: int) -> int:
     return max(64, 4 * (nu_max // 2) * (k + 1))
 
 
-def _node_gram(nu_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G_0, G_1) of :func:`fourier_gram_quadrature_table` on q >= 1 nodes,
-    read out of one node Gram summed over the node pairs (i, q - i)."""
-    max_m = nu_max // 2
+def _gram_blocks(max_m: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S(p) / q for p = 0..2 max_m, sine block, cosine block) of G_0 in
+    :func:`fourier_gram_quadrature_table`, on q >= 1 nodes."""
     half, pairs = q // 2, (q - 1) // 2  # node i pairs with node q - i for i = 1..pairs
-    angle = (2.0 * math.pi / q) * np.arange(half + 1)
-    sin_table, cos_table = math.sqrt(2.0) * np.sin(angle[: pairs + 1]), math.sqrt(2.0) * np.cos(angle)
-    # phase q - p mirrors phase p; the sine is exactly 0 at the phase q/2 of an even q
-    sin_table = np.concatenate([sin_table, np.zeros(half - pairs), -sin_table[:0:-1]])
-    cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])
-    m = np.arange(1, max_m + 1)
-    gram = np.zeros((2 * max_m + 1, 2 * max_m + 1))  # const, sin 1, cos 1, ..., sin M, cos M
-    sines, evens = gram[1::2, 1::2], gram[0::2, 0::2]  # the sine-cosine block stays exactly 0
-    buffer = np.ones((max_m + 1, min(_NODE_BLOCK, pairs)))  # row 0: the constant
+    cos_table = np.cos((2.0 * math.pi / q) * np.arange(half + 1))
+    cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])  # phase q - p mirrors phase p
+    p = np.arange(2 * max_m + 1)
+    sums = np.zeros(2 * max_m + 1)
     for start in range(1, pairs + 1, _NODE_BLOCK):
-        phase = np.outer(m, np.arange(start, min(start + _NODE_BLOCK, pairs + 1))) % q
-        block = buffer[:, : phase.shape[1]]
-        block[1:] = sin_table[phase]
-        sines += block[1:] @ block[1:].T
-        block[1:] = cos_table[phase]
-        evens += block @ block.T
-    gram *= 2.0  # each pair stands for two equal products
-    ends = cos_table[np.outer(np.arange(max_m + 1), [0, half][: 1 + (pairs < half)]) % q]
-    ends[0] = 1.0  # the constant at node 0 and, for even q, node q/2, where sin is 0
-    evens += ends @ ends.T
-    gram /= q
-    # derivative directions: index 2m (sine) -> 2m + 1 (cosine),
-    # 2m + 1 (cosine) -> -(2m) (sine), 1 (constant) -> 0; 0-based below
-    idx = np.arange(nu_max)
-    partner = np.where(idx % 2 == 1, idx + 1, idx - 1)
-    partner[0] = 0
-    sign = np.where(idx % 2 == 1, 1.0, -1.0)
-    sign[0] = 0.0
-    return gram[:nu_max, :nu_max], gram[np.ix_(partner, partner)] * np.outer(sign, sign)
+        phase = np.multiply.outer(p, np.arange(start, min(start + _NODE_BLOCK, pairs + 1)))
+        phase %= q
+        sums += cos_table[phase].sum(axis=1)
+    sums *= 2.0  # each pair stands for two equal terms
+    sums += 1.0  # node 0
+    if pairs < half:
+        sums += cos_table[p * half % q]  # node q/2 of an even q
+    sums /= q
+    m = np.arange(1, max_m + 1)
+    near, far = sums[np.abs(m[:, None] - m)], sums[m[:, None] + m]
+    return sums, near - far, near + far
 
 
 def _grade_tables(nu_max: int, k_max: int, q: int):
     """Yield the trapezoid tables of grades 0..k_max on q nodes, summed up
-    in one buffer that each grade overwrites, from one node Gram."""
-    g0, g1 = _node_gram(nu_max, q)
-    table = g0.copy()  # the j = 0 term
-    yield table
-    term = np.empty_like(table)
-    w = 2.0 * math.pi * (np.arange(1, nu_max + 1) // 2)
-    for j in range(1, k_max + 1):
+    block by block in one buffer that each grade overwrites."""
+    s, sines, cosines = _gram_blocks(nu_max // 2, q)
+    table = np.zeros((nu_max, nu_max))  # the sine-cosine entries stay exactly 0
+    views = table[1::2, 1::2], table[2::2, 2::2]  # sines 1..nu_max // 2, cosines 1..(nu_max - 1) // 2
+    table[0, 0] = s[0]  # the constant's derivatives are 0
+    table[0, 2::2] = table[2::2, 0] = math.sqrt(2.0) * s[1 : len(views[1]) + 1]
+    w = 2.0 * math.pi * np.arange(1, nu_max // 2 + 1)
+    for j in range(k_max + 1):
         wj = w**j
-        np.outer(wj, wj, out=term)
-        term *= g1 if j % 2 else g0
-        table += term
+        # G_1 swaps the blocks: sine -> cosine, cosine -> -sine (the signs cancel in pairs)
+        for view, block in zip(views, (cosines, sines) if j % 2 else (sines, cosines)):
+            c = len(view)
+            view += np.outer(wj[:c], wj[:c]) * block[:c, :c]
         yield table
 
 
 def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
-    """:func:`fourier_gram_quadrature_table` at any q >= 1; the identity
-    holds node by node, so also where q aliases two frequencies."""
+    """:func:`fourier_gram_quadrature_table` at any q >= 1; the identities
+    hold node by node, so also where q aliases two frequencies."""
     *_, table = _grade_tables(nu_max, k, q)  # every grade is the same buffer
     return table
 
@@ -255,29 +264,31 @@ def oracle_deltas(nu_max: int, k_max: int):
     """Yield (closed-form diagonal, quadrature Gram, worst scaled delta)
     for grades 0..k_max.
 
-    Every grade is read off one node Gram, on grade k_max's default node
-    count, which is alias-free for all lower grades too. The quadrature
+    Every grade is read off one set of cosine sums, on grade k_max's default
+    node count, which is alias-free for all lower grades too. The quadrature
     Gram is one buffer that the next grade overwrites; copy it to keep it.
 
-    Deltas are measured relative to max(1, sqrt(d_nu * d_nu')) with d the
-    closed-form diagonal; on the diagonal this is the plain
-    max(1, closed_form) scale, and off the diagonal it compares the
-    quadrature residue against the size of the two factors (the raw
-    integrands reach 1e14, so an absolute delta is not meaningful there).
+    Deltas are measured relative to sqrt(d_nu * d_nu') with d the
+    closed-form diagonal, which is >= 1, so the scale is >= 1 too; on the
+    diagonal this is the closed form itself, and off the diagonal it
+    compares the quadrature residue against the size of the two factors
+    (the raw integrands reach 1e14, so an absolute delta is not meaningful
+    there). The residue is read per block: the constant row, the sine block
+    and the cosine block; the other entries are exactly 0 on both sides.
     """
     FourierBasisSpec(nu_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    scale, resid = np.empty((nu_max, nu_max)), np.empty((nu_max, nu_max))
     for k, quad in enumerate(_grade_tables(nu_max, k_max, _default_nodes(nu_max, k_max))):
         diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
         root = np.sqrt(diag)  # the outer product of diag itself overflows from d ~ 1e154 on
-        np.outer(root, root, out=scale)
-        np.maximum(scale, 1.0, out=scale)
-        np.abs(quad, out=resid)  # the closed form is exactly 0 off the diagonal
-        np.fill_diagonal(resid, np.abs(diag - quad.diagonal()))
-        resid /= scale
-        yield diag, quad, float(resid.max())
+        worst = [abs(diag[0] - quad[0, 0]), (np.abs(quad[0, 2::2]) / root[2::2]).max(initial=0.0)]  # d_1 = 1
+        for b in (1, 2):
+            resid = np.abs(quad[b::2, b::2])  # the closed form is exactly 0 off the diagonal
+            np.fill_diagonal(resid, np.abs(diag[b::2] - quad.diagonal()[b::2]))
+            resid /= np.outer(root[b::2], root[b::2])
+            worst.append(resid.max(initial=0.0))
+        yield diag, quad, float(np.max(worst))
 
 
 def _log_sigma_ratio(nu_max: int, k: int) -> np.ndarray:

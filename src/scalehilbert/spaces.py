@@ -56,12 +56,13 @@ class DiagonalGrade:
 
 @dataclass(frozen=True, eq=False)
 class GramGrade:
-    """Inner product x^T G y for a symmetric positive definite G."""
+    """Inner product x^T G y for a symmetric positive definite G (checked)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_square_matrix(self.matrix, "Gram matrix")
+        linalg.require_spd(m, name="Gram matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -74,10 +75,11 @@ class GramGrade:
 class TruncatedScaleSpace:
     """Grades 0..k_max of inner products on an n-dimensional space.
 
-    Construction checks that every Gram grade is SPD and that dimensions
-    agree. The canonical normalization (grade 0 = constant weight 1) is
-    enforced only by :func:`weighted_sequence_space`; an explicit scale
-    may start at a nontrivial grade.
+    Construction checks that every grade has dimension n and every weight
+    is finite; a Gram grade checks that it is SPD when it is built. The
+    canonical normalization (grade 0 = constant weight 1) is enforced
+    only by :func:`weighted_sequence_space`; an explicit scale may start
+    at a nontrivial grade.
     """
 
     n: int
@@ -94,11 +96,8 @@ class TruncatedScaleSpace:
                 raise TypeError(f"grade {k} is not a DiagonalGrade or GramGrade")
             if g.n != self.n:
                 raise ValueError(f"grade {k} has dimension {g.n}, expected {self.n}")
-            if isinstance(g, GramGrade):
-                linalg.require_spd(g.matrix, name=f"grade {k} Gram matrix")
-            else:
-                if not np.isfinite(g.weight.log_values).all():
-                    raise ValueError(f"grade {k} weight has non-finite log values")
+            if isinstance(g, DiagonalGrade) and not np.isfinite(g.weight.log_values).all():
+                raise ValueError(f"grade {k} weight has non-finite log values")
         object.__setattr__(self, "grades", grades)
 
     @property
@@ -211,7 +210,7 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
     if not isinstance(raw, list):
         raise ValueError(f"{path}.grades: expected an array, got {_json_type(raw)}")
     if len(raw) != k_max + 1:
-        raise ValueError(f"expected {k_max + 1} grades, got {len(raw)}")
+        raise ValueError(f"{path}.grades: expected {k_max + 1} grades, got {len(raw)}")
     grades = []
     for k, entry in enumerate(raw):
         entry_path = f"{path}.grades[{k}]"
@@ -220,7 +219,11 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
             weight = json_field(entry, "weight", entry_path)
             grades.append(DiagonalGrade(weight_from_json(weight, f"{entry_path}.weight")))
         elif kind == "gram":
-            grades.append(GramGrade(_json_numbers(entry, "matrix", entry_path)))
+            matrix = _json_numbers(entry, "matrix", entry_path)
+            try:
+                grades.append(GramGrade(matrix))
+            except ValueError as exc:
+                raise ValueError(f"{entry_path}.matrix: {exc}") from exc
         else:
-            raise ValueError(f"unknown grade type {kind!r}")
+            raise ValueError(f"{entry_path}.type: unknown grade type {kind!r}")
     return TruncatedScaleSpace(n, tuple(grades))

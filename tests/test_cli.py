@@ -121,15 +121,15 @@ class TestSobolevDemo:
         assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
 
     @pytest.mark.parametrize("k_max", [3, 10])
-    def test_one_node_gram_per_run(self, monkeypatch, k_max):
+    def test_one_cosine_sum_build_per_run(self, monkeypatch, k_max):
         builds = []
-        node_gram = sobolev_circle._node_gram
+        gram_blocks = sobolev_circle._gram_blocks
 
-        def counted(nu_max, q):
+        def counted(max_m, q):
             builds.append(q)
-            return node_gram(nu_max, q)
+            return gram_blocks(max_m, q)
 
-        monkeypatch.setattr(sobolev_circle, "_node_gram", counted)
+        monkeypatch.setattr(sobolev_circle, "_gram_blocks", counted)
         assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", str(k_max)]) == 0
         # grade k_max's own default node count, which every lower grade accepts
         assert builds == [max(64, 4 * 8 * (k_max + 1))]
@@ -265,7 +265,7 @@ class TestHessianAnalyze:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
-        assert capsys.readouterr().err == "error: grade 1 Gram matrix has a non-finite entry\n"
+        assert capsys.readouterr().err == "error: operator.scale.grades[1].matrix: Gram matrix has a non-finite entry\n"
 
     def test_certificates_match_the_batch_bitwise(self, tmp_path):
         op = standard_operator_set(count=2)[1]
@@ -337,10 +337,23 @@ class TestHessianAnalyze:
                 {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "gram", "matrix": [[1, 0], [False, 1]]}]}},
                 "operator.scale.grades[0].matrix[1][0]: expected a number, got boolean",
             ),
+            (
+                {"scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]},
+                                                           {"type": "gram", "matrix": [[1, 0], [0, -1]]}]}},
+                "operator.scale.grades[1].matrix: Gram matrix is not positive definite",
+            ),
+            (
+                {"scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]},
+                                                           {"type": "bogus"}]}},
+                "operator.scale.grades[1].type: unknown grade type 'bogus'",
+            ),
+            ({"scale": {"n": 2, "k_max": 2, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]}]}},
+             "operator.scale.grades: expected 3 grades, got 1"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
              "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
-             "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry"],
+             "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry",
+             "gram-indefinite", "grade-type", "grade-count"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -399,6 +412,27 @@ class TestLadder:
             lines = fh.read().splitlines()
         assert lines[0] == "n,k,c_lo,c_hi,spread"
         assert len(lines) == 1 + 2 * 2
+
+    def test_overflowing_k_max_is_an_input_error(self, capsys):
+        # the spread c_hi / c_lo at rung 8 first overflows at grade 240 (rung 4 at 243)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "ladder", "--ladder", "4,8", "--k-max", "340"]) == 2
+        assert capsys.readouterr().err == "error: --k-max 340: the spread of grade 240 at rung n=8 is not a finite double\n"
+
+    def test_high_k_max_below_overflow_is_strict_json(self):
+        assert main(["--command", "ladder", "--ladder", "4,8", "--k-max", "239"]) == 0
+        with open("scalehilbert_ladder.json") as fh:
+            report = json.load(fh, parse_constant=reject_non_finite)
+        assert [len(rung["grades"]) for rung in report["rungs"]] == [240, 240]
+
+    def test_underflowing_c_lo_is_an_input_error(self, tmp_path, capsys):
+        # the grade-2 ratio at nu = 8 is about e^-822, which is 0.0 as a double
+        w = {"n": 4, "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}
+        path = tmp_path / "sides.json"
+        path.write_text(json.dumps({"left": "sobolev", "right": {"weight": w, "power": 100}}))
+        assert main(["--command", "ladder", "--input", str(path), "--ladder", "4,8", "--k-max", "2"]) == 2
+        assert capsys.readouterr().err == "error: --k-max 2: the spread of grade 2 at rung n=8 is not a finite double\n"
 
     def test_bad_ladder_values(self):
         assert main(["--command", "ladder", "--ladder", "64,32"]) == 2

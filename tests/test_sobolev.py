@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from scalehilbert.sobolev_circle import (
-    _NODE_BLOCK,
     FourierBasisSpec,
     _derivative_values,
     _log_closed_form_diag,
+    _log_closed_form_grades,
     _trapezoid_table,
     build_sobolev_space,
     fourier_gram_closed_form,
@@ -85,6 +85,13 @@ class TestClosedForm:
             assert below == finite
             gate.append(below)
         assert gate == [True, False]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 262144])
+    def test_per_frequency_log_tables_are_bitwise_the_per_index_ones(self, n):
+        nu = np.arange(1, n + 1)
+        grades = _log_closed_form_grades(n)
+        for k in range(11):
+            assert np.array_equal(grades(k), _log_closed_form_diag(nu, k))
 
     def test_off_diagonal_is_exactly_zero(self):
         assert fourier_gram_closed_form(2, 3, 1) == 0.0
@@ -167,8 +174,13 @@ def pointwise_table(nu_max, k, q):
     return table
 
 
+# both have 1042 node pairs (i, q - i), which leaves a ragged last block of
+# pairs for every node block size that is a power of two from 4 to 1024
+RAGGED_ODD, RAGGED_EVEN = 2085, 2086
+
+
 class TestStreamedTable:
-    """The node-block table against the scalar pointwise reference."""
+    """The cosine-sum table against the scalar pointwise reference."""
 
     @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -178,8 +190,8 @@ class TestStreamedTable:
         q = {
             "default": None,
             "not_multiple_of_4": max(2, 4 * (nu_max // 2) * (k + 1)) + 1,
-            "ragged_blocks": 2 * _NODE_BLOCK + 37,
-            "ragged_blocks_even": 2 * _NODE_BLOCK + 38,
+            "ragged_blocks": RAGGED_ODD,
+            "ragged_blocks_even": RAGGED_EVEN,
         }[nodes]
         table = fourier_gram_quadrature_table(nu_max, k, q)
         q_used = default_q if q is None else q
@@ -202,12 +214,12 @@ class TestStreamedTable:
                 assert np.array_equal(table, table.T)
                 assert scaled_table_delta(table, pointwise_table(nu_max, k, q), k) <= 1e-13
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 37, 2 * _NODE_BLOCK + 37, 2 * _NODE_BLOCK + 38])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 37, RAGGED_ODD, RAGGED_EVEN])
     def test_sine_cosine_block_is_exactly_zero(self, q):
         # the node set {i/q} is symmetric under t -> -t, where a sine is odd
         # and the constant and cosines are even: the trapezoid sum of their
-        # product cancels over the node pairs (i, q - i), and the node Gram
-        # sums over those pairs, so the entries are exactly 0, not roundoff
+        # product cancels over the node pairs (i, q - i); the table never
+        # writes these entries, so they are exactly 0, not roundoff
         for k in range(4):
             table = _trapezoid_table(12, k, q)
             assert np.all(table[1::2, 0::2] == 0.0)
@@ -221,19 +233,19 @@ class TestStreamedTable:
 
     def test_memory_stays_below_the_full_sample_matrix(self):
         # the seed's derivative matrix alone was nu_max x q doubles, 64 MiB
-        # at (1024, 3), with two copies alive; streaming keeps the peak to a
-        # few nu_max x nu_max arrays
+        # at (1024, 3), with two copies alive; the table (8 MiB) is the only
+        # nu_max x nu_max array, the blocks are a quarter of it
         tracemalloc.start()
         try:
             fourier_gram_quadrature_table(1024, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestOracleStream:
-    """Every grade of the oracle from one node Gram at grade k_max's q."""
+    """Every grade of the oracle from one set of cosine sums at grade k_max's q."""
 
     @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
     @pytest.mark.parametrize("k_max", [0, 3])
@@ -257,7 +269,7 @@ class TestOracleStream:
         finally:
             tracemalloc.stop()
         assert len(deltas) == 4
-        assert peak < 80 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestFractalRatio:
