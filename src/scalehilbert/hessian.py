@@ -14,12 +14,14 @@ Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` computes lazily and at most once: the
 kernel SVD (singular values, plus vectors only when there is a kernel),
 the ``eigh`` spectral data and its reconstruction residual,
-the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one solve, whose
+the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
-fractal weight, the graph ladder and the graph-equivalence constants.
-The graph form has one definition, :func:`graph_ladder`: the graph Gram
-I + A^T A is its grade 1. The certificate functions accept either a bare
+fractal weight, the graph Gram I + A^T A (grade 1 of :func:`graph_ladder`;
+the fractal certificate steps each higher grade from it and drops that
+grade once read) and the graph-equivalence constants. Each defect
+subtracts its expected identity or diagonal in place on the diagonal of
+the product it computes. The certificate functions accept either a bare
 :class:`ScaleOperator`, which gets a fresh analysis of its own, or an
 analysis shared between them; none re-runs another.
 ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them in the order
@@ -171,7 +173,7 @@ class ResolventData:
     residual: float
 
     def __post_init__(self):
-        b = np.array(self.b_matrix, dtype=complex)
+        b = np.asarray(self.b_matrix, dtype=complex)
         b.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
 
@@ -208,25 +210,29 @@ def check_kernel_cokernel(op: ScaleOperator) -> KernelReport:
     return KernelReport(ker_dim=op.n - rank, coker_dim=op.n - rank, subspace_angle=angle)
 
 
+def _graph_step(a: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Grade k + 1 of the graph ladder, sym_part(G_k + A^T G_k A), from
+    grade k = ``g``. ``None`` stands for G_0 = I: grade 1 is then the graph
+    Gram I + A^T A, formed without the product through I."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade fails the fractal certificate
+        if g is None:
+            step = a.T @ a
+            step.flat[:: a.shape[0] + 1] += 1.0
+            return linalg.sym_part(step)
+        return linalg.sym_part(g + a.T @ g @ a)
+
+
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
     G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
-    graph Gram identity + A^T A of the graph form <x, y> + <Ax, Ay>,
-    formed without the product through G_0 = I."""
+    graph Gram identity + A^T A of the graph form <x, y> + <Ax, Ay>."""
     a = linalg.as_square_matrix(matrix, "operator matrix")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     grams = [np.eye(a.shape[0])]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade fails the fractal certificate
-        for k in range(k_max):
-            g = grams[-1]
-            grams.append(linalg.sym_part(g + (a.T @ a if k == 0 else a.T @ g @ a)))
+    for k in range(k_max):
+        grams.append(_graph_step(a, grams[-1] if k else None))
     return grams
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class OperatorAnalysis:
@@ -244,7 +250,6 @@ class OperatorAnalysis:
     def __init__(self, op: ScaleOperator):
         self.op = op
         self.symmetric = False
-        self._ladder = []
 
     @classmethod
     def of(cls, op) -> "OperatorAnalysis":
@@ -312,11 +317,12 @@ class OperatorAnalysis:
         """:func:`graph_equivalence_constants` of the operator."""
         return graph_equivalence_constants(self)
 
-    def ladder(self, k: int) -> list[np.ndarray]:
-        """Grades 0..k of the graph ladder, extended on demand."""
-        if not 0 <= k < len(self._ladder):
-            self._ladder = [_frozen(g) for g in graph_ladder(self.op.matrix, k)]
-        return self._ladder[: k + 1]
+    @cached_property
+    def graph_gram(self) -> np.ndarray:
+        """The graph Gram I + A^T A, grade 1 of :func:`graph_ladder`, read-only."""
+        gram = _graph_step(self.op.matrix)
+        gram.setflags(write=False)
+        return gram
 
 
 def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
@@ -338,10 +344,8 @@ def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> f
     scale = an.op.scale
     if scale is None:
         return 1.0
-    g_n, g_next = gram_matrix(scale, n_grade), gram_matrix(scale, n_grade + 1)
-    a = an.op.matrix
-    rhs = linalg.sym_part(g_n + a.T @ g_n @ a)
-    mu = linalg.generalized_eigh(g_next, rhs)[0]
+    g_next = gram_matrix(scale, n_grade + 1)
+    mu = linalg.generalized_eigh(g_next, _graph_step(an.op.matrix, gram_matrix(scale, n_grade)))[0]
     return float(np.sqrt(mu[-1]))
 
 
@@ -370,7 +374,7 @@ def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[f
         an.symmetric_spectral  # the gate: c0 = 1 holds for symmetric A only
         return 1.0, 1.0, 1.0
     g_one = gram_matrix(scale, 1)
-    mu = linalg.generalized_eigh(g_one, an.ladder(1)[1])[0]
+    mu = linalg.generalized_eigh(g_one, an.graph_gram)[0]
     chol = linalg.cholesky_spd(g_one, "grade 1 Gram")
     c_step1 = float(np.linalg.norm(chol.T @ an.resolvent.b_matrix, 2))
     return float(mu[0]), float(mu[-1]), c_step1
@@ -381,23 +385,25 @@ def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> Re
 
     Real points are rejected: off the real axis the inverse exists
     unconditionally for symmetric operators. An exactly singular
-    solve, a non-finite inverse B or n eps kappa_1 >= 1, with the 1-norm
+    inversion, a non-finite inverse B or n eps kappa_1 >= 1, with the 1-norm
     condition number kappa_1 = ||A - point I||_1 ||B||_1 read off the
-    solve's result, raise :class:`SpectrumError`.
+    inverse, raise :class:`SpectrumError`.
     """
     point = complex(point)
     if point.imag == 0.0:
         raise ValueError("resolvent point must lie off the real axis")
-    shifted = op.matrix - point * np.eye(op.n)
+    shifted = op.matrix.astype(complex)
+    shifted.flat[:: op.n + 1] -= point
     try:
-        b = np.linalg.solve(shifted, np.eye(op.n, dtype=complex))
+        b = np.linalg.inv(shifted)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"resolvent point on spectrum: {point}") from exc
     kappa = np.abs(shifted).sum(axis=0).max() * np.abs(b).sum(axis=0).max()
     if not op.n * linalg.EPS * kappa < 1.0:  # also when b holds NaN or inf
         raise SpectrumError(f"resolvent point on spectrum: {point}")
-    residual = linalg.frobenius(shifted @ b - np.eye(op.n))
-    return ResolventData(point=point, b_matrix=b, residual=residual)
+    product = shifted @ b
+    product.flat[:: op.n + 1] -= 1.0
+    return ResolventData(point=point, b_matrix=b, residual=linalg.frobenius(product))
 
 
 def normality_defect(r: ResolventData) -> tuple[float, float]:
@@ -407,7 +413,7 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     when B is normal. The adjoint defect compares B* with the resolvent
     at the conjugate point, which for a real operator is conj(B), so it
     is ||B^T - B||_F / ||B||_F, read from the same B as the commutator
-    (no second solve). Both are zero in exact arithmetic when the
+    (no second inversion). Both are zero in exact arithmetic when the
     operator is symmetric.
     """
     b = r.b_matrix
@@ -462,12 +468,13 @@ def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralDa
     b = OperatorAnalysis.of(op).resolvent.b_matrix
     v, shift = data.vectors, data.gammas - DEFAULT_RESOLVENT_POINT
     mu = 1.0 / shift
-    r = b @ v - v * mu
-    rq_offset = np.einsum("ij,ij->j", v.conj(), r)
-    s = np.linalg.norm(r - v * rq_offset, axis=0)
     g = np.abs(np.subtract.outer(mu, mu))
     np.fill_diagonal(g, np.inf)
     g = g.min(axis=0)
+    r = b @ v - v * mu
+    rq_offset = np.einsum("ij,ij->j", v.conj(), r)
+    r -= v * rq_offset
+    s = np.linalg.norm(r, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(g > 2.0 * s, s * s / (g - s), s)
     dev = (np.abs(rq_offset) + radius) * np.abs(shift) ** 2 / (1.0 + np.abs(data.gammas))
@@ -541,10 +548,13 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
     fw = an.fractal_weight
     deviations = []
     with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed grade: a NaN deviation, which fails
-        for k, g in enumerate(an.ladder(k_max)):
+        for k in range(k_max + 1):
+            g = None if k == 0 else an.graph_gram if k == 1 else _graph_step(an.op.matrix, g)
             basis = rescaled_basis(data, fw, k)
-            gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
-            deviations.append(linalg.frobenius(gram - np.eye(an.op.n)))
+            gram = basis.T @ basis if g is None else basis.T @ g @ basis
+            gram.flat[:: an.op.n + 1] -= 1.0
+            deviations.append(linalg.frobenius(gram))
+            del basis, gram  # the next grade's step runs without them
     return FractalStructure(weight=fw, spectral=data, deviations=tuple(float(d) for d in deviations))
 
 
@@ -557,9 +567,9 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     an = OperatorAnalysis.of(op)
     data = an.symmetric_spectral
     basis = rescaled_basis(data, an.fractal_weight, 1)
-    in_graph = basis.T @ an.ladder(1)[1] @ (an.op.matrix @ basis)
-    in_flat = np.diag(data.sorted_gammas())
-    return linalg.frobenius(in_graph - in_flat)
+    in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
+    in_graph.flat[:: an.op.n + 1] -= data.sorted_gammas()
+    return linalg.frobenius(in_graph)
 
 
 def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
@@ -569,11 +579,12 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     an = OperatorAnalysis.of(op)
     data = an.symmetric_spectral
     vs = data.sorted_vectors()
-    actual = vs.T @ an.ladder(1)[1] @ vs
+    actual = vs.T @ an.graph_gram @ vs
     g = data.sorted_gammas()
-    expected = np.diag(1.0 + g * g)
-    dev = np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
-    return float(dev.max())
+    expected = 1.0 + g * g  # >= 1, so the relative deviation divides by it
+    on_diagonal = np.abs(np.diagonal(actual) - expected) / expected
+    actual.flat[:: an.op.n + 1] = 0.0
+    return float(np.maximum(np.abs(actual, out=actual).max(), on_diagonal.max()))
 
 
 def conjugated_diagonal(diag, seed: int, scale=None) -> ScaleOperator:
@@ -595,6 +606,8 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     kind = json_field(obj, "kind", path, "dense")
     raw_scale = json_field(obj, "scale", path, "graph_default")
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
+    if scale is not None and scale.n != n:
+        raise ValueError(f"{path}.scale.n: scale dimension {scale.n} does not match operator dimension {n}")
     if kind == "dense":
         matrix = _json_numbers(obj, "matrix", path)
     elif kind == "diagonal":

@@ -226,4 +226,7 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
                 raise ValueError(f"{entry_path}.matrix: {exc}") from exc
         else:
             raise ValueError(f"{entry_path}.type: unknown grade type {kind!r}")
+        if grades[-1].n != n:
+            field = "matrix" if kind == "gram" else "weight"
+            raise ValueError(f"{entry_path}.{field}: grade has dimension {grades[-1].n}, expected {path}.n = {n}")
     return TruncatedScaleSpace(n, tuple(grades))

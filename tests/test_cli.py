@@ -349,11 +349,15 @@ class TestHessianAnalyze:
             ),
             ({"scale": {"n": 2, "k_max": 2, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]}]}},
              "operator.scale.grades: expected 3 grades, got 1"),
+            ({"scale": {"n": 2, "k_max": 0, "grades": [{"type": "gram", "matrix": np.eye(3).tolist()}]}},
+             "operator.scale.grades[0].matrix: grade has dimension 3, expected operator.scale.n = 2"),
+            ({"scale": {"n": 3, "k_max": 0, "grades": [{"type": "gram", "matrix": np.eye(3).tolist()}]}},
+             "operator.scale.n: scale dimension 3 does not match operator dimension 2"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
              "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
              "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry",
-             "gram-indefinite", "grade-type", "grade-count"],
+             "gram-indefinite", "grade-type", "grade-count", "grade-dimension", "scale-dimension"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from scalehilbert.hessian import (
     operator_from_json,
     pair_isometry_certificate,
     regularity_constant,
+    rescaled_basis,
     resolvent,
     resolvent_consistency,
     restriction_invariance,
@@ -32,7 +35,7 @@ from scalehilbert.spaces import (
     gram_matrix,
     weighted_sequence_space,
 )
-from scalehilbert.verify import standard_operator_set
+from scalehilbert.verify import FRACTAL, OPERATOR_CERTIFICATES, standard_operator_set
 from scalehilbert.weights import Weight
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -689,15 +692,16 @@ class TestOperatorAnalysis:
         an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0], seed=4))
         assert an.spectral is an.spectral
         assert an.resolvent is an.resolvent
-        top = an.ladder(3)
-        assert an.ladder(1)[1] is top[1]
+        gram = an.graph_gram
+        build_fractal_structure(an, 3)
+        assert an.graph_gram is gram
 
     def test_cached_grams_are_read_only(self):
         an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])))
+        build_fractal_structure(an, 2)
         with pytest.raises(ValueError):
-            an.ladder(1)[1][0, 0] = 0.0
-        with pytest.raises(ValueError):
-            an.ladder(2)[2][0, 0] = 0.0
+            an.graph_gram[0, 0] = 0.0
+        assert np.array_equal(an.graph_gram, np.diag([2.0, 5.0]))
 
     def test_non_symmetric_still_rejected(self):
         an = OperatorAnalysis(ScaleOperator(NILPOTENT))
@@ -707,3 +711,105 @@ class TestOperatorAnalysis:
             restriction_invariance(an)
         with pytest.raises(ValueError, match="not symmetric"):
             graph_equivalence_constants(an)
+
+
+class TestDenseReferenceFormulas:
+    """The defects subtract their expected diagonal in place; each equals
+    its dense formula, which subtracts a full identity or diagonal
+    matrix, bit for bit."""
+
+    @staticmethod
+    def analysis(kind="rank_deficient"):
+        return OperatorAnalysis(conjugated_diagonal(PARITY_SPECTRA[kind], seed=31))
+
+    @staticmethod
+    def dense_ladder(a, k_max):
+        """Grades 0..k_max, each a full matrix, G_0 the identity."""
+        grams = [np.eye(len(a))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k_max):
+                g = grams[-1]
+                grams.append(linalg.sym_part(g + (a.T @ a if k == 0 else a.T @ g @ a)))
+        return grams
+
+    @classmethod
+    def pair_deviations(cls, an):
+        data = an.symmetric_spectral
+        vs = data.sorted_vectors()
+        actual = vs.T @ cls.dense_ladder(an.op.matrix, 1)[1] @ vs
+        g = data.sorted_gammas()
+        expected = np.diag(1.0 + g * g)
+        return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
+
+    @staticmethod
+    def perturbed(an, vectors):
+        """``an`` with its eigenvectors replaced, behind a passed gate."""
+        d = an.symmetric_spectral
+        an.spectral = SpectralData(gammas=d.gammas, vectors=vectors, order=d.order)
+        return an
+
+    @pytest.mark.parametrize("on_diagonal", [True, False], ids=["diagonal-max", "off-diagonal-max"])
+    def test_pair_isometry(self, on_diagonal):
+        an = self.analysis()
+        v = an.symmetric_spectral.vectors.copy()
+        if on_diagonal:
+            v[:, 4] *= 1.0 + 1e-6
+        else:
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            v[:, [4, 5]] = v[:, [4, 5]] @ np.array([[c, -s], [s, c]])
+        dev = self.pair_deviations(self.perturbed(an, v))
+        row, col = np.unravel_index(np.argmax(dev), dev.shape)
+        assert (row == col) == on_diagonal
+        assert pair_isometry_certificate(an) == dev.max() > 1e-7
+
+    @pytest.mark.parametrize("kind", sorted(PARITY_SPECTRA))
+    def test_restriction_fractal_and_resolvent(self, kind):
+        an = self.analysis(kind)
+        a, n = an.op.matrix, an.op.n
+        data = an.symmetric_spectral
+        basis = rescaled_basis(data, an.fractal_weight, 1)
+        in_graph = basis.T @ self.dense_ladder(a, 1)[1] @ (a @ basis)
+        assert restriction_invariance(an) == linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
+        deviations = []
+        for k, g in enumerate(self.dense_ladder(a, 5)):
+            basis = rescaled_basis(data, an.fractal_weight, k)
+            gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
+            deviations.append(linalg.frobenius(gram - np.eye(n)))
+        assert build_fractal_structure(an, 5).deviations == tuple(deviations)
+        shifted = a - DEFAULT_RESOLVENT_POINT * np.eye(n)
+        b = np.linalg.solve(shifted, np.eye(n, dtype=complex))
+        r = an.resolvent
+        assert np.array_equal(r.b_matrix, b)
+        assert r.residual == linalg.frobenius(shifted @ b - np.eye(n))
+
+    def test_overflowed_grade_stays_nan(self):
+        an = OperatorAnalysis(ScaleOperator(np.diag([1e9, 1.0])))
+        data = an.symmetric_spectral
+        deviations = []
+        with np.errstate(invalid="ignore"):
+            for k, g in enumerate(self.dense_ladder(an.op.matrix, 40)):
+                basis = rescaled_basis(data, an.fractal_weight, k)
+                gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
+                deviations.append(linalg.frobenius(gram - np.eye(2)))
+        got = build_fractal_structure(an, 40).deviations
+        assert np.isnan(got).any()
+        assert np.array_equal(got, deviations, equal_nan=True)
+        assert not FRACTAL.defect(an, 40) <= FRACTAL.tol
+
+
+def test_full_pass_working_set():
+    """One pass of every operator certificate on an n = 256 operator peaks
+    below 11 n x n doubles of traced allocations: the analysis keeps B,
+    the eigenvectors and the graph Gram, and no certificate builds a full
+    identity or diagonal matrix."""
+    n = 256
+    op = ScaleOperator(random_symmetric(np.random.default_rng(256), n) / np.sqrt(n))
+    tracemalloc.start()
+    try:
+        an = OperatorAnalysis(op)
+        for cert in OPERATOR_CERTIFICATES:
+            cert.defect(an, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * n * n * 8

@@ -1,6 +1,6 @@
 """Dense-kernel call counts: each factorization runs once per operator.
 
-The counters wrap ``numpy.linalg.{eig, eigh, svd, solve, cholesky}``;
+The counters wrap ``numpy.linalg.{eig, eigh, svd, solve, inv, cholesky}``;
 ``svd_uv`` lists the ``compute_uv`` flag of every ``svd`` call. The
 package calls these through the module namespace, so every
 factorization it makes is counted; ``numpy.linalg.norm`` calls its
@@ -8,7 +8,9 @@ module-internal SVD and does not show up. The values-only SVDs that
 :func:`scalehilbert.linalg.principal_angles` takes are counted apart,
 as ``angle_svd``, and stay out of ``svd_uv``. The kernel certificate
 takes a values-only SVD and a second one with vectors only when the
-operator has a kernel.
+operator has a kernel. The resolvent is one ``inv`` per operator; ``solve``
+runs only for the L^-1 of a generalized symmetric eigensolve, so never
+under the graph default.
 """
 
 import ast
@@ -35,6 +37,7 @@ KERNELS = {
     "eigh": (np.linalg, "eigh"),
     "svd": (np.linalg, "svd"),
     "solve": (np.linalg, "solve"),
+    "inv": (np.linalg, "inv"),
     "cholesky": (np.linalg, "cholesky"),
 }
 
@@ -72,13 +75,13 @@ def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
             "diag": [0.0, 0.0, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 2
     # eigh: spectral data; svd: the kernel's singular values, then its
-    # vectors (this operator has a kernel); solve: resolvent (its guard,
-    # the adjoint and the consistency residual read the solve's result);
+    # vectors (this operator has a kernel); inv: resolvent (its guard,
+    # the adjoint and the consistency residual read its result);
     # the graph-default constants are identities, so no generalized eigh
     # or Cholesky runs; the principal angles read the SVD's own bases and
     # take the values of their cosines and (kernel and cokernel meet at a
     # small angle) of their sines
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 1, "cholesky": 0, "angle_svd": 2}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 2}
     assert kernel_calls.svd_uv == [False, True]
 
 
@@ -86,7 +89,7 @@ def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
     spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
             "diag": [0.3, -0.8, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 0
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 1, "cholesky": 0, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 0}
     assert kernel_calls.svd_uv == [False]
 
 
@@ -96,14 +99,14 @@ def test_batch_factorizes_once_per_operator(kernel_calls):
     assert len(rows) == 6
     # one values-only svd per operator, a vector svd per rank-deficient one
     assert [row["kernel"].ker_dim > 0 for row in rows] == [False, True] * 3
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 6, "cholesky": 0, "angle_svd": 6}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 0, "inv": 6, "cholesky": 0, "angle_svd": 6}
     assert kernel_calls.svd_uv == [False, False, True] * 3
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     """Criterion 9 compares two independent runs: the second core pass
     must redo every factorization rather than read one kept from the first.
-    Each batch operator makes one ``eigh`` and one ``solve`` (no ``eig``)."""
+    Each batch operator makes one ``eigh`` and one ``inv`` (no ``eig``)."""
     count = 4
     full_set = verify.standard_operator_set
     monkeypatch.setattr(verify, "standard_operator_set", lambda seed: full_set(seed, count=count))
@@ -115,7 +118,7 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
         def counted(*args, **kwargs):
             before = dict(kernel_calls)
             result = fn(*args, **kwargs)
-            passes[name].append({k: kernel_calls[k] - before[k] for k in ("eigh", "solve")})
+            passes[name].append({k: kernel_calls[k] - before[k] for k in ("eigh", "inv")})
             return result
 
         monkeypatch.setattr(verify, name, counted)
@@ -125,7 +128,7 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     assert run_verify_all().passed
     core, batch = passes["_run_core"], passes["analyze_operator_batch"]
     assert len(core) == 2 and core[0] == core[1]
-    assert batch == [{"eigh": count, "solve": count}] * 2
+    assert batch == [{"eigh": count, "inv": count}] * 2
 
 
 def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monkeypatch):
@@ -142,16 +145,16 @@ def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monk
 
     monkeypatch.setattr(linalg, "generalized_eigh", counted)
     analysis = OperatorAnalysis(test_hessian.TestShiftedFloerHessian().fixture()[0])
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "cholesky": 0, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "inv": 0, "cholesky": 0, "angle_svd": 0}
     graph_equivalence_constants(analysis)
     # one generalized solve; c_step1 factors the grade-1 Gram once more and
-    # reads the resolvent's solve
+    # reads the resolvent's inverse
     assert solves["generalized_eigh"] == 1
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 2, "cholesky": 2, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 1, "inv": 1, "cholesky": 2, "angle_svd": 0}
     for n_grade in range(3):
         regularity_constant(analysis, n_grade)
     assert solves["generalized_eigh"] == 4
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 4, "svd": 0, "solve": 5, "cholesky": 5, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 4, "svd": 0, "solve": 4, "inv": 1, "cholesky": 5, "angle_svd": 0}
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):
