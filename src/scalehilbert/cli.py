@@ -228,9 +228,9 @@ def _parse_ladder_side(name: str, side, n: int):
     spec = json_field(side, "weight", name)
     power = _json_int(side, "power", name, 1)
     if json_field(spec, "kind", f"{name}.weight") != "closed_form":
-        raise ValueError("ladder sides need closed-form weights (tables cannot grow with n)")
+        raise ValueError(f"{name}.weight.kind: ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:
-        raise ValueError("ladder side power must be >= 1")
+        raise ValueError(f"{name}.power: expected an integer >= 1, got {power}")
     log_values = weight_from_json({**spec, "n": n}, f"{name}.weight").log_values
     return lambda k: log_values * (power * k)
 
@@ -327,27 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    ladder = None
-    if args.ladder is not None:
-        ladder = tuple(int(part) for part in str(args.ladder).split(",") if part.strip())
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        nu_max=args.nu_max,
-        k_max=args.k_max,
-        tol=args.tol,
-        input_path=args.input_path,
-        output_path=args.output_path,
-        seed=args.seed,
-        ladder=ladder,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        if args.ladder is not None:
+            args.ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
+        cfg = RunConfig(**vars(args))  # the parser's dests are RunConfig's fields
         return _DISPATCH[cfg.command](cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

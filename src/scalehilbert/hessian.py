@@ -46,12 +46,10 @@ __all__ = [
     "ScaleOperator",
     "OperatorAnalysis",
     "SpectrumError",
-    "SymmetryReport",
     "KernelReport",
     "SpectralData",
     "ResolventData",
     "FractalStructure",
-    "check_symmetry",
     "check_kernel_cokernel",
     "regularity_constant",
     "graph_ladder",
@@ -73,7 +71,7 @@ __all__ = [
 # so the unit imaginary point is an unconditionally safe default.
 DEFAULT_RESOLVENT_POINT = 1j
 
-# relative asymmetry (see check_symmetry) accepted by the symmetry gate
+# largest linalg.symmetry_defect, a relative asymmetry in [0, 1], that the symmetry gate accepts
 SYMMETRY_TOL = 1e-10
 
 
@@ -96,8 +94,8 @@ class ScaleOperator:
 
     def __post_init__(self):
         m = linalg.as_square_matrix(self.matrix, "operator matrix")
-        if np.iscomplexobj(m):
-            raise ValueError("operator matrix must be real")
+        if np.iscomplexobj(m) or m.size == 0:
+            raise ValueError("operator matrix must be real and nonempty")
         if not np.isfinite(m).all():
             raise ValueError("operator matrix must be finite")
         m.setflags(write=False)
@@ -110,13 +108,6 @@ class ScaleOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    defect: float
-    tol: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -166,23 +157,12 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class ResolventData:
-    """The inverse of (operator - point * identity) at an off-spectrum point."""
+    """The inverse B of (operator - point * identity) at an off-spectrum
+    point, read-only (frozen by :func:`resolvent`)."""
 
     point: complex
     b_matrix: np.ndarray
     residual: float
-
-    def __post_init__(self):
-        b = np.asarray(self.b_matrix, dtype=complex)
-        b.setflags(write=False)
-        object.__setattr__(self, "b_matrix", b)
-
-
-def check_symmetry(op: ScaleOperator, tol: float = SYMMETRY_TOL) -> SymmetryReport:
-    """:func:`scalehilbert.linalg.symmetry_defect` of the operator matrix,
-    in [0, 1], against ``tol``."""
-    defect = linalg.symmetry_defect(op.matrix)
-    return SymmetryReport(defect=float(defect), tol=float(tol), passed=defect <= tol)
 
 
 def check_kernel_cokernel(op: ScaleOperator) -> KernelReport:
@@ -403,6 +383,7 @@ def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> Re
         raise SpectrumError(f"resolvent point on spectrum: {point}")
     product = shifted @ b
     product.flat[:: op.n + 1] -= 1.0
+    b.setflags(write=False)
     return ResolventData(point=point, b_matrix=b, residual=linalg.frobenius(product))
 
 
@@ -432,20 +413,19 @@ def spectral_decompose(op: ScaleOperator | OperatorAnalysis, tol: float = SYMMET
     the standard basis in the original coordinate order. The returned
     permutation ``order`` re-lists the pairs by nondecreasing |gamma|.
 
-    Symmetry is checked at ``tol`` on every call; a failure raises
-    ValueError. The ``eigh`` comes from the operator's
-    :class:`OperatorAnalysis`, so it runs once per analysis. How well
-    the pairs reconstruct the operator and agree with the resolvent
-    eigenproblem are certificates of their own
+    The :func:`scalehilbert.linalg.symmetry_defect` of the matrix is
+    checked against ``tol`` on every call; a failure raises ValueError.
+    The ``eigh`` comes from the operator's :class:`OperatorAnalysis`, so
+    it runs once per analysis. How well the pairs reconstruct the
+    operator and agree with the resolvent eigenproblem are certificates
+    of their own
     (:attr:`OperatorAnalysis.relative_reconstruction`,
     :func:`resolvent_consistency`).
     """
     an = OperatorAnalysis.of(op)
-    report = check_symmetry(an.op, tol)
-    if not report.passed:
-        raise ValueError(
-            f"operator is not symmetric: defect {report.defect:.3e} exceeds tol {tol:.3e}"
-        )
+    defect = linalg.symmetry_defect(an.op.matrix)
+    if not defect <= tol:
+        raise ValueError(f"operator is not symmetric: defect {defect:.3e} exceeds tol {tol:.3e}")
     return an.spectral
 
 
@@ -603,22 +583,22 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     "graph_default". ``path`` names the object in input errors.
     """
     n = _json_int(obj, "n", path)
+    if n < 1:
+        raise ValueError(f"{path}.n: expected a dimension >= 1, got {n}")
     kind = json_field(obj, "kind", path, "dense")
     raw_scale = json_field(obj, "scale", path, "graph_default")
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
     if scale is not None and scale.n != n:
         raise ValueError(f"{path}.scale.n: scale dimension {scale.n} does not match operator dimension {n}")
-    if kind == "dense":
-        matrix = _json_numbers(obj, "matrix", path)
-    elif kind == "diagonal":
-        matrix = np.diag(_json_numbers(obj, "diag", path))
-    elif kind == "conjugated_diagonal":
-        op = conjugated_diagonal(_json_numbers(obj, "diag", path), _json_int(obj, "seed", path), scale)
-        if op.n != n:
-            raise ValueError(f"operator has dimension {op.n}, expected n={n}")
-        return op
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    if matrix.shape != (n, n):
-        raise ValueError(f"operator has shape {matrix.shape}, expected ({n}, {n})")
-    return ScaleOperator(matrix, scale)
+    if kind not in ("dense", "diagonal", "conjugated_diagonal"):
+        raise ValueError(f"{path}.kind: unknown operator kind {kind!r}")
+    key, shape = ("matrix", (n, n)) if kind == "dense" else ("diag", (n,))
+    values = _json_numbers(obj, key, path)
+    if values.shape != shape:
+        raise ValueError(f"{path}.{key}: expected shape {shape}, got {values.shape}")
+    if kind == "conjugated_diagonal":
+        seed = _json_int(obj, "seed", path)
+        if seed < 0:
+            raise ValueError(f"{path}.seed: expected an integer >= 0, got {seed}")
+        return conjugated_diagonal(values, seed, scale)
+    return ScaleOperator(values if kind == "dense" else np.diag(values), scale)

@@ -40,8 +40,6 @@ __all__ = [
     "space_from_json",
 ]
 
-DEFAULT_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGrade:
@@ -176,7 +174,7 @@ def is_scale_isometric(
     s: TruncatedScaleSpace,
     t: TruncatedScaleSpace,
     mapping: np.ndarray,
-    tol: float = DEFAULT_TOL,
+    tol: float = 1e-8,
 ) -> IsometryReport:
     """Does ``mapping`` carry every grade of s isometrically onto t?
 

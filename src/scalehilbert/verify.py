@@ -19,7 +19,7 @@ result contains timestamps or timings; reports are reproducible.
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .hessian import (
     OperatorAnalysis,
     ScaleOperator,
     build_fractal_structure,
-    check_symmetry,
     fractal_weight,
     normality_defect,
     pair_isometry_certificate,
@@ -95,7 +94,7 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
 # entries call the certificate functions through this module's names, so
 # patching a module binding reaches them.
 OPERATOR_CERTIFICATES = (
-    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: check_symmetry(an.op).defect),
+    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: linalg.symmetry_defect(an.op.matrix)),
     KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: an.kernel.subspace_angle),
     Certificate("resolvent-residual", 1e-8, lambda an, k_max: an.resolvent.residual),
     NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an, k_max: an.normality[0]),
@@ -122,16 +121,6 @@ class CriterionResult:
     tol: float
     details: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "defect": self.defect,
-            "tol": self.tol,
-            "details": self.details,
-        }
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"criterion {self.number} {self.name}: {status} (defect {self.defect:.3e}, tol {self.tol:.3e})"
@@ -151,7 +140,7 @@ class VerifySummary:
             "suite": "scale-hilbert certificates",
             "seed": self.seed,
             "passed": self.passed,
-            "criteria": [r.to_dict() for r in self.results],
+            "criteria": [asdict(r) for r in self.results],
         }
 
 
@@ -426,8 +415,8 @@ def run_verify_all(seed: int = DEFAULT_SEED, tol: float | None = None) -> Verify
     one process only; across processes, see "Determinism" in the README.
     """
     results = _run_core(seed, tol)
-    first = json.dumps([r.to_dict() for r in results], indent=2)
-    second = json.dumps([r.to_dict() for r in _run_core(seed, tol)], indent=2)
+    first = json.dumps([asdict(r) for r in results], indent=2)
+    second = json.dumps([asdict(r) for r in _run_core(seed, tol)], indent=2)
     identical = first == second
     results.append(
         CriterionResult(

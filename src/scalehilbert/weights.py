@@ -7,7 +7,7 @@ so every weight is kept as a table of log values and only exponentiated
 on demand. Indices are 1-based throughout the public API.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,17 @@ __all__ = [
     "weight_from_json",
 ]
 
-# exp() overflows just above this; past it callers must stay in log scale
-EXP_OVERFLOW_LOG = 700.0
-
 
 @dataclass(frozen=True, eq=False)
 class Weight:
     """Positive weight f on 1..n as a read-only table of log f(nu)."""
 
     log_values: np.ndarray
-    # Integer powers are tracked against a base table and materialized with a
-    # single multiplication, so repeated powering composes exactly in log scale.
-    _power_base: np.ndarray | None = field(default=None, repr=False)
-    _power_exponent: int = field(default=1, repr=False)
 
     def __post_init__(self):
         logs = np.array(self.log_values, dtype=float).reshape(-1)
         logs.setflags(write=False)
         object.__setattr__(self, "log_values", logs)
-        if self._power_base is None:
-            object.__setattr__(self, "_power_base", logs)
 
     @property
     def n(self) -> int:
@@ -66,17 +57,11 @@ class Weight:
 
 
 def weight_power(w: Weight, k: int) -> Weight:
-    """The weight f**k for integer k >= 0.
-
-    Log tables multiply by k, so monotonicity is preserved and
-    ``weight_power(weight_power(w, k1), k2)`` equals
-    ``weight_power(w, k1 * k2)`` exactly.
-    """
+    """The weight f**k for integer k >= 0: the log table times k, one
+    rounding per entry, so monotonicity is preserved."""
     if k != int(k) or k < 0:
         raise ValueError(f"power must be a nonnegative integer, got {k}")
-    k = int(k)
-    exponent = w._power_exponent * k
-    return Weight(w._power_base * exponent, _power_base=w._power_base, _power_exponent=exponent)
+    return Weight(w.log_values * int(k))
 
 
 @dataclass(frozen=True)
@@ -203,18 +188,23 @@ def weight_from_json(obj: dict, path: str = "weight") -> Weight:
     names the object in input errors.
     """
     n = _json_int(obj, "n", path)
+    if n < 1:
+        raise ValueError(f"{path}.n: expected a dimension >= 1, got {n}")
     kind = json_field(obj, "kind", path)
     if kind == "table":
         values = _json_numbers(obj, "values", path)
         if values.shape != (n,):
-            raise ValueError(f"weight table has {values.shape[0]} values, expected n={n}")
+            raise ValueError(f"{path}.values: expected {n} values, got shape {values.shape}")
         if not (np.isfinite(values).all() and (values > 0).all()):
-            raise ValueError("weight table values must be finite and positive")
+            raise ValueError(f"{path}.values: weight table values must be finite and positive")
         return Weight(np.log(values))
     if kind == "closed_form":
         formula = json_field(obj, "formula", path)
         name = json_field(formula, "name", f"{path}.formula")
         if name != "poly_plus_one":
-            raise ValueError(f"unknown weight formula {name!r}")
-        return poly_plus_one_weight(n, _json_int(formula, "degree", f"{path}.formula"))
-    raise ValueError(f"unknown weight kind {kind!r}")
+            raise ValueError(f"{path}.formula.name: unknown weight formula {name!r}")
+        degree = _json_int(formula, "degree", f"{path}.formula")
+        if degree < 0:
+            raise ValueError(f"{path}.formula.degree: expected an integer >= 0, got {degree}")
+        return poly_plus_one_weight(n, degree)
+    raise ValueError(f"{path}.kind: unknown weight kind {kind!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -32,6 +33,11 @@ def reject_non_finite(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+def diagonal_scale(weight):
+    """A one-grade explicit scale on n = 2 with the given weight object."""
+    return {"scale": {"n": 2, "k_max": 0, "grades": [{"type": "diagonal", "weight": weight}]}}
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig("verify-all")
@@ -41,6 +47,11 @@ class TestRunConfig:
     def test_explicit_output_wins(self):
         cfg = RunConfig("ladder", output_path="out/report.json")
         assert cfg.output_file() == "out/report.json"
+
+    def test_parser_dests_are_the_config_fields(self):
+        # main builds RunConfig(**vars(args)); a drift would be a TypeError there
+        args = cli._build_parser().parse_args(["--command", "ladder"])
+        assert set(vars(args)) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -353,11 +364,32 @@ class TestHessianAnalyze:
              "operator.scale.grades[0].matrix: grade has dimension 3, expected operator.scale.n = 2"),
             ({"scale": {"n": 3, "k_max": 0, "grades": [{"type": "gram", "matrix": np.eye(3).tolist()}]}},
              "operator.scale.n: scale dimension 3 does not match operator dimension 2"),
+            ({"n": 0, "kind": "diagonal", "diag": []}, "operator.n: expected a dimension >= 1, got 0"),
+            ({"n": -1}, "operator.n: expected a dimension >= 1, got -1"),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0], "seed": -1},
+             "operator.seed: expected an integer >= 0, got -1"),
+            ({"kind": "sparse"}, "operator.kind: unknown operator kind 'sparse'"),
+            ({"matrix": [[1.0, 0.0]]}, "operator.matrix: expected shape (2, 2), got (1, 2)"),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0, 3.0], "seed": 1},
+             "operator.diag: expected shape (2,), got (3,)"),
+            (diagonal_scale({"n": 2, "kind": "table", "values": [1.0]}),
+             "operator.scale.grades[0].weight.values: expected 2 values, got shape (1,)"),
+            (diagonal_scale({"n": 2, "kind": "table", "values": [1.0, 0.0]}),
+             "operator.scale.grades[0].weight.values: weight table values must be finite and positive"),
+            (diagonal_scale({"n": 2, "kind": "closed_form", "formula": {"name": "exp", "degree": 1}}),
+             "operator.scale.grades[0].weight.formula.name: unknown weight formula 'exp'"),
+            (diagonal_scale({"n": 2, "kind": "mystery"}), "operator.scale.grades[0].weight.kind: unknown weight kind 'mystery'"),
+            (diagonal_scale({"n": 2, "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": -1}}),
+             "operator.scale.grades[0].weight.formula.degree: expected an integer >= 0, got -1"),
+            (diagonal_scale({"n": 0, "kind": "table", "values": []}),
+             "operator.scale.grades[0].weight.n: expected a dimension >= 1, got 0"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
              "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
              "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry",
-             "gram-indefinite", "grade-type", "grade-count", "grade-dimension", "scale-dimension"],
+             "gram-indefinite", "grade-type", "grade-count", "grade-dimension", "scale-dimension",
+             "n-zero", "n-negative", "seed-negative", "kind", "matrix-shape", "diag-shape",
+             "table-count", "table-nonpositive", "formula-name", "weight-kind", "degree-negative", "weight-n-zero"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -484,8 +516,15 @@ class TestLadder:
              "right.weight.formula.degree: expected an integer, got null"),
             ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}, "power": [2]},
              "right.power: expected an integer, got array"),
+            ({"weight": {"kind": "table", "values": [1.0, 2.0]}},
+             "right.weight.kind: ladder sides need closed-form weights (tables cannot grow with n)"),
+            ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}, "power": 0},
+             "right.power: expected an integer >= 1, got 0"),
+            ({"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": -2}}},
+             "right.weight.formula.degree: expected an integer >= 0, got -2"),
         ],
-        ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type", "degree-null", "power-list"],
+        ids=["formula", "formula-type", "degree", "weight", "weight-type", "side-type", "degree-null", "power-list",
+             "table-weight", "power-zero", "degree-negative"],
     )
     def test_malformed_side_field_is_named(self, tmp_path, capsys, right, message):
         path = tmp_path / "sides.json"

@@ -46,6 +46,7 @@ class TestFractalWeight:
         assert fw.values().min() >= 1.0
 
     def test_powers_compose_exactly(self):
+        # doubling is exact, so (log f * 2) * 3 and log f * 6 round alike
         fw = fractal_weight(decompose_diag([1.0, 2.0, 3.0]))
         assert np.array_equal(
             weight_power(weight_power(fw, 2), 3).log_values,

@@ -14,7 +14,6 @@ from scalehilbert.hessian import (
     SpectrumError,
     build_fractal_structure,
     check_kernel_cokernel,
-    check_symmetry,
     conjugated_diagonal,
     graph_equivalence_constants,
     graph_ladder,
@@ -35,7 +34,7 @@ from scalehilbert.spaces import (
     gram_matrix,
     weighted_sequence_space,
 )
-from scalehilbert.verify import FRACTAL, OPERATOR_CERTIFICATES, standard_operator_set
+from scalehilbert.verify import FRACTAL, OPERATOR_CERTIFICATES, SYMMETRY, standard_operator_set
 from scalehilbert.weights import Weight
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -64,6 +63,8 @@ class TestScaleOperator:
             ScaleOperator(np.array([[1.0, np.inf], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             ScaleOperator(np.eye(2, dtype=complex) * 1j)
+        with pytest.raises(ValueError, match="nonempty"):
+            ScaleOperator(np.zeros((0, 0)))
 
     def test_rejects_scale_dimension_mismatch(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 1)
@@ -72,28 +73,31 @@ class TestScaleOperator:
 
 
 class TestSymmetry:
+    """``linalg.symmetry_defect`` is the symmetry gate of
+    :func:`spectral_decompose` and the ``symmetry`` certificate."""
+
     def test_diagonal_passes_with_zero_defect(self):
-        report = check_symmetry(ScaleOperator(np.diag([3.0, 1.0, 2.0])))
-        assert report.defect == 0.0
-        assert report.passed
+        op = ScaleOperator(np.diag([3.0, 1.0, 2.0]))
+        assert linalg.symmetry_defect(op.matrix) == 0.0
+        spectral_decompose(op)
 
     def test_nilpotent_scores_exactly_one(self):
-        report = check_symmetry(ScaleOperator(NILPOTENT))
-        assert report.defect == 1.0
-        assert not report.passed
+        assert linalg.symmetry_defect(NILPOTENT) == 1.0
+        with pytest.raises(ValueError, match="defect 1.000e[+]00 exceeds tol 1.000e-10"):
+            spectral_decompose(ScaleOperator(NILPOTENT))
 
     def test_conjugated_diagonal_is_numerically_symmetric(self):
         op = conjugated_diagonal(np.arange(1.0, 9.0), seed=3)
-        assert check_symmetry(op).defect < 1e-14
+        assert linalg.symmetry_defect(op.matrix) < 1e-14
 
     def test_zero_matrix(self):
-        assert check_symmetry(ScaleOperator(np.zeros((3, 3)))).defect == 0.0
+        assert linalg.symmetry_defect(np.zeros((3, 3))) == 0.0
 
     def test_antisymmetric_scores_exactly_one(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        report = check_symmetry(ScaleOperator(a))
-        assert report.defect == 1.0
-        assert not report.passed
+        assert linalg.symmetry_defect(a) == 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectral_decompose(ScaleOperator(a))
 
     def test_defect_is_the_plain_ratio_up_to_one_and_capped_beyond(self):
         rng = np.random.default_rng(5)
@@ -102,30 +106,31 @@ class TestSymmetry:
             a = s + s.T + eps * (s - s.T)
             plain = np.linalg.norm(a - a.T) / np.linalg.norm(a + a.T)
             assert plain <= 1.0
-            assert check_symmetry(ScaleOperator(a)).defect == plain
+            assert linalg.symmetry_defect(a) == plain
         # mostly antisymmetric: ||A - A^T|| = 3 ||A + A^T||
-        report = check_symmetry(ScaleOperator(np.array([[0.0, 1.0], [-0.5, 0.0]])))
-        assert report.defect == 1.0
+        assert linalg.symmetry_defect(np.array([[0.0, 1.0], [-0.5, 0.0]])) == 1.0
 
     def test_huge_diagonal_is_symmetric_without_overflow(self):
         # ||A + A^T||_F overflows as a plain sum of squares; with the
         # suite's error::RuntimeWarning filter an overflow warning fails here
-        report = check_symmetry(ScaleOperator(np.diag([0.0, 1e200])))
-        assert report.defect == 0.0
-        assert report.passed
+        op = ScaleOperator(np.diag([0.0, 1e200]))
+        assert linalg.symmetry_defect(op.matrix) == 0.0
+        spectral_decompose(op)
 
     def test_defect_is_the_linalg_defect(self):
+        # the symmetry certificate reports the gate's defect unchanged
         rng = np.random.default_rng(7)
         s = rng.standard_normal((5, 5))
         for a in (NILPOTENT, np.zeros((2, 2)), s, s + s.T + 1e-11 * s, [[0.0, 1e200], [0.0, 1e200]]):
             op = ScaleOperator(np.array(a))
-            assert check_symmetry(op).defect == linalg.symmetry_defect(op.matrix)
+            assert SYMMETRY.defect(OperatorAnalysis(op), None) == linalg.symmetry_defect(op.matrix)
 
     def test_huge_asymmetric_defect_is_measured(self):
         # ||A - A^T|| / ||A + A^T|| = sqrt(2) / sqrt(6), not inf / inf
-        report = check_symmetry(ScaleOperator(np.array([[0.0, 1e200], [0.0, 1e200]])))
-        assert report.defect == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
-        assert not report.passed
+        a = np.array([[0.0, 1e200], [0.0, 1e200]])
+        assert linalg.symmetry_defect(a) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+        with pytest.raises(ValueError, match="defect 5.774e-01 exceeds"):
+            spectral_decompose(ScaleOperator(a))
 
 
 class TestKernelCokernel:
@@ -588,7 +593,7 @@ class TestOperatorJson:
         op1 = operator_from_json(obj)
         op2 = operator_from_json(obj)
         assert np.array_equal(op1.matrix, op2.matrix)
-        assert check_symmetry(op1).defect < 1e-14
+        assert linalg.symmetry_defect(op1.matrix) < 1e-14
         assert np.sort(np.linalg.eigvalsh(op1.matrix)) == pytest.approx(
             [1.0, 2.0, 3.0, 4.0], rel=1e-12
         )
