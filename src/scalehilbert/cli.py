@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,12 +37,15 @@ from .sobolev_circle import (_log_closed_form_diag, _log_closed_form_grades, ora
                              sigma_equivalence_constants)
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
-from .weights import _json_int, _json_type, json_field, weight_from_json
+from .weights import _closed_form_degree, _json_int, _json_type, _log_poly_plus_one, json_field
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
 COMMANDS = ("sobolev-demo", "hessian-analyze", "ladder", "verify-all")
 DEFAULT_LADDER = (64, 256, 1024)
+# indices per chunk of the ladder's log tables; even, so that no frequency
+# nu // 2 of a Sobolev side is split between two chunks
+_LADDER_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
         worst = float(np.max([worst, delta]))  # a NaN delta fails
         for nu in range(1, cfg.nu_max + 1):
             closed = float(diag[nu - 1])
-            quadrature = float(quad[nu - 1, nu - 1])
+            quadrature = float(quad[nu - 1])
             rows.append(
                 {
                     "nu": nu,
@@ -219,20 +222,65 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _parse_ladder_side(name: str, side, n: int):
-    """Ladder side ``name`` as a function k -> log weight table of grade k
-    on indices 1..n. Both kinds of side are elementwise in nu, so the
-    table of a smaller size is a prefix of this one."""
+def _parse_ladder_side(name: str, side):
+    """Ladder side ``name`` as a function of a run of consecutive indices
+    nu, which returns k -> log weight table of grade k on those indices.
+    Both kinds of side are elementwise in nu, so the tables of a chunk of
+    indices are the matching slice of the tables on 1..n."""
     if side == "sobolev":
-        return _log_closed_form_grades(n)
+        return _log_closed_form_grades
     spec = json_field(side, "weight", name)
     power = _json_int(side, "power", name, 1)
     if json_field(spec, "kind", f"{name}.weight") != "closed_form":
         raise ValueError(f"{name}.weight.kind: ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:
         raise ValueError(f"{name}.power: expected an integer >= 1, got {power}")
-    log_values = weight_from_json({**spec, "n": n}, f"{name}.weight").log_values
-    return lambda k: log_values * (power * k)
+    degree = _closed_form_degree(spec, f"{name}.weight")
+
+    def grades(nu):
+        log_values = _log_poly_plus_one(nu, degree)
+        return lambda k: log_values * (power * k)
+
+    return grades
+
+
+def _ladder_grade(k: int, c_lo: float, c_hi: float) -> tuple[dict, list]:
+    """The report entry of grade k at one rung, and the names of its
+    entries that are not finite doubles."""
+    grade = {"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": c_hi / c_lo if c_lo > 0.0 else math.inf}
+    return grade, [name for name in ("c_lo", "c_hi", "spread") if not math.isfinite(grade[name])]
+
+
+def _ladder_constants(left, right, sizes, k_max: int) -> dict:
+    """{(k, n): (c_lo, c_hi)}, the extremes of the ratio of the two sides'
+    grade-k weights over indices 1..n, for each rung n in sizes.
+
+    Both sides are evaluated over chunks of _LADDER_CHUNK indices, chunks
+    outer and grades inner, and each chunk is reduced per grade into running
+    prefix extremes that each rung reads at its boundary (a min of minima is
+    the prefix min, exactly). A grade whose running constants are not finite
+    fails at the last rung already; later chunks skip the grades above it,
+    which are then missing.
+    """
+    lows, highs = np.full(k_max + 1, math.inf), np.full(k_max + 1, -math.inf)
+    rungs, constants, top = set(sizes), {}, k_max
+    bounds = [0, *range(_LADDER_CHUNK - 1, sizes[-1], _LADDER_CHUNK), sizes[-1]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        nu = np.arange(lo + 1, hi + 1)
+        left_logs, right_logs = left(nu), right(nu)
+        cuts = [lo, *(n for n in sizes if lo < n < hi), hi]
+        for k in range(top + 1):
+            log_l, log_r = left_logs(k), right_logs(k)
+            for a, b in zip(cuts, cuts[1:]):
+                with np.errstate(over="ignore"):  # an overflow is rejected by the caller, by grade and rung
+                    c_lo, c_hi = diagonal_equivalence_constants(log_l[a - lo : b - lo], log_r[a - lo : b - lo])
+                lows[k], highs[k] = np.minimum(lows[k], c_lo), np.maximum(highs[k], c_hi)  # a NaN stays
+                if b in rungs:
+                    constants[k, b] = float(lows[k]), float(highs[k])
+            if _ladder_grade(k, float(lows[k]), float(highs[k]))[1]:
+                top = k
+                break
+    return constants
 
 
 def cmd_ladder(cfg: RunConfig) -> int:
@@ -247,16 +295,11 @@ def cmd_ladder(cfg: RunConfig) -> int:
     else:
         left = "sobolev"
         right = {"weight": {"n": sizes[-1], "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}}
-    # each side once per grade at the largest size; every rung reads a prefix
-    left_logs, right_logs = _parse_ladder_side("left", left, sizes[-1]), _parse_ladder_side("right", right, sizes[-1])
+    constants = _ladder_constants(_parse_ladder_side("left", left), _parse_ladder_side("right", right), sizes, cfg.k_max)
     grades = {n: [] for n in sizes}
     for k in range(cfg.k_max + 1):
-        log_l, log_r = left_logs(k), right_logs(k)
         for n in sizes:
-            with np.errstate(over="ignore"):  # an overflow is rejected below, by grade and rung
-                c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
-            grade = {"k": k, "c_lo": c_lo, "c_hi": c_hi, "spread": c_hi / c_lo if c_lo > 0.0 else math.inf}
-            bad = [name for name in ("c_lo", "c_hi", "spread") if not math.isfinite(grade[name])]
+            grade, bad = _ladder_grade(k, *constants[k, n])
             if bad:
                 raise ValueError(f"--k-max {cfg.k_max}: the {bad[0]} of grade {k} at rung n={n} is not a finite double")
             grades[n].append(grade)
@@ -316,14 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certificates for truncated scale Hilbert spaces and symmetric operators.",
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--n", type=int, default=8, help="operator dimension (hessian-analyze default operator)")
-    parser.add_argument("--nu-max", type=int, default=16, dest="nu_max", help="number of basis indices (sobolev-demo)")
-    parser.add_argument("--k-max", type=int, default=3, dest="k_max", help="highest grade")
-    parser.add_argument("--tol", type=float, default=None, help="override certificate tolerances (default: per-check)")
-    parser.add_argument("--input", default=None, dest="input_path", help="input JSON (operator or ladder sides)")
-    parser.add_argument("--output", default=None, dest="output_path", help="report JSON path")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed for randomized instances")
-    parser.add_argument("--ladder", default=None, help='comma-separated truncation sizes, e.g. "64,256,1024"')
+    parser.add_argument("--n", type=int, help="operator dimension (hessian-analyze default operator)")
+    parser.add_argument("--nu-max", type=int, dest="nu_max", help="number of basis indices (sobolev-demo)")
+    parser.add_argument("--k-max", type=int, dest="k_max", help="highest grade")
+    parser.add_argument("--tol", type=float, help="override certificate tolerances (default: per-check)")
+    parser.add_argument("--input", dest="input_path", help="input JSON (operator or ladder sides)")
+    parser.add_argument("--output", dest="output_path", help="report JSON path")
+    parser.add_argument("--seed", type=int, help="PRNG seed for randomized instances")
+    parser.add_argument("--ladder", help='comma-separated truncation sizes, e.g. "64,256,1024"')
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
     return parser
 
 

@@ -590,12 +590,16 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
     if scale is not None and scale.n != n:
         raise ValueError(f"{path}.scale.n: scale dimension {scale.n} does not match operator dimension {n}")
+    if scale is not None and scale.k_max < 1:  # the graph-equivalence and regularity constants read grade 1
+        raise ValueError(f"{path}.scale.k_max: an operator's scale needs grades 0 and 1, got k_max {scale.k_max}")
     if kind not in ("dense", "diagonal", "conjugated_diagonal"):
         raise ValueError(f"{path}.kind: unknown operator kind {kind!r}")
     key, shape = ("matrix", (n, n)) if kind == "dense" else ("diag", (n,))
     values = _json_numbers(obj, key, path)
     if values.shape != shape:
         raise ValueError(f"{path}.{key}: expected shape {shape}, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}.{key}: operator entries must be finite")
     if kind == "conjugated_diagonal":
         seed = _json_int(obj, "seed", path)
         if seed < 0:

@@ -25,9 +25,11 @@ each node, so the table is the trapezoid sum itself and never reads the closed
 form it checks. The scalar :func:`fourier_gram_quadrature` is its pointwise
 reference.
 
-One run of the oracle (:func:`oracle_deltas`) sums the cosines once, at
-grade k_max's node count, and streams grades 0..k_max through one reused
-table, filled block by block, so it is the only n x n array alive.
+The table is formed in row panels of its sine and cosine blocks
+(:func:`_grade_panels`), each holding grades 0..k_max in turn. One run of
+the oracle (:func:`oracle_deltas`) sums the cosines once, at grade k_max's
+node count, and reduces every panel to its diagonal and worst scaled delta,
+so it forms no n x n array; the full table is written from the same panels.
 """
 
 import math
@@ -115,12 +117,15 @@ def _log_closed_form_diag(nu, k: int):
     return out if np.ndim(nu) else float(out[0])
 
 
-def _log_closed_form_grades(n: int):
-    """k -> :func:`_log_closed_form_diag` over nu = 1..n, bitwise, evaluated
-    once per frequency m = nu // 2 from one log r shared by every grade."""
-    log_r = 2.0 * np.log(2.0 * math.pi * np.arange(1.0, n // 2 + 1))
-    index = np.arange(1, n + 1) // 2
-    return lambda k: np.concatenate(([0.0], _log_geometric_sum(log_r, k)))[index]
+def _log_closed_form_grades(nu: np.ndarray):
+    """k -> :func:`_log_closed_form_diag` over a run of consecutive indices
+    nu, bitwise, evaluated once per frequency m = nu // 2 from one log r
+    shared by every grade."""
+    m = nu // 2
+    start = int(m[0])
+    log_r = 2.0 * np.log(2.0 * math.pi * np.arange(max(start, 1), m[-1] + 1.0))
+    lead, index = [0.0] if start == 0 else [], m - start  # the constant function has log 1 = 0
+    return lambda k: np.concatenate((lead, _log_geometric_sum(log_r, k)))[index]
 
 
 def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
@@ -197,8 +202,8 @@ def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> 
         sum_{j=0}^k (w w^T)^j o G_{j mod 2},    w_nu = 2 pi floor(nu / 2),
 
     with G_1, the Gram of the directions, G_0 with its sine and cosine
-    blocks swapped and its constant row zeroed. Each grade is added block by
-    block into the one n x n array returned.
+    blocks swapped and its constant row zeroed. The sine and cosine blocks
+    are written row panel by row panel (:func:`_grade_panels`).
     """
     FourierBasisSpec(nu_max)
     if k < 0:
@@ -213,9 +218,9 @@ def _default_nodes(nu_max: int, k: int) -> int:
     return max(64, 4 * (nu_max // 2) * (k + 1))
 
 
-def _gram_blocks(max_m: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S(p) / q for p = 0..2 max_m, sine block, cosine block) of G_0 in
-    :func:`fourier_gram_quadrature_table`, on q >= 1 nodes."""
+def _gram_blocks(max_m: int, q: int) -> np.ndarray:
+    """S(p) / q for p = 0..2 max_m, the cosine sums that every block of G_0
+    in :func:`fourier_gram_quadrature_table` is read from, on q >= 1 nodes."""
     half, pairs = q // 2, (q - 1) // 2  # node i pairs with node q - i for i = 1..pairs
     cos_table = np.cos((2.0 * math.pi / q) * np.arange(half + 1))
     cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])  # phase q - p mirrors phase p
@@ -230,43 +235,65 @@ def _gram_blocks(max_m: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if pairs < half:
         sums += cos_table[p * half % q]  # node q/2 of an even q
     sums /= q
-    m = np.arange(1, max_m + 1)
-    near, far = sums[np.abs(m[:, None] - m)], sums[m[:, None] + m]
-    return sums, near - far, near + far
+    return sums
 
 
-def _grade_tables(nu_max: int, k_max: int, q: int):
-    """Yield the trapezoid tables of grades 0..k_max on q nodes, summed up
-    block by block in one buffer that each grade overwrites."""
-    s, sines, cosines = _gram_blocks(nu_max // 2, q)
-    table = np.zeros((nu_max, nu_max))  # the sine-cosine entries stay exactly 0
-    views = table[1::2, 1::2], table[2::2, 2::2]  # sines 1..nu_max // 2, cosines 1..(nu_max - 1) // 2
-    table[0, 0] = s[0]  # the constant's derivatives are 0
-    table[0, 2::2] = table[2::2, 0] = math.sqrt(2.0) * s[1 : len(views[1]) + 1]
-    w = 2.0 * math.pi * np.arange(1, nu_max // 2 + 1)
-    for j in range(k_max + 1):
-        wj = w**j
-        # G_1 swaps the blocks: sine -> cosine, cosine -> -sine (the signs cancel in pairs)
-        for view, block in zip(views, (cosines, sines) if j % 2 else (sines, cosines)):
-            c = len(view)
-            view += np.outer(wj[:c], wj[:c]) * block[:c, :c]
-        yield table
+def _constant_row(s: np.ndarray, nu_max: int) -> np.ndarray:
+    """Row 0 of every grade's table at the cosines, sqrt(2) S(m) / q."""
+    return math.sqrt(2.0) * s[1 : (nu_max - 1) // 2 + 1]
+
+
+# block rows per row panel in _grade_panels
+_ROW_PANEL = 64
+
+
+def _grade_panels(s: np.ndarray, nu_max: int, k_max: int):
+    """Yield (k, first, sine rows, cosine rows) of the trapezoid tables of
+    grades 0..k_max, read off the cosine sums s of :func:`_gram_blocks`: the
+    rows first.. (frequencies first + 1..) of the sine and cosine blocks, up
+    to _ROW_PANEL of them. Each panel adds the grades in turn into one pair
+    of buffers, so a grade overwrites the last; copy a panel to keep it.
+    """
+    sines_n, cosines_n = nu_max // 2, (nu_max - 1) // 2
+    m = np.arange(1, sines_n + 1)
+    w = 2.0 * math.pi * m
+    for first in range(0, sines_n, _ROW_PANEL):
+        rows = m[first : first + _ROW_PANEL, None]
+        near, far = s[np.abs(rows - m)], s[rows + m]
+        g0 = near - far, near + far  # the rows of G_0's sine and cosine blocks
+        panels = np.zeros((len(rows), sines_n)), np.zeros((min(len(rows), cosines_n - first), cosines_n))
+        for j in range(k_max + 1):
+            wj = w**j
+            # G_1 swaps the blocks: sine -> cosine, cosine -> -sine (the signs cancel in pairs)
+            for panel, block in zip(panels, g0[::-1] if j % 2 else g0):
+                r, c = panel.shape
+                panel += np.outer(wj[first : first + r], wj[:c]) * block[:r, :c]
+            yield j, first, *panels
 
 
 def _trapezoid_table(nu_max: int, k: int, q: int) -> np.ndarray:
     """:func:`fourier_gram_quadrature_table` at any q >= 1; the identities
     hold node by node, so also where q aliases two frequencies."""
-    *_, table = _grade_tables(nu_max, k, q)  # every grade is the same buffer
+    s = _gram_blocks(nu_max // 2, q)
+    table = np.zeros((nu_max, nu_max))  # the sine-cosine entries stay exactly 0
+    table[0, 0] = s[0]  # the constant's derivatives are 0
+    table[0, 2::2] = table[2::2, 0] = _constant_row(s, nu_max)
+    blocks = table[1::2, 1::2], table[2::2, 2::2]  # sines 1..nu_max // 2, cosines 1..(nu_max - 1) // 2
+    for grade, first, *panels in _grade_panels(s, nu_max, k):
+        if grade == k:
+            for block, panel in zip(blocks, panels):
+                block[first : first + len(panel)] = panel
     return table
 
 
 def oracle_deltas(nu_max: int, k_max: int):
-    """Yield (closed-form diagonal, quadrature Gram, worst scaled delta)
+    """Yield (closed-form diagonal, quadrature diagonal, worst scaled delta)
     for grades 0..k_max.
 
     Every grade is read off one set of cosine sums, on grade k_max's default
-    node count, which is alias-free for all lower grades too. The quadrature
-    Gram is one buffer that the next grade overwrites; copy it to keep it.
+    node count, which is alias-free for all lower grades too, and reduced
+    row panel by row panel (:func:`_grade_panels`), so no n x n array is
+    formed.
 
     Deltas are measured relative to sqrt(d_nu * d_nu') with d the
     closed-form diagonal, which is >= 1, so the scale is >= 1 too; on the
@@ -279,16 +306,25 @@ def oracle_deltas(nu_max: int, k_max: int):
     FourierBasisSpec(nu_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    for k, quad in enumerate(_grade_tables(nu_max, k_max, _default_nodes(nu_max, k_max))):
-        diag = np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
-        root = np.sqrt(diag)  # the outer product of diag itself overflows from d ~ 1e154 on
-        worst = [abs(diag[0] - quad[0, 0]), (np.abs(quad[0, 2::2]) / root[2::2]).max(initial=0.0)]  # d_1 = 1
-        for b in (1, 2):
-            resid = np.abs(quad[b::2, b::2])  # the closed form is exactly 0 off the diagonal
-            np.fill_diagonal(resid, np.abs(diag[b::2] - quad.diagonal()[b::2]))
-            resid /= np.outer(root[b::2], root[b::2])
-            worst.append(resid.max(initial=0.0))
-        yield diag, quad, float(np.max(worst))
+    s = _gram_blocks(nu_max // 2, _default_nodes(nu_max, k_max))
+    diags = [np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)]) for k in range(k_max + 1)]
+    roots = [np.sqrt(diag) for diag in diags]  # the outer product of diag itself overflows from d ~ 1e154 on
+    quads = np.empty((k_max + 1, nu_max))
+    quads[:, 0] = s[0]
+    row = np.abs(_constant_row(s, nu_max))
+    worst = [[abs(diag[0] - s[0]), (row / root[2::2]).max(initial=0.0)] for diag, root in zip(diags, roots)]  # d_1 = 1
+    for k, first, *panels in _grade_panels(s, nu_max, k_max):
+        for b, panel in zip((1, 2), panels):
+            i = np.arange(len(panel))
+            quad = quads[k, b::2][first : first + len(panel)]
+            quad[:] = panel[i, first + i]
+            resid = np.abs(panel)  # the closed form is exactly 0 off the diagonal
+            resid[i, first + i] = np.abs(diags[k][b::2][first + i] - quad)
+            root = roots[k][b::2]
+            resid /= np.outer(root[first : first + len(panel)], root[: panel.shape[1]])
+            worst[k].append(resid.max(initial=0.0))
+    for diag, quad, deltas in zip(diags, quads, worst):
+        yield diag, quad, float(np.max(deltas))
 
 
 def _log_sigma_ratio(nu_max: int, k: int) -> np.ndarray:

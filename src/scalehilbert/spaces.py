@@ -204,6 +204,8 @@ def space_from_json(obj: dict, path: str = "scale") -> TruncatedScaleSpace:
     ``path`` names the object in input errors."""
     n = _json_int(obj, "n", path)
     k_max = _json_int(obj, "k_max", path)
+    if k_max < 0:
+        raise ValueError(f"{path}.k_max: a scale space needs at least one grade, got k_max {k_max}")
     raw = json_field(obj, "grades", path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}.grades: expected an array, got {_json_type(raw)}")

@@ -117,15 +117,20 @@ def constant_weight(n: int) -> Weight:
     return Weight(np.zeros(n))
 
 
+def _log_poly_plus_one(nu, degree: int) -> np.ndarray:
+    """log(nu**degree + 1) over indices nu >= 1, elementwise and stable:
+    degree log nu + log1p(nu**-degree)."""
+    nu = np.asarray(nu, dtype=float)
+    return degree * np.log(nu) + np.log1p(nu ** (-float(degree)))
+
+
 def poly_plus_one_weight(n: int, degree: int) -> Weight:
     """The weight nu**degree + 1, evaluated stably in log scale."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    nu = np.arange(1, n + 1, dtype=float)
-    logs = degree * np.log(nu) + np.log1p(nu ** (-float(degree)))
-    return Weight(logs)
+    return Weight(_log_poly_plus_one(np.arange(1, n + 1), degree))
 
 
 def sigma_weight(n: int) -> Weight:
@@ -169,7 +174,10 @@ def _json_numbers(obj, key: str, path: str) -> np.ndarray:
     or null element is an input error naming it: "path.key[0]: expected a number, got string"."""
     value = json_field(obj, key, path)
     _require_numbers(value, f"{path}.{key}")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{path}.{key}: expected a rectangular array, got a ragged one") from None
 
 
 def _require_numbers(item, where: str):
@@ -199,12 +207,18 @@ def weight_from_json(obj: dict, path: str = "weight") -> Weight:
             raise ValueError(f"{path}.values: weight table values must be finite and positive")
         return Weight(np.log(values))
     if kind == "closed_form":
-        formula = json_field(obj, "formula", path)
-        name = json_field(formula, "name", f"{path}.formula")
-        if name != "poly_plus_one":
-            raise ValueError(f"{path}.formula.name: unknown weight formula {name!r}")
-        degree = _json_int(formula, "degree", f"{path}.formula")
-        if degree < 0:
-            raise ValueError(f"{path}.formula.degree: expected an integer >= 0, got {degree}")
-        return poly_plus_one_weight(n, degree)
+        return poly_plus_one_weight(n, _closed_form_degree(obj, path))
     raise ValueError(f"{path}.kind: unknown weight kind {kind!r}")
+
+
+def _closed_form_degree(obj: dict, path: str) -> int:
+    """The degree of the closed-form weight at ``path``, whose formula is
+    {"name": "poly_plus_one", "degree": d >= 0}."""
+    formula = json_field(obj, "formula", path)
+    name = json_field(formula, "name", f"{path}.formula")
+    if name != "poly_plus_one":
+        raise ValueError(f"{path}.formula.name: unknown weight formula {name!r}")
+    degree = _json_int(formula, "degree", f"{path}.formula")
+    if degree < 0:
+        raise ValueError(f"{path}.formula.degree: expected an integer >= 0, got {degree}")
+    return degree

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 
 from scalehilbert import cli, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
+from scalehilbert.sobolev_circle import _log_closed_form_diag
+from scalehilbert.spaces import diagonal_equivalence_constants
 from scalehilbert.verify import (
     BATCH_CERTIFICATES,
     OPERATOR_CERTIFICATES,
     analyze_operator_batch,
     standard_operator_set,
 )
+from scalehilbert.weights import poly_plus_one_weight
 
 # a spec value that removes its key from the operator object
 DROP = object()
@@ -52,6 +56,8 @@ class TestRunConfig:
         # main builds RunConfig(**vars(args)); a drift would be a TypeError there
         args = cli._build_parser().parse_args(["--command", "ladder"])
         assert set(vars(args)) == {f.name for f in dataclasses.fields(RunConfig)}
+        # and a default the CLI leaves unset is RunConfig's own
+        assert RunConfig(**vars(args)) == RunConfig("ladder")
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -383,13 +389,21 @@ class TestHessianAnalyze:
              "operator.scale.grades[0].weight.formula.degree: expected an integer >= 0, got -1"),
             (diagonal_scale({"n": 0, "kind": "table", "values": []}),
              "operator.scale.grades[0].weight.n: expected a dimension >= 1, got 0"),
+            ({"scale": {"n": 2, "k_max": 0, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1]]}]}},
+             "operator.scale.k_max: an operator's scale needs grades 0 and 1, got k_max 0"),
+            ({"matrix": [[1.0, 0.0], [0.0, float("nan")]]}, "operator.matrix: operator entries must be finite"),
+            ({"kind": "diagonal", "diag": [1.0, float("inf")]}, "operator.diag: operator entries must be finite"),
+            ({"matrix": [[1.0, 0.0], [0.0]]}, "operator.matrix: expected a rectangular array, got a ragged one"),
+            ({"scale": {"n": 2, "k_max": -1, "grades": []}},
+             "operator.scale.k_max: a scale space needs at least one grade, got k_max -1"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
              "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
              "diag-string", "diag-bool", "matrix-entry", "table-value", "gram-entry",
              "gram-indefinite", "grade-type", "grade-count", "grade-dimension", "scale-dimension",
              "n-zero", "n-negative", "seed-negative", "kind", "matrix-shape", "diag-shape",
-             "table-count", "table-nonpositive", "formula-name", "weight-kind", "degree-negative", "weight-n-zero"],
+             "table-count", "table-nonpositive", "formula-name", "weight-kind", "degree-negative", "weight-n-zero",
+             "k_max-zero", "matrix-nan", "diag-infinity", "matrix-ragged", "k_max-negative"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -547,6 +561,48 @@ class TestLadder:
         for n, rung in zip((8, 16, 64), rungs):
             assert main(argv + ["--ladder", str(n)]) == 0
             assert read_report("scalehilbert_ladder.json")["rungs"] == [rung]
+
+
+    @pytest.mark.parametrize("order", ["default", "sobolev-left", "sobolev-right"])
+    def test_chunked_constants_equal_whole_tables(self, tmp_path, order):
+        # rungs on both sides of the first chunk boundary, at index 1 and in
+        # the middle of a later chunk, against one whole table per side and grade
+        chunk = cli._LADDER_CHUNK
+        sizes = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
+        poly = {"weight": {"kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": 2}}, "power": 2}
+        left, right = {"default": ("sobolev", {**poly, "power": 1}), "sobolev-left": ("sobolev", poly),
+                       "sobolev-right": (poly, "sobolev")}[order]
+        argv = ["--command", "ladder", "--ladder", ",".join(map(str, sizes)), "--k-max", "3"]
+        if order != "default":
+            path = tmp_path / "sides.json"
+            path.write_text(json.dumps({"left": left, "right": right}))
+            argv += ["--input", str(path)]
+        assert main(argv) == 0
+        rungs = read_report("scalehilbert_ladder.json")["rungs"]
+
+        def whole_table(side, k):
+            if side == "sobolev":
+                return _log_closed_form_diag(np.arange(1, sizes[-1] + 1), k)
+            return poly_plus_one_weight(sizes[-1], 2).log_values * (side["power"] * k)
+
+        for k in range(4):
+            log_l, log_r = whole_table(left, k), whole_table(right, k)
+            for n, rung in zip(sizes, rungs):
+                c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
+                assert (rung["grades"][k]["c_lo"], rung["grades"][k]["c_hi"]) == (c_lo, c_hi)
+
+    def test_memory_stays_below_the_whole_tables(self):
+        # at 262144 indices a log table is 2 MiB, and the whole-table ladder
+        # held one per side and grade besides its ratios and gather index
+        argv = ["--command", "ladder", "--ladder", "1024,16384,262144"]
+        assert main(argv) == 0  # imports and first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestVerifyAll:
