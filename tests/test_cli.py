@@ -562,7 +562,6 @@ class TestLadder:
             assert main(argv + ["--ladder", str(n)]) == 0
             assert read_report("scalehilbert_ladder.json")["rungs"] == [rung]
 
-
     @pytest.mark.parametrize("order", ["default", "sobolev-left", "sobolev-right"])
     def test_chunked_constants_equal_whole_tables(self, tmp_path, order):
         # rungs on both sides of the first chunk boundary, at index 1 and in
