@@ -11,9 +11,11 @@ Four commands, selected with --command:
 * verify-all: the acceptance criterion suite.
 
 Every command writes a JSON report (plus a CSV mirror for tabular
-traces) and prints a short summary. Reports carry no timestamps, so a
-fixed configuration and seed reproduce them byte for byte. Exit codes:
-0 all certificates pass, 1 certificate failure, 2 input error.
+traces) and prints a short summary. A report is one line of compact JSON,
+exactly as ``json.dumps`` writes it, followed by a newline. Reports carry
+no timestamps, so a fixed configuration and seed reproduce them byte for
+byte. Exit codes: 0 all certificates pass, 1 certificate failure, 2 input
+error.
 """
 
 import argparse
@@ -37,7 +39,7 @@ from .sobolev_circle import (_log_closed_form_diag, _log_closed_form_grades, ora
                              sigma_equivalence_constants)
 from .spaces import diagonal_equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
-from .weights import _closed_form_degree, _json_int, _json_type, _log_poly_plus_one, json_field
+from .weights import _closed_form_degree, _json_int, _json_type, _log_poly_plus_one, _require_double, json_field
 
 __all__ = ["RunConfig", "main", "cmd_sobolev_demo", "cmd_hessian_analyze", "cmd_ladder", "cmd_verify_all"]
 
@@ -46,6 +48,8 @@ DEFAULT_LADDER = (64, 256, 1024)
 # indices per chunk of the ladder's log tables; even, so that no frequency
 # nu // 2 of a Sobolev side is split between two chunks
 _LADDER_CHUNK = 2**12
+# items of a top-level report list encoded per json.dumps call
+_JSON_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,25 @@ class RunConfig:
 
 
 def _write_json(path: str, obj: dict):
+    """Write exactly ``json.dumps(obj) + "\\n"``: one line of compact JSON.
+
+    ``json`` encodes in C only in a one-shot ``dumps`` without ``indent``,
+    so the report is encoded one top-level field at a time, and a top-level
+    list longer than _JSON_SLICE one slice of items at a time; the whole
+    report is never held as text.
+    """
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(", " if i else "")
+            if isinstance(value, list) and len(value) > _JSON_SLICE:
+                fh.write(json.dumps({key: []})[1:-2])  # '"key": ['
+                for start in range(0, len(value), _JSON_SLICE):
+                    fh.write((", " if start else "") + json.dumps(value[start : start + _JSON_SLICE])[1:-1])
+                fh.write("]")
+            else:
+                fh.write(json.dumps({key: value})[1:-1])
+        fh.write("}\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -108,21 +128,13 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
     rows = []
     worst = 0.0
     for k, (diag, quad, delta) in enumerate(oracle_deltas(cfg.nu_max, cfg.k_max)):
-        ratios = ratio_trace(cfg.nu_max, k)
         worst = float(np.max([worst, delta]))  # a NaN delta fails
-        for nu in range(1, cfg.nu_max + 1):
-            closed = float(diag[nu - 1])
-            quadrature = float(quad[nu - 1])
-            rows.append(
-                {
-                    "nu": nu,
-                    "k": k,
-                    "closed_form": closed,
-                    "quadrature": quadrature,
-                    "abs_delta": abs(closed - quadrature),
-                    "ratio": float(ratios[nu - 1]),
-                }
-            )
+        columns = diag.tolist(), quad.tolist(), np.abs(diag - quad).tolist(), ratio_trace(cfg.nu_max, k).tolist()
+        rows.extend(
+            {"nu": nu, "k": k, "closed_form": closed, "quadrature": quadrature, "abs_delta": abs_delta,
+             "ratio": ratio}
+            for nu, closed, quadrature, abs_delta, ratio in zip(range(1, cfg.nu_max + 1), *columns)
+        )
     constants = []
     for k in range(cfg.k_max + 1):
         c_lo, c_hi = sigma_equivalence_constants(cfg.nu_max, k)
@@ -142,7 +154,7 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
     _write_csv(
         _csv_path(out),
         ["nu", "k", "closed_form", "quadrature", "abs_delta", "ratio"],
-        [[r["nu"], r["k"], r["closed_form"], r["quadrature"], r["abs_delta"], r["ratio"]] for r in rows],
+        (row.values() for row in rows),
     )
     status = "PASS" if passed else "FAIL"
     print(f"sobolev-demo: {len(rows)} rows, worst scaled oracle delta {worst:.3e} (tol {tol:.1e}): {status}")
@@ -151,9 +163,13 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
 
 
 def _read_input(path: str) -> dict:
-    """The JSON object of an --input file."""
+    """The JSON object of an --input file. A syntax error, nesting too
+    deep for the parser or an integer too long to read names the file."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"input {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"input {path}: expected a JSON object, got {_json_type(obj)}")
     return obj
@@ -235,6 +251,7 @@ def _parse_ladder_side(name: str, side):
         raise ValueError(f"{name}.weight.kind: ladder sides need closed-form weights (tables cannot grow with n)")
     if power < 1:
         raise ValueError(f"{name}.power: expected an integer >= 1, got {power}")
+    _require_double(power, f"{name}.power")
     degree = _closed_form_degree(spec, f"{name}.weight")
 
     def grades(nu):

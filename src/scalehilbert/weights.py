@@ -171,22 +171,41 @@ def _json_int(obj, key: str, path: str, default=_REQUIRED) -> int:
 
 def _json_numbers(obj, key: str, path: str) -> np.ndarray:
     """:func:`json_field` read as a (nested) array of JSON numbers, as floats; a string, boolean
-    or null element is an input error naming it: "path.key[0]: expected a number, got string"."""
+    or null element, or an integer no double holds, is an input error naming it:
+    "path.key[0]: expected a number, got string"."""
     value = json_field(obj, key, path)
     _require_numbers(value, f"{path}.{key}")
     try:
         return np.asarray(value, dtype=float)
     except ValueError:  # numpy's "inhomogeneous shape"
         raise ValueError(f"{path}.{key}: expected a rectangular array, got a ragged one") from None
+    except OverflowError:  # an integer past the double range, named by the element-wise walk
+        _require_numbers(value, f"{path}.{key}", in_range=True)
+        raise
 
 
-def _require_numbers(item, where: str):
+def _require_numbers(item, where: str, in_range: bool = False):
+    """Every element of a nested array is a JSON number; with ``in_range``,
+    every element is visited and each integer must fit a double too."""
     if isinstance(item, list):
-        if not set(map(type, item)) <= {int, float}:  # a flat array of numbers is checked at C speed
+        if in_range or not set(map(type, item)) <= {int, float}:  # a flat array of numbers is checked at C speed
             for i, element in enumerate(item):
-                _require_numbers(element, f"{where}[{i}]")
+                _require_numbers(element, f"{where}[{i}]", in_range)
     elif type(item) not in (int, float):
         raise ValueError(f"{where}: expected a number, got {_json_type(item)}")
+    elif in_range:
+        _require_double(item, where)
+
+
+# the least integer that float() rounds past the largest double
+_DOUBLE_OVERFLOW = 2**1024 - 2**970
+
+
+def _require_double(number, where: str):
+    """An input error naming ``where`` if the JSON integer ``number`` converts to no double."""
+    if abs(number) >= _DOUBLE_OVERFLOW:
+        digits = len(str(abs(number)))
+        raise ValueError(f"{where}: expected a number within double range, got an integer of {digits} digits")
 
 
 def weight_from_json(obj: dict, path: str = "weight") -> Weight:
@@ -221,4 +240,5 @@ def _closed_form_degree(obj: dict, path: str) -> int:
     degree = _json_int(formula, "degree", f"{path}.formula")
     if degree < 0:
         raise ValueError(f"{path}.formula.degree: expected an integer >= 0, got {degree}")
+    _require_double(degree, f"{path}.formula.degree")
     return degree

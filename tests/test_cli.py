@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from scalehilbert.verify import (
     analyze_operator_batch,
     standard_operator_set,
 )
-from scalehilbert.weights import poly_plus_one_weight
+from scalehilbert.weights import _DOUBLE_OVERFLOW, _require_double, poly_plus_one_weight
 
 # a spec value that removes its key from the operator object
 DROP = object()
@@ -303,10 +304,23 @@ class TestHessianAnalyze:
         assert main(["--command", "hessian-analyze", "--input", "nope.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unparseable_input(self, tmp_path):
+    def test_unparseable_input(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: input {path}: Expecting property name")
+        path.write_text('{"n": 1, "kind": ')
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: input {path}: Expecting value: line 1 column 18 (char 17)\n"
+
+    @pytest.mark.parametrize("command", ["hessian-analyze", "ladder"])
+    def test_deeply_nested_input_is_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "matrix": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["--command", command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input {path}: maximum recursion depth exceeded")
+        assert "Traceback" not in err
 
     def test_non_object_input_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -623,6 +637,106 @@ class TestVerifyAll:
         report = read_report("scalehilbert_verify_all.json")
         assert not report["passed"]
         assert report["tol_override"] == 1e-300
+
+
+# a JSON integer of 401 digits, past the largest double (about 1.8e308)
+HUGE = 10**400
+TOO_LARGE = "expected a number within double range, got an integer of 401 digits"
+EYE = [[1, 0], [0, 1]]
+
+
+def poly_weight(degree):
+    return {"n": 2, "kind": "closed_form", "formula": {"name": "poly_plus_one", "degree": degree}}
+
+
+class TestIntegersPastTheDoubleRange:
+    @pytest.mark.parametrize(
+        "command, obj, where",
+        [
+            ("hessian-analyze", {"matrix": [[1, HUGE], [HUGE, 1]]}, "operator.matrix[0][1]"),
+            ("hessian-analyze", {"kind": "diagonal", "diag": [1, -HUGE]}, "operator.diag[1]"),
+            ("hessian-analyze", diagonal_scale({"n": 2, "kind": "table", "values": [1, HUGE]}),
+             "operator.scale.grades[0].weight.values[1]"),
+            ("hessian-analyze",
+             {"scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": EYE},
+                                                       {"type": "gram", "matrix": [[1, 0], [0, HUGE]]}]}},
+             "operator.scale.grades[1].matrix[1][1]"),
+            ("hessian-analyze", diagonal_scale(poly_weight(HUGE)), "operator.scale.grades[0].weight.formula.degree"),
+            ("ladder", {"left": {"weight": poly_weight(HUGE)}, "right": "sobolev"}, "left.weight.formula.degree"),
+            ("ladder", {"left": "sobolev", "right": {"weight": poly_weight(2), "power": HUGE}}, "right.power"),
+        ],
+        ids=["matrix", "diag", "table-values", "gram-matrix", "operator-degree", "ladder-degree", "ladder-power"],
+    )
+    def test_is_an_input_error_naming_its_path(self, tmp_path, capsys, command, obj, where):
+        # float() of such an integer raises OverflowError, which is no input error
+        if command == "hessian-analyze":
+            obj = {"n": 2, "kind": "dense", "matrix": EYE, **obj}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        assert main(["--command", command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: {TOO_LARGE}\n"
+
+    def test_bound_is_where_float_overflows(self):
+        # integers just below the bound round to the largest double
+        below = _DOUBLE_OVERFLOW - 1
+        assert float(below) == sys.float_info.max
+        _require_double(-below, "x")
+        with pytest.raises(OverflowError):
+            float(_DOUBLE_OVERFLOW)
+        with pytest.raises(ValueError, match="^x: expected a number within double range"):
+            _require_double(_DOUBLE_OVERFLOW, "x")
+
+
+class TestReportFormat:
+    @staticmethod
+    def rows(count):
+        return [{"nu": i, "k": i % 4, "closed_form": i / 7, "quadrature": i / 7 + 1e-17, "abs_delta": 1e-17,
+                 "ratio": 1.0 + i} for i in range(count)]
+
+    @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE, cli._JSON_SLICE + 1, 2 * cli._JSON_SLICE + 1])
+    def test_writer_equals_json_dumps(self, count):
+        rows = self.rows(count)
+        if rows:
+            rows[-1]["ratio"] = float("nan")
+        report = {"command": "x", "empty": {}, "nested": {"a": {"b": [1, 2.5, None]}, "c": True}, "rows": rows,
+                  "tail": [{"k": k} for k in range(count)], "last": float("nan")}
+        cli._write_json("report.json", report)
+        with open("report.json") as fh:
+            assert fh.read() == json.dumps(report) + "\n"
+
+    def test_writer_of_an_empty_report(self):
+        cli._write_json("report.json", {})
+        with open("report.json") as fh:
+            assert fh.read() == "{}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--command", "sobolev-demo", "--nu-max", "100"],
+            ["--command", "hessian-analyze", "--n", "300"],
+            ["--command", "ladder"],
+            ["--command", "verify-all"],
+        ],
+        ids=["sobolev-demo", "hessian-analyze", "ladder", "verify-all"],
+    )
+    def test_every_report_is_one_json_dumps_line(self, argv):
+        main(argv + ["--output", "report.json"])
+        with open("report.json") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text)) + "\n"
+        assert text.count("\n") == 1
+
+    def test_writer_holds_one_slice(self):
+        # the 4096 rows of sobolev-demo --nu-max 1024 --k-max 3; one json.dumps
+        # of the whole report builds its chunk list and text, about 3.7 MiB
+        report = {"command": "x", "rows": self.rows(4096)}
+        tracemalloc.start()
+        try:
+            cli._write_json("report.json", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestArgumentHandling:
