@@ -12,18 +12,21 @@ Four commands, selected with --command:
 
 Every command writes a JSON report (plus a CSV mirror for tabular
 traces) and prints a short summary. A report is one line of compact JSON,
-exactly as ``json.dumps`` writes it, followed by a newline. Reports carry
-no timestamps, so a fixed configuration and seed reproduce them byte for
-byte. Exit codes: 0 all certificates pass, 1 certificate failure, 2 input
-error.
+exactly as ``json.dumps`` writes it, followed by a newline. A CSV mirror has
+one line per row, its numbers' ``str`` (a float's repr) joined by commas; a
+number never needs quoting, so these are the lines ``csv.writer`` writes.
+Reports carry no timestamps, so a fixed configuration and seed reproduce
+them byte for byte. Exit codes: 0 all certificates pass, 1 certificate
+failure, 2 input error.
 """
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -48,7 +51,7 @@ DEFAULT_LADDER = (64, 256, 1024)
 # indices per chunk of the ladder's log tables; even, so that no frequency
 # nu // 2 of a Sobolev side is split between two chunks
 _LADDER_CHUNK = 2**12
-# items of a top-level report list encoded per json.dumps call
+# items of a top-level report list or iterator encoded per json.dumps call
 _JSON_SLICE = 256
 
 
@@ -88,21 +91,24 @@ class RunConfig:
 
 
 def _write_json(path: str, obj: dict):
-    """Write exactly ``json.dumps(obj) + "\\n"``: one line of compact JSON.
+    """Write exactly ``json.dumps(obj) + "\\n"``: one line of compact JSON,
+    where a top-level iterator is written as the list of its items.
 
     ``json`` encodes in C only in a one-shot ``dumps`` without ``indent``,
     so the report is encoded one top-level field at a time, and a top-level
-    list longer than _JSON_SLICE one slice of items at a time; the whole
+    list or iterator one slice of _JSON_SLICE items at a time; the whole
     report is never held as text.
     """
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
             fh.write(", " if i else "")
-            if isinstance(value, list) and len(value) > _JSON_SLICE:
+            if isinstance(value, (list, Iterator)):
                 fh.write(json.dumps({key: []})[1:-2])  # '"key": ['
-                for start in range(0, len(value), _JSON_SLICE):
-                    fh.write((", " if start else "") + json.dumps(value[start : start + _JSON_SLICE])[1:-1])
+                items, sep = iter(value), ""
+                while chunk := list(itertools.islice(items, _JSON_SLICE)):
+                    fh.write(sep + json.dumps(chunk)[1:-1])
+                    sep = ", "
                 fh.write("]")
             else:
                 fh.write(json.dumps({key: value})[1:-1])
@@ -111,9 +117,7 @@ def _write_json(path: str, obj: dict):
 
 def _write_csv(path: str, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))
 
 
 def _csv_path(json_path: str) -> str:
@@ -125,16 +129,17 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
     if _log_closed_form_diag(cfg.nu_max, cfg.k_max) >= math.log(sys.float_info.max):
         raise ValueError(f"--k-max {cfg.k_max} overflows the closed-form Sobolev weight at --nu-max {cfg.nu_max}")
     tol = cfg.tol if cfg.tol is not None else ORACLE_TOL
-    rows = []
+    grades = []
     worst = 0.0
     for k, (diag, quad, delta) in enumerate(oracle_deltas(cfg.nu_max, cfg.k_max)):
         worst = float(np.max([worst, delta]))  # a NaN delta fails
-        columns = diag.tolist(), quad.tolist(), np.abs(diag - quad).tolist(), ratio_trace(cfg.nu_max, k).tolist()
-        rows.extend(
-            {"nu": nu, "k": k, "closed_form": closed, "quadrature": quadrature, "abs_delta": abs_delta,
-             "ratio": ratio}
-            for nu, closed, quadrature, abs_delta, ratio in zip(range(1, cfg.nu_max + 1), *columns)
-        )
+        grades.append((diag, quad, np.abs(diag - quad), ratio_trace(cfg.nu_max, k)))
+    header = ("nu", "k", "closed_form", "quadrature", "abs_delta", "ratio")
+
+    def rows():  # one grade's columns held as Python floats at a time
+        for k, columns in enumerate(grades):
+            yield from zip(range(1, cfg.nu_max + 1), itertools.repeat(k), *(c.tolist() for c in columns))
+
     constants = []
     for k in range(cfg.k_max + 1):
         c_lo, c_hi = sigma_equivalence_constants(cfg.nu_max, k)
@@ -147,17 +152,13 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
         "tol": tol,
         "oracle": {"worst_scaled_delta": worst, "passed": passed},
         "sigma_constants": constants,
-        "rows": rows,
+        "rows": (dict(zip(header, row)) for row in rows()),
     }
     out = cfg.output_file()
     _write_json(out, report)
-    _write_csv(
-        _csv_path(out),
-        ["nu", "k", "closed_form", "quadrature", "abs_delta", "ratio"],
-        (row.values() for row in rows),
-    )
-    status = "PASS" if passed else "FAIL"
-    print(f"sobolev-demo: {len(rows)} rows, worst scaled oracle delta {worst:.3e} (tol {tol:.1e}): {status}")
+    _write_csv(_csv_path(out), header, rows())
+    status, count = "PASS" if passed else "FAIL", cfg.nu_max * (cfg.k_max + 1)
+    print(f"sobolev-demo: {count} rows, worst scaled oracle delta {worst:.3e} (tol {tol:.1e}): {status}")
     print(f"report: {out} (CSV mirror {_csv_path(out)})")
     return 0 if passed else 1
 

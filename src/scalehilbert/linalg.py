@@ -39,9 +39,12 @@ def frobenius(m):
 def symmetry_defect(m):
     """Frobenius asymmetry ||M - M^T|| / max(||M + M^T||, ||M - M^T||) in
     [0, 1]: 0 for a symmetric or zero matrix, exactly 1 for a strictly
-    triangular or skew-symmetric one."""
-    num = frobenius(m - m.T)
-    den = max(frobenius(m + m.T), num)
+    triangular or skew-symmetric one; read on m / max|m| if M +- M^T overflows."""
+    with np.errstate(over="ignore"):
+        num = frobenius(m - m.T)
+        den = max(frobenius(m + m.T), num)
+    if not np.isfinite([num, den]).all() and np.isfinite(scale := float(np.max(np.abs(m)))):
+        return symmetry_defect(m / scale)
     return num / den if den > 0.0 else 0.0
 
 

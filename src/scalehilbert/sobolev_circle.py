@@ -25,11 +25,14 @@ each node, so the table is the trapezoid sum itself and never reads the closed
 form it checks. The scalar :func:`fourier_gram_quadrature` is its pointwise
 reference.
 
-The table is formed in row panels of its sine and cosine blocks
-(:func:`_grade_panels`), each holding grades 0..k_max in turn. One run of
-the oracle (:func:`oracle_deltas`) sums the cosines once, at grade k_max's
-node count, and reduces every panel to its diagonal and worst scaled delta,
-so it forms no n x n array; the full table is written from the same panels.
+The cosine sums run over panels of frequencies (outer) and blocks of node
+pairs (inner, in node order), with phases offset from a per-panel table, so
+each sum adds the same block sums in the same order whatever the panel size
+(:func:`_gram_blocks`). The table is formed in row panels of its sine and
+cosine blocks (:func:`_grade_panels`), each holding grades 0..k_max in turn.
+One run of the oracle (:func:`oracle_deltas`) sums the cosines once, at grade
+k_max's node count, and reduces every panel to its diagonal and worst scaled
+delta, so it forms no n x n array; the full table is written from the same panels.
 """
 
 import math
@@ -144,6 +147,8 @@ def _derivative_values(m: int, kind: str, j: int, t: np.ndarray) -> np.ndarray:
 
 # nodes per block of the cosine sums in fourier_gram_quadrature_table
 _NODE_BLOCK = 256
+# frequencies per panel of the cosine sums, and block rows per row panel in _grade_panels
+_ROW_PANEL = 32
 
 
 def _require_nodes(q: int, max_m: int, k: int):
@@ -194,7 +199,8 @@ def fourier_gram_quadrature_table(nu_max: int, k: int, q: int | None = None) -> 
     symmetric under t -> -t, is never written, so it is exactly 0. Each S(p)
     is gathered at the exact integer phases (p * i) mod q from a cosine table
     on phases 0..q/2, mirrored exactly to the rest, and summed over the node
-    pairs (i, q - i) in blocks of _NODE_BLOCK. The j-th derivative of a basis
+    pairs (i, q - i) in blocks of _NODE_BLOCK, in node order, for a panel of
+    frequencies at a time (:func:`_gram_blocks`). The j-th derivative of a basis
     function is (2 pi m)^j times, up to sign, the function (j even) or its
     derivative direction (j odd: sine -> cosine, cosine -> -sine, constant ->
     0), so the table is
@@ -220,16 +226,22 @@ def _default_nodes(nu_max: int, k: int) -> int:
 
 def _gram_blocks(max_m: int, q: int) -> np.ndarray:
     """S(p) / q for p = 0..2 max_m, the cosine sums that every block of G_0
-    in :func:`fourier_gram_quadrature_table` is read from, on q >= 1 nodes."""
+    in :func:`fourier_gram_quadrature_table` is read from, on q >= 1 nodes.
+    Panels of _ROW_PANEL frequencies p (outer) form the offsets (p j) mod q,
+    j < _NODE_BLOCK, once; node block i0.. (inner, in node order) reads its
+    phases, those plus (p i0) mod q < 2q, from the cosine table repeated twice.
+    Each S(p) adds the same block sums in the same order whatever the panel."""
     half, pairs = q // 2, (q - 1) // 2  # node i pairs with node q - i for i = 1..pairs
     cos_table = np.cos((2.0 * math.pi / q) * np.arange(half + 1))
     cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])  # phase q - p mirrors phase p
+    cos_twice = np.concatenate([cos_table, cos_table])  # phases 0..2q - 1, so no % q per node
     p = np.arange(2 * max_m + 1)
     sums = np.zeros(2 * max_m + 1)
-    for start in range(1, pairs + 1, _NODE_BLOCK):
-        phase = np.multiply.outer(p, np.arange(start, min(start + _NODE_BLOCK, pairs + 1)))
-        phase %= q
-        sums += cos_table[phase].sum(axis=1)
+    for first in range(0, len(p), _ROW_PANEL):
+        rows, panel = p[first : first + _ROW_PANEL, None], sums[first : first + _ROW_PANEL]
+        offsets = rows * np.arange(min(_NODE_BLOCK, pairs)) % q
+        for start in range(1, pairs + 1, _NODE_BLOCK):
+            panel += cos_twice[offsets[:, : pairs + 1 - start] + rows * start % q].sum(axis=1)
     sums *= 2.0  # each pair stands for two equal terms
     sums += 1.0  # node 0
     if pairs < half:
@@ -241,10 +253,6 @@ def _gram_blocks(max_m: int, q: int) -> np.ndarray:
 def _constant_row(s: np.ndarray, nu_max: int) -> np.ndarray:
     """Row 0 of every grade's table at the cosines, sqrt(2) S(m) / q."""
     return math.sqrt(2.0) * s[1 : (nu_max - 1) // 2 + 1]
-
-
-# block rows per row panel in _grade_panels
-_ROW_PANEL = 64
 
 
 def _grade_panels(s: np.ndarray, nu_max: int, k_max: int):
@@ -307,7 +315,9 @@ def oracle_deltas(nu_max: int, k_max: int):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     s = _gram_blocks(nu_max // 2, _default_nodes(nu_max, k_max))
-    diags = [np.array([fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)]) for k in range(k_max + 1)]
+    # the closed form reads nu only through m = nu // 2: one call per m, at nu = 1, 2, 4, ..
+    heads, freq = [1, *range(2, nu_max + 1, 2)], np.arange(1, nu_max + 1) // 2
+    diags = [np.array([fourier_gram_closed_form(nu, nu, k) for nu in heads])[freq] for k in range(k_max + 1)]
     roots = [np.sqrt(diag) for diag in diags]  # the outer product of diag itself overflows from d ~ 1e154 on
     quads = np.empty((k_max + 1, nu_max))
     quads[:, 0] = s[0]

@@ -177,8 +177,12 @@ def _json_numbers(obj, key: str, path: str) -> np.ndarray:
     _require_numbers(value, f"{path}.{key}")
     try:
         return np.asarray(value, dtype=float)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise ValueError(f"{path}.{key}: expected a rectangular array, got a ragged one") from None
+    except ValueError:  # numpy's "inhomogeneous shape", or more than its 64 dimensions
+        depth, level = 0, [value]
+        while level:
+            depth, level = depth + 1, [item for items in level for item in items if isinstance(item, list)]
+        got = f"one nested {depth} deep" if depth > 64 else "a ragged one"
+        raise ValueError(f"{path}.{key}: expected a rectangular array, got {got}") from None
     except OverflowError:  # an integer past the double range, named by the element-wise walk
         _require_numbers(value, f"{path}.{key}", in_range=True)
         raise

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import sys
@@ -21,6 +22,13 @@ from scalehilbert.weights import _DOUBLE_OVERFLOW, _require_double, poly_plus_on
 
 # a spec value that removes its key from the operator object
 DROP = object()
+
+
+def nested(value, depth):
+    """``value`` inside depth - 1 more levels of one-element arrays."""
+    for _ in range(depth - 1):
+        value = [value]
+    return value
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +159,19 @@ class TestSobolevDemo:
         assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", str(k_max)]) == 0
         # grade k_max's own default node count, which every lower grade accepts
         assert builds == [max(64, 4 * 8 * (k_max + 1))]
+
+    def test_warm_run_holds_row_panels(self):
+        # the 4096 row dicts, the 4096 closed-form calls and the cosine sums'
+        # 1025 x 256 node blocks took 4.2 MiB
+        argv = ["--command", "sobolev-demo", "--nu-max", "1024", "--k-max", "3"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_custom_output_path(self, tmp_path):
         target = tmp_path / "demo.json"
@@ -408,6 +429,10 @@ class TestHessianAnalyze:
             ({"matrix": [[1.0, 0.0], [0.0, float("nan")]]}, "operator.matrix: operator entries must be finite"),
             ({"kind": "diagonal", "diag": [1.0, float("inf")]}, "operator.diag: operator entries must be finite"),
             ({"matrix": [[1.0, 0.0], [0.0]]}, "operator.matrix: expected a rectangular array, got a ragged one"),
+            ({"matrix": nested([1.0], 900)},
+             "operator.matrix: expected a rectangular array, got one nested 900 deep"),
+            ({"kind": "diagonal", "diag": nested([1.0, 2.0], 70)},
+             "operator.diag: expected a rectangular array, got one nested 70 deep"),
             ({"scale": {"n": 2, "k_max": -1, "grades": []}},
              "operator.scale.k_max: a scale space needs at least one grade, got k_max -1"),
         ],
@@ -417,7 +442,8 @@ class TestHessianAnalyze:
              "gram-indefinite", "grade-type", "grade-count", "grade-dimension", "scale-dimension",
              "n-zero", "n-negative", "seed-negative", "kind", "matrix-shape", "diag-shape",
              "table-count", "table-nonpositive", "formula-name", "weight-kind", "degree-negative", "weight-n-zero",
-             "k_max-zero", "matrix-nan", "diag-infinity", "matrix-ragged", "k_max-negative"],
+             "k_max-zero", "matrix-nan", "diag-infinity", "matrix-ragged", "matrix-deep", "diag-deep",
+             "k_max-negative"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -703,6 +729,34 @@ class TestReportFormat:
         cli._write_json("report.json", report)
         with open("report.json") as fh:
             assert fh.read() == json.dumps(report) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE, cli._JSON_SLICE + 1])
+    def test_writer_writes_an_iterator_as_its_list(self, count):
+        rows = self.rows(count)
+        cli._write_json("report.json", {"command": "x", "rows": iter(rows), "tail": (row["k"] for row in rows)})
+        with open("report.json") as fh:
+            assert fh.read() == json.dumps({"command": "x", "rows": rows, "tail": [row["k"] for row in rows]}) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--command", "sobolev-demo", "--nu-max", "100"],
+            ["--command", "hessian-analyze", "--n", "30"],
+            ["--command", "ladder"],
+        ],
+        ids=["sobolev-demo", "hessian-analyze", "ladder"],
+    )
+    def test_csv_mirror_is_what_csv_writer_writes(self, monkeypatch, argv):
+        written, write_csv = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: written.append((header, list(rows))))
+        main(argv)
+        (header, rows), = written
+        assert rows
+        with open("module.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        write_csv("joined.csv", header, iter(rows))
+        with open("module.csv", "rb") as expected, open("joined.csv", "rb") as joined:
+            assert joined.read() == expected.read()
 
     def test_writer_of_an_empty_report(self):
         cli._write_json("report.json", {})

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ class TestSymmetry:
         op = ScaleOperator(np.diag([0.0, 1e200]))
         assert linalg.symmetry_defect(op.matrix) == 0.0
         spectral_decompose(op)
+
+    @pytest.mark.parametrize(
+        "a, defect",
+        [(np.diag([1.0, 1.7e308]), 0.0), (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), 1.0)],
+        ids=["diagonal", "antisymmetric"],
+    )
+    def test_entries_near_the_double_max_are_measured_without_overflow(self, a, defect):
+        # A +- A^T overflows in the add itself; the defect is then read on A / max|A|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.symmetry_defect(a) == defect
 
     def test_defect_is_the_linalg_defect(self):
         # the symmetry certificate reports the gate's defect unchanged

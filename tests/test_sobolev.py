@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scalehilbert import sobolev_circle
 from scalehilbert.sobolev_circle import (
     FourierBasisSpec,
+    _default_nodes,
     _derivative_values,
+    _gram_blocks,
     _log_closed_form_diag,
     _log_closed_form_grades,
     _trapezoid_table,
@@ -248,6 +251,50 @@ class TestStreamedTable:
         assert peak < 24 * 2**20
 
 
+def node_block_gram_blocks(max_m, q, node_block=256):
+    """S(p) / q summed node block by node block over every frequency at once,
+    with the phases (p * i) mod q formed per block: the (2 max_m + 1) x
+    node_block form of :func:`_gram_blocks`, kept as its bitwise reference
+    at the node block size whose summation order the reports carry."""
+    half, pairs = q // 2, (q - 1) // 2
+    cos_table = np.cos((2.0 * math.pi / q) * np.arange(half + 1))
+    cos_table = np.concatenate([cos_table, cos_table[pairs:0:-1]])
+    p = np.arange(2 * max_m + 1)
+    sums = np.zeros(2 * max_m + 1)
+    for start in range(1, pairs + 1, node_block):
+        phase = np.multiply.outer(p, np.arange(start, min(start + node_block, pairs + 1)))
+        phase %= q
+        sums += cos_table[phase].sum(axis=1)
+    sums *= 2.0
+    sums += 1.0
+    if pairs < half:
+        sums += cos_table[p * half % q]
+    sums /= q
+    return sums
+
+
+class TestCosineSums:
+    """The cosine sums in frequency panels equal the whole-block sums bit for bit."""
+
+    @pytest.mark.parametrize("max_m", [0, 1, 15, 16, 17, 100, 512])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 64, 101, 1000, "default"])
+    def test_panels_equal_the_node_block_sums_bitwise(self, max_m, q):
+        # fewer pairs than a node block, a partial last node block, a
+        # frequency count that the panel size does not divide, odd and even q
+        q = _default_nodes(2 * max_m, 3) if q == "default" else q
+        assert np.array_equal(_gram_blocks(max_m, q), node_block_gram_blocks(max_m, q))
+
+    def test_memory_stays_below_one_node_block_of_all_frequencies(self):
+        # the 1025 x 256 int64 phases and their float gather were 2 MiB each
+        tracemalloc.start()
+        try:
+            _gram_blocks(512, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestOracleStream:
     """Every grade of the oracle from one set of cosine sums at grade k_max's q."""
 
@@ -274,9 +321,23 @@ class TestOracleStream:
         finally:
             tracemalloc.stop()
         assert len(deltas) == 4
-        # the row panels form no 1024 x 1024 array (8 MiB); the cosine sums'
-        # node blocks (4 MiB) set the peak
-        assert peak < 6 * 2**20
+        # the row panels form no 1024 x 1024 array (8 MiB), and the cosine
+        # sums no 1025 x 256 block of phases (4 MiB with its gather)
+        assert peak < 2 * 2**20
+
+    def test_one_closed_form_call_per_frequency_and_grade(self, monkeypatch):
+        calls = []
+        closed_form = sobolev_circle.fourier_gram_closed_form
+
+        def counted(nu, nu_prime, k):
+            calls.append(nu)
+            return closed_form(nu, nu_prime, k)
+
+        monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", counted)
+        diags = [diag for diag, _, _ in oracle_deltas(1024, 3)]
+        assert len(calls) == 513 * 4
+        for k, diag in enumerate(diags):
+            assert np.array_equal(diag, [closed_form(nu, nu, k) for nu in range(1, 1025)])
 
 
 class TestFractalRatio:
