@@ -70,18 +70,18 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.n < 1 or self.nu_max < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        for flag, value, low in (("--n", self.n, 1), ("--nu-max", self.nu_max, 1), ("--k-max", self.k_max, 0),
+                                 ("--seed", self.seed, 0)):
+            if value < low:
+                raise ValueError(f"{flag}: expected an integer >= {low}, got {value}")
+        if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"--tol: expected a finite number > 0, got {self.tol}")
         if self.ladder is not None:
             sizes = tuple(int(s) for s in self.ladder)
             if not sizes or any(s < 1 for s in sizes) or any(
                 b <= a for a, b in zip(sizes, sizes[1:])
             ):
-                raise ValueError("ladder must be strictly increasing positive sizes")
+                raise ValueError(f"--ladder: expected strictly increasing positive sizes, got {list(sizes)}")
             object.__setattr__(self, "ladder", sizes)
 
     def output_file(self) -> str:
@@ -393,7 +393,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.ladder is not None:
-            args.ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
+            try:
+                args.ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
+            except ValueError:
+                raise ValueError(f"--ladder: expected comma-separated integers, got {args.ladder!r}") from None
         cfg = RunConfig(**vars(args))  # the parser's dests are RunConfig's fields
         return _DISPATCH[cfg.command](cfg)
     except (ValueError, KeyError, OSError) as exc:

@@ -1,12 +1,16 @@
+import ast
 import csv
 import dataclasses
 import json
+import math
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import trapezoid
 
 from scalehilbert import cli, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
@@ -22,6 +26,12 @@ from scalehilbert.weights import _DOUBLE_OVERFLOW, _require_double, poly_plus_on
 
 # a spec value that removes its key from the operator object
 DROP = object()
+SRC = Path(__file__).resolve().parents[1] / "src" / "scalehilbert"
+# the numeric trapezoid oracle, which the package no longer carries
+MOVED_TO_TESTS = (
+    "fourier_gram_quadrature_table", "fourier_gram_quadrature", "_trapezoid_table", "_gram_blocks", "_grade_panels",
+    "_constant_row", "_derivative_values", "_require_nodes", "_default_nodes", "_NODE_BLOCK", "_ROW_PANEL",
+)
 
 
 def nested(value, depth):
@@ -83,6 +93,32 @@ class TestRunConfig:
             RunConfig("ladder", ladder=(128, 64))
         with pytest.raises(ValueError):
             RunConfig("ladder", ladder=())
+        with pytest.raises(ValueError, match="^--seed: expected an integer >= 0, got -1$"):
+            RunConfig("verify-all", seed=-1)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^--tol: expected a finite number > 0"):
+                RunConfig("verify-all", tol=tol)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+            (["--tol", "inf"], "--tol: expected a finite number > 0, got inf"),
+            (["--tol", "nan"], "--tol: expected a finite number > 0, got nan"),
+            (["--tol", "0"], "--tol: expected a finite number > 0, got 0.0"),
+            (["--n", "0"], "--n: expected an integer >= 1, got 0"),
+            (["--nu-max", "0"], "--nu-max: expected an integer >= 1, got 0"),
+            (["--k-max", "-1"], "--k-max: expected an integer >= 0, got -1"),
+            (["--ladder", "64,32"], "--ladder: expected strictly increasing positive sizes, got [64, 32]"),
+            (["--ladder", "abc"], "--ladder: expected comma-separated integers, got 'abc'"),
+        ],
+        ids=["seed", "tol-inf", "tol-nan", "tol-zero", "n", "nu-max", "k-max", "ladder-order", "ladder-text"],
+    )
+    def test_bad_flag_is_named(self, capsys, flags, message):
+        # before any command runs, for every command
+        for command in ("verify-all", "sobolev-demo"):
+            assert main(["--command", command, *flags]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSobolevDemo:
@@ -147,22 +183,37 @@ class TestSobolevDemo:
         assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
 
     @pytest.mark.parametrize("k_max", [3, 10])
-    def test_one_cosine_sum_build_per_run(self, monkeypatch, k_max):
-        builds = []
-        gram_blocks = sobolev_circle._gram_blocks
-
-        def counted(max_m, q):
-            builds.append(q)
-            return gram_blocks(max_m, q)
-
-        monkeypatch.setattr(sobolev_circle, "_gram_blocks", counted)
+    def test_one_cosine_sum_build_per_run(self, k_max):
+        # the commands build no cosine sums: the oracle reads the trapezoid
+        # exactness theorem, and the numeric sums live in tests/trapezoid.py
         assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", str(k_max)]) == 0
-        # grade k_max's own default node count, which every lower grade accepts
-        assert builds == [max(64, 4 * 8 * (k_max + 1))]
+        assert all(hasattr(trapezoid, name) for name in MOVED_TO_TESTS)
+        for path in SRC.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            bound = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            bound |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) for t in node.targets
+                      if isinstance(t, ast.Name)}
+            bound |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+            assert not bound & set(MOVED_TO_TESTS), path.name
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_bad_closed_form_entry_fails(self, monkeypatch, entry):
+        # fails by name, with no RuntimeWarning (an error under the test configuration)
+        closed_form = sobolev_circle.fourier_gram_closed_form
+
+        def patched(nu, nu_prime, k):
+            return entry if (nu, nu_prime, k) == (10, 10, 2) else closed_form(nu, nu_prime, k)
+
+        monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", patched)
+        assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", "3"]) == 1
+        oracle = read_report("scalehilbert_sobolev_demo.json")["oracle"]
+        assert not oracle["passed"]
+        assert not math.isfinite(oracle["worst_scaled_delta"])
 
     def test_warm_run_holds_row_panels(self):
         # the 4096 row dicts, the 4096 closed-form calls and the cosine sums'
-        # 1025 x 256 node blocks took 4.2 MiB
+        # 1025 x 256 node blocks took 4.2 MiB; the row panels of the numeric
+        # trapezoid table 1.6 MiB
         argv = ["--command", "sobolev-demo", "--nu-max", "1024", "--k-max", "3"]
         assert main(argv) == 0
         tracemalloc.start()
@@ -171,7 +222,7 @@ class TestSobolevDemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20
 
     def test_custom_output_path(self, tmp_path):
         target = tmp_path / "demo.json"

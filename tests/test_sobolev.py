@@ -5,19 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalehilbert import sobolev_circle
-from scalehilbert.sobolev_circle import (
-    FourierBasisSpec,
+from trapezoid import (
     _default_nodes,
     _derivative_values,
     _gram_blocks,
-    _log_closed_form_diag,
-    _log_closed_form_grades,
     _trapezoid_table,
-    build_sobolev_space,
-    fourier_gram_closed_form,
     fourier_gram_quadrature,
     fourier_gram_quadrature_table,
+)
+
+from scalehilbert import sobolev_circle
+from scalehilbert.sobolev_circle import (
+    FourierBasisSpec,
+    _log_closed_form_diag,
+    _log_closed_form_grades,
+    build_sobolev_space,
+    fourier_gram_closed_form,
     oracle_deltas,
     ratio_trace,
     sigma_equivalence_constants,
@@ -295,23 +298,56 @@ class TestCosineSums:
         assert peak < 2**20
 
 
-class TestOracleStream:
-    """Every grade of the oracle from one set of cosine sums at grade k_max's q."""
+def amplitude_diagonal(nu_max, k):
+    """sum_j (w^j)^2 per index, w = 2 pi (nu // 2), added term by term."""
+    w = 2.0 * math.pi * (np.arange(1, nu_max + 1) // 2)
+    return sum((w**j) ** 2 for j in range(k + 1))
 
-    @pytest.mark.parametrize("nu_max", [1, 2, 9, 12])
-    @pytest.mark.parametrize("k_max", [0, 3])
-    def test_streamed_grades_equal_the_table_at_the_shared_q(self, nu_max, k_max):
-        q_shared = max(64, 4 * (nu_max // 2) * (k_max + 1))
+
+class TestOracleStream:
+    """Every grade of the oracle from the trapezoid exactness theorem, checked
+    against the numeric cosine-sum table at grade k_max's default q."""
+
+    @pytest.mark.parametrize(
+        "k_max, nu_max",
+        [(k, n) for k in (0, 3) for n in (1, 2, 9, 12)] + [(3, 1024), (2, 100), (6, 64)],
+    )
+    def test_streamed_grades_equal_the_table_at_the_shared_q(self, k_max, nu_max):
+        q_shared = _default_nodes(nu_max, k_max)
         streamed = list(oracle_deltas(nu_max, k_max))
         assert len(streamed) == k_max + 1
         for k, (diag, quad, delta) in enumerate(streamed):
             table = _trapezoid_table(nu_max, k, q_shared)
-            assert np.array_equal(quad, np.diagonal(table))
+            assert np.array_equal(quad, amplitude_diagonal(nu_max, k))
+            assert np.all(np.abs(quad - np.diagonal(table)) <= 4 * np.finfo(float).eps * quad)
+            # the theorem: the numeric table is diagonal up to roundoff
+            root = np.sqrt(np.diagonal(table))
+            residue = np.abs(table - np.diag(np.diagonal(table))) / np.outer(root, root)
+            assert residue.max() <= 1e-15
             assert np.array_equal(diag, [fourier_gram_closed_form(nu, nu, k) for nu in range(1, nu_max + 1)])
-            assert delta == pytest.approx(scaled_table_delta(table, np.diag(diag), k), rel=1e-12)
             assert delta <= 1e-13
-        # the top grade is the table at its own default node count
-        assert np.array_equal(streamed[-1][1], np.diagonal(fourier_gram_quadrature_table(nu_max, k_max)))
+        assert streamed[0][1][0] == 1.0  # the constant's norm, exactly
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_bad_closed_form_entry_gives_a_failing_delta(self, monkeypatch, entry):
+        # an inf or NaN delta at its grade only, and no RuntimeWarning
+        closed_form = sobolev_circle.fourier_gram_closed_form
+
+        def patched(nu, nu_prime, k):
+            return entry if (nu, nu_prime, k) == (10, 10, 2) else closed_form(nu, nu_prime, k)
+
+        monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", patched)
+        deltas = [delta for _, _, delta in oracle_deltas(16, 3)]
+        assert not math.isfinite(deltas[2])
+        assert max(deltas[:2] + deltas[3:]) <= 1e-15
+
+    def test_overflowed_amplitude_gives_an_inf_delta(self, monkeypatch):
+        # (w^k)^2 at frequency 32 passes the double max at k = 67; a closed
+        # form of 1 keeps d finite
+        monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", lambda nu, nu_prime, k: 1.0)
+        deltas = [delta for _, _, delta in oracle_deltas(64, 70)]
+        assert deltas[0] == 0.0 and math.isfinite(deltas[66])
+        assert deltas[67:] == [math.inf] * 4
 
     def test_whole_stream_stays_below_the_full_sample_matrix(self):
         tracemalloc.start()
@@ -321,23 +357,33 @@ class TestOracleStream:
         finally:
             tracemalloc.stop()
         assert len(deltas) == 4
-        # the row panels form no 1024 x 1024 array (8 MiB), and the cosine
-        # sums no 1025 x 256 block of phases (4 MiB with its gather)
-        assert peak < 2 * 2**20
+        # per grade, a few arrays of 513 frequencies and 1024 indices
+        assert peak < 2**19
 
     def test_one_closed_form_call_per_frequency_and_grade(self, monkeypatch):
-        calls = []
+        calls = [0]
         closed_form = sobolev_circle.fourier_gram_closed_form
 
         def counted(nu, nu_prime, k):
-            calls.append(nu)
+            calls[0] += 1
             return closed_form(nu, nu_prime, k)
 
         monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", counted)
         diags = [diag for diag, _, _ in oracle_deltas(1024, 3)]
-        assert len(calls) == 513 * 4
+        assert calls == [513 * 4]
         for k, diag in enumerate(diags):
             assert np.array_equal(diag, [closed_form(nu, nu, k) for nu in range(1, 1025)])
+        # linear in nu_max: 2**16 indices in a few arrays per grade
+        calls[0] = 0
+        tracemalloc.start()
+        try:
+            grades = list(oracle_deltas(2**16, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [(2**15 + 1) * 4]
+        assert peak < 12 * 2**20
+        assert max(delta for _, _, delta in grades) <= 1e-15
 
 
 class TestFractalRatio:
