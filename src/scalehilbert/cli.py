@@ -11,13 +11,13 @@ Four commands, selected with --command:
 * verify-all: the acceptance criterion suite.
 
 Every command writes a JSON report (plus a CSV mirror for tabular
-traces) and prints a short summary. A report is one line of compact JSON,
-exactly as ``json.dumps`` writes it, followed by a newline. A CSV mirror has
-one line per row, its numbers' ``str`` (a float's repr) joined by commas; a
-number never needs quoting, so these are the lines ``csv.writer`` writes.
-Reports carry no timestamps, so a fixed configuration and seed reproduce
-them byte for byte. Exit codes: 0 all certificates pass, 1 certificate
-failure, 2 input error.
+traces) and prints a short summary. A report is one line of JSON, exactly
+as ``json.dumps`` writes it with non-finite floats as null, then a newline.
+A CSV mirror has one line per row, its numbers' ``str`` (a float's repr, or
+inf and nan) joined by commas, as ``csv.writer`` writes them; sobolev-demo
+writes it with the report, formatting each number once. Reports carry no
+timestamps, so a fixed configuration and seed reproduce them byte for byte.
+Exit codes: 0 all certificates pass, 1 certificate failure, 2 input error.
 """
 
 import argparse
@@ -78,9 +78,7 @@ class RunConfig:
             raise ValueError(f"--tol: expected a finite number > 0, got {self.tol}")
         if self.ladder is not None:
             sizes = tuple(int(s) for s in self.ladder)
-            if not sizes or any(s < 1 for s in sizes) or any(
-                b <= a for a, b in zip(sizes, sizes[1:])
-            ):
+            if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
                 raise ValueError(f"--ladder: expected strictly increasing positive sizes, got {list(sizes)}")
             object.__setattr__(self, "ladder", sizes)
 
@@ -90,28 +88,62 @@ class RunConfig:
         return f"scalehilbert_{self.command.replace('-', '_')}.json"
 
 
+class _TokenTable:
+    """Rows of numbers as tokens (reprs), in blocks of token columns.
+    :meth:`slices` yields their JSON text _JSON_SLICE rows at a time from one
+    row template, which writes what ``json.dumps`` writes for a row's dict once
+    non-finite tokens read null, after writing the rows to the CSV ``mirror``."""
+
+    def __init__(self, keys: tuple, blocks: Iterator, mirror: str):
+        self.keys, self.blocks, self.mirror = keys, blocks, mirror
+
+    def slices(self) -> Iterator[str]:
+        template = "{" + ", ".join(json.dumps(key) + ": %s" for key in self.keys) + "}"
+        with open(self.mirror, "w", newline="") as mirror:
+            mirror.write(",".join(self.keys) + "\n")
+            for columns in self.blocks:
+                rows = zip(*columns)
+                while chunk := list(itertools.islice(rows, _JSON_SLICE)):
+                    lines = "\n".join(map(",".join, chunk)) + "\n"
+                    mirror.write(lines)
+                    if "n" in lines:  # nan, inf or -inf: no other repr of a number holds an n
+                        chunk = [tuple("null" if "n" in token else token for token in row) for row in chunk]
+                    yield ", ".join(map(template.__mod__, chunk))
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``, with every non-finite float written as null."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:  # a NaN or an infinity: only then is the value read back with them as None
+        return json.dumps(json.loads(json.dumps(value), parse_constant=lambda name: None))
+
+
 def _write_json(path: str, obj: dict):
-    """Write exactly ``json.dumps(obj) + "\\n"``: one line of compact JSON,
-    where a top-level iterator is written as the list of its items.
+    """Write exactly ``json.dumps(obj) + "\\n"`` with non-finite floats as
+    null, where a top-level iterator is written as the list of its items and
+    a :class:`_TokenTable` as the list of its row dicts, with its CSV mirror.
 
     ``json`` encodes in C only in a one-shot ``dumps`` without ``indent``,
     so the report is encoded one top-level field at a time, and a top-level
-    list or iterator one slice of _JSON_SLICE items at a time; the whole
-    report is never held as text.
+    list, iterator or token table one slice of _JSON_SLICE items at a time.
     """
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
             fh.write(", " if i else "")
-            if isinstance(value, (list, Iterator)):
-                fh.write(json.dumps({key: []})[1:-2])  # '"key": ['
-                items, sep = iter(value), ""
-                while chunk := list(itertools.islice(items, _JSON_SLICE)):
-                    fh.write(sep + json.dumps(chunk)[1:-1])
-                    sep = ", "
-                fh.write("]")
+            if isinstance(value, _TokenTable):
+                slices = value.slices()
+            elif isinstance(value, (list, Iterator)):
+                items = iter(value)
+                slices = (_dumps(chunk)[1:-1] for chunk in iter(lambda: list(itertools.islice(items, _JSON_SLICE)), []))
             else:
-                fh.write(json.dumps({key: value})[1:-1])
+                fh.write(_dumps({key: value})[1:-1])
+                continue
+            fh.write(_dumps({key: []})[1:-2])  # '"key": ['
+            for j, text in enumerate(slices):
+                fh.write(", " + text if j else text)
+            fh.write("]")
         fh.write("}\n")
 
 
@@ -129,22 +161,23 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
     if _log_closed_form_diag(cfg.nu_max, cfg.k_max) >= math.log(sys.float_info.max):
         raise ValueError(f"--k-max {cfg.k_max} overflows the closed-form Sobolev weight at --nu-max {cfg.nu_max}")
     tol = cfg.tol if cfg.tol is not None else ORACLE_TOL
-    grades = []
-    worst = 0.0
-    for k, (diag, quad, delta) in enumerate(oracle_deltas(cfg.nu_max, cfg.k_max)):
+    grades, worst = [], 0.0
+    for k, (diag, quad, delta) in enumerate(oracle_deltas(cfg.nu_max, cfg.k_max)):  # diagonals per frequency
         worst = float(np.max([worst, delta]))  # a NaN delta fails
         grades.append((diag, quad, np.abs(diag - quad), ratio_trace(cfg.nu_max, k)))
-    header = ("nu", "k", "closed_form", "quadrature", "abs_delta", "ratio")
 
-    def rows():  # one grade's columns held as Python floats at a time
+    def blocks():  # one grade's token columns at a time, those of a frequency gathered by nu // 2
+        nu, freq = list(map(str, range(1, cfg.nu_max + 1))), [i // 2 for i in range(1, cfg.nu_max + 1)]
         for k, columns in enumerate(grades):
-            yield from zip(range(1, cfg.nu_max + 1), itertools.repeat(k), *(c.tolist() for c in columns))
+            *per_freq, ratio = [list(map(repr, column.tolist())) for column in columns]
+            yield [nu, [str(k)] * cfg.nu_max, *(list(map(tokens.__getitem__, freq)) for tokens in per_freq), ratio]
 
     constants = []
     for k in range(cfg.k_max + 1):
         c_lo, c_hi = sigma_equivalence_constants(cfg.nu_max, k)
         constants.append({"k": k, "c_lo": c_lo, "c_hi": c_hi})
     passed = worst <= tol
+    out = cfg.output_file()
     report = {
         "command": "sobolev-demo",
         "nu_max": cfg.nu_max,
@@ -152,11 +185,9 @@ def cmd_sobolev_demo(cfg: RunConfig) -> int:
         "tol": tol,
         "oracle": {"worst_scaled_delta": worst, "passed": passed},
         "sigma_constants": constants,
-        "rows": (dict(zip(header, row)) for row in rows()),
+        "rows": _TokenTable(("nu", "k", "closed_form", "quadrature", "abs_delta", "ratio"), blocks(), _csv_path(out)),
     }
-    out = cfg.output_file()
     _write_json(out, report)
-    _write_csv(_csv_path(out), header, rows())
     status, count = "PASS" if passed else "FAIL", cfg.nu_max * (cfg.k_max + 1)
     print(f"sobolev-demo: {count} rows, worst scaled oracle delta {worst:.3e} (tol {tol:.1e}): {status}")
     print(f"report: {out} (CSV mirror {_csv_path(out)})")
@@ -184,7 +215,6 @@ def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
 
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
     """Every operator certificate, in registry order; halts early on asymmetry.
-    A non-finite defect, which fails, is written as null so the report stays strict JSON.
 
     All certificates read one :class:`OperatorAnalysis` of the operator.
     """
@@ -197,8 +227,7 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     for cert in OPERATOR_CERTIFICATES:
         defect, tol = float(cert.defect(analysis, cfg.k_max)), float(cert.tolerance(cfg.tol))
         passed = bool(defect <= tol)
-        certificates.append({"name": cert.name, "defect": defect if math.isfinite(defect) else None, "tol": tol,
-                             "passed": passed})
+        certificates.append({"name": cert.name, "defect": defect, "tol": tol, "passed": passed})
         if cert is SYMMETRY:
             if not passed:
                 report["passed"] = False

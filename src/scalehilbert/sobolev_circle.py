@@ -117,7 +117,7 @@ def _log_closed_form_grades(nu: np.ndarray):
 
 def oracle_deltas(nu_max: int, k_max: int):
     """Yield (closed-form diagonal, quadrature diagonal, worst scaled delta)
-    for grades 0..k_max.
+    for grades 0..k_max, the diagonals per frequency m = nu // 2 = 0..nu_max // 2.
 
     The quadrature side is the periodic trapezoid rule on q nodes. With
     S(p) = sum_i cos(2 pi p i / q), S(p) / q is exactly 1 at p = 0 and 0 at
@@ -147,7 +147,7 @@ def oracle_deltas(nu_max: int, k_max: int):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     # the closed form reads nu only through m = nu // 2: one call per m, at nu = 1, 2, 4, ..
-    heads, freq = [1, *range(2, nu_max + 1, 2)], np.arange(1, nu_max + 1) // 2
+    heads = [1, *range(2, nu_max + 1, 2)]
     w = 2.0 * math.pi * np.arange(nu_max // 2 + 1)
     quad = np.zeros_like(w)
     for k in range(k_max + 1):
@@ -156,7 +156,7 @@ def oracle_deltas(nu_max: int, k_max: int):
             wk = w**k
             quad = quad + wk * wk
             delta = np.where(diag < 0, np.nan, np.abs(diag - quad) / diag)  # no Gram diagonal is negative
-        yield diag[freq], quad[freq], float(np.max(delta))
+        yield diag, quad, float(np.max(delta))
 
 
 def _log_sigma_ratio(nu_max: int, k: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from scalehilbert.spaces import diagonal_equivalence_constants
 from scalehilbert.verify import (
     BATCH_CERTIFICATES,
     OPERATOR_CERTIFICATES,
+    ORACLE_TOL,
     analyze_operator_batch,
     standard_operator_set,
 )
@@ -54,6 +55,55 @@ def read_report(path):
 
 def reject_non_finite(name):
     raise ValueError(f"non-finite JSON constant {name}")
+
+
+def json_text(report):
+    """``json.dumps(report)`` with every non-finite float as null, plus the newline."""
+    return json.dumps(json.loads(json.dumps(report), parse_constant=lambda name: None)) + "\n"
+
+
+def sobolev_report(nu_max, k_max):
+    """The sobolev-demo report, its rows as dicts, and its mirror's header
+    and numeric rows, rebuilt from the oracle, the ratio trace and the
+    sigma constants one row at a time."""
+    header = ["nu", "k", "closed_form", "quadrature", "abs_delta", "ratio"]
+    rows, worst = [], 0.0
+    for k, (diag, quad, delta) in enumerate(sobolev_circle.oracle_deltas(nu_max, k_max)):
+        worst = float(np.max([worst, delta]))
+        ratio = sobolev_circle.ratio_trace(nu_max, k)
+        for nu in range(1, nu_max + 1):
+            d, q = float(diag[nu // 2]), float(quad[nu // 2])
+            rows.append([nu, k, d, q, abs(d - q), float(ratio[nu - 1])])
+    constants = []
+    for k in range(k_max + 1):
+        c_lo, c_hi = sobolev_circle.sigma_equivalence_constants(nu_max, k)
+        constants.append({"k": k, "c_lo": c_lo, "c_hi": c_hi})
+    report = {
+        "command": "sobolev-demo",
+        "nu_max": nu_max,
+        "k_max": k_max,
+        "tol": ORACLE_TOL,
+        "oracle": {"worst_scaled_delta": worst, "passed": worst <= ORACLE_TOL},
+        "sigma_constants": constants,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    return report, header, rows
+
+
+def assert_same_text(actual, expected):
+    """actual == expected, shown around the first difference (pytest's
+    full diff of a report-long text takes minutes)."""
+    at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b), min(len(actual), len(expected)))
+    window = slice(max(at - 60, 0), at + 60)
+    assert (len(actual), actual[window]) == (len(expected), expected[window])
+
+
+def csv_writer_text(header, rows):
+    """What ``csv.writer`` writes for the header and the rows."""
+    with open("expected.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    with open("expected.csv", "rb") as fh:
+        return fh.read()
 
 
 def diagonal_scale(weight):
@@ -180,7 +230,9 @@ class TestSobolevDemo:
 
         monkeypatch.setattr(cli, "oracle_deltas", with_nan)
         assert main(["--command", "sobolev-demo", "--nu-max", "4", "--k-max", "2"]) == 1
-        assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
+        with open("scalehilbert_sobolev_demo.json") as fh:
+            oracle = json.load(fh, parse_constant=reject_non_finite)["oracle"]
+        assert oracle == {"worst_scaled_delta": None, "passed": False}
 
     @pytest.mark.parametrize("k_max", [3, 10])
     def test_one_cosine_sum_build_per_run(self, k_max):
@@ -206,9 +258,10 @@ class TestSobolevDemo:
 
         monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", patched)
         assert main(["--command", "sobolev-demo", "--nu-max", "16", "--k-max", "3"]) == 1
-        oracle = read_report("scalehilbert_sobolev_demo.json")["oracle"]
+        with open("scalehilbert_sobolev_demo.json") as fh:
+            oracle = json.load(fh, parse_constant=reject_non_finite)["oracle"]
         assert not oracle["passed"]
-        assert not math.isfinite(oracle["worst_scaled_delta"])
+        assert oracle["worst_scaled_delta"] is None
 
     def test_warm_run_holds_row_panels(self):
         # the 4096 row dicts, the 4096 closed-form calls and the cosine sums'
@@ -223,6 +276,36 @@ class TestSobolevDemo:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("nu_max, k_max", [(1, 0), (7, 0), (12, 2), (100, 2), (1024, 3)])
+    def test_report_and_mirror_bytes(self, nu_max, k_max):
+        # json.dumps and csv.writer over the row dicts and rows, built one number at a time
+        argv = ["--command", "sobolev-demo", "--nu-max", str(nu_max), "--k-max", str(k_max), "--output", "r.json"]
+        assert main(argv) == 0
+        report, header, rows = sobolev_report(nu_max, k_max)
+        with open("r.json") as fh:
+            assert_same_text(fh.read(), json.dumps(report) + "\n")
+        with open("r.csv", "rb") as fh:
+            assert_same_text(fh.read(), csv_writer_text(header, rows))
+
+    @pytest.mark.parametrize("nu_max, k_max", [(12, 2), (1024, 3)])
+    @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf, -math.inf], ids=["zero", "nan", "inf", "-inf"])
+    def test_non_finite_report_and_mirror_bytes(self, monkeypatch, nu_max, k_max, entry):
+        # a failing run: null in the report, inf / nan in the mirror
+        closed_form = sobolev_circle.fourier_gram_closed_form
+
+        def patched(nu, nu_prime, k):
+            return entry if (nu, nu_prime, k) == (10, 10, 2) else closed_form(nu, nu_prime, k)
+
+        monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", patched)
+        argv = ["--command", "sobolev-demo", "--nu-max", str(nu_max), "--k-max", str(k_max), "--output", "r.json"]
+        assert main(argv) == 1
+        report, header, rows = sobolev_report(nu_max, k_max)
+        assert not math.isfinite(report["oracle"]["worst_scaled_delta"])
+        with open("r.json") as fh:
+            assert_same_text(fh.read(), json_text(report))
+        with open("r.csv", "rb") as fh:
+            assert_same_text(fh.read(), csv_writer_text(header, rows))
 
     def test_custom_output_path(self, tmp_path):
         target = tmp_path / "demo.json"
@@ -776,10 +859,12 @@ class TestReportFormat:
         if rows:
             rows[-1]["ratio"] = float("nan")
         report = {"command": "x", "empty": {}, "nested": {"a": {"b": [1, 2.5, None]}, "c": True}, "rows": rows,
-                  "tail": [{"k": k} for k in range(count)], "last": float("nan")}
+                  "tail": [{"k": k} for k in range(count)], "last": float("nan"), "ends": [-math.inf, math.inf]}
         cli._write_json("report.json", report)
         with open("report.json") as fh:
-            assert fh.read() == json.dumps(report) + "\n"
+            text = fh.read()
+        assert_same_text(text, json_text(report))
+        json.loads(text, parse_constant=reject_non_finite)
 
     @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE, cli._JSON_SLICE + 1])
     def test_writer_writes_an_iterator_as_its_list(self, count):
@@ -798,16 +883,21 @@ class TestReportFormat:
         ids=["sobolev-demo", "hessian-analyze", "ladder"],
     )
     def test_csv_mirror_is_what_csv_writer_writes(self, monkeypatch, argv):
+        # csv.writer over numbers: the rows passed to _write_csv, or for
+        # sobolev-demo, whose mirror is written with its report, the rows
+        # rebuilt from the oracle
         written, write_csv = [], cli._write_csv
         monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: written.append((header, list(rows))))
-        main(argv)
-        (header, rows), = written
-        assert rows
-        with open("module.csv", "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        write_csv("joined.csv", header, iter(rows))
-        with open("module.csv", "rb") as expected, open("joined.csv", "rb") as joined:
-            assert joined.read() == expected.read()
+        main(argv + ["--output", "report.json"])
+        if argv[1] == "sobolev-demo":
+            assert not written
+            _, header, rows = sobolev_report(100, 3)
+        else:
+            (header, rows), = written
+            write_csv("report.csv", header, iter(rows))
+        assert rows and all(isinstance(x, (int, float)) for row in rows for x in row)
+        with open("report.csv", "rb") as joined:
+            assert_same_text(joined.read(), csv_writer_text(header, rows))
 
     def test_writer_of_an_empty_report(self):
         cli._write_json("report.json", {})

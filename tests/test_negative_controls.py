@@ -19,16 +19,34 @@ Under nu -> nu + 1 only the constant moves, since the sine 2m and the
 cosine 2m + 1 share the frequency m: its closed form reads the first
 sine's norm 63127.9 where the oracle reads 1. Under nu -> nu - 1 every
 sine reads the frequency below its own, and the first sine reads 1 where
-the oracle reads 63127.9. Rows for the operator certificates and the
+the oracle reads 63127.9. Under the zero entry, ``verify-all`` exits 1
+with criterion 1 alone failing, and its report writes the infinite
+defect as null.
+
+Operator certificates, through ``hessian-analyze`` (pinned tolerances):
+
+| control | kernel-cokernel-angle | ker_dim | fails |
+|---|---|---|---|
+| rank-deficient A, n = 24, 3 zeros | 1.2e-15 | 3 | none |
+| the same A + skew part, asymmetry 3e-11 | 2.16e-5 | 1 | kernel-cokernel-angle, restriction-invariance (1.9e-10) |
+
+The skew part passes the symmetry gate (tolerance 1e-10). Its 3 x 3
+block on the kernel has one zero eigenvalue and a pair +-i w, w ~ 1e-10,
+above the SVD cutoff, so the SVD counts one kernel vector where ``eigh``
+of the symmetric part sees three, and the angle carries what neither the
+gate nor ``eigh`` sees. Rows for the other operator certificates and the
 other criteria are still to be added.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
 
-from scalehilbert import sobolev_circle
-from scalehilbert.verify import criterion_sigma_witness, criterion_sobolev_oracle
+from scalehilbert import linalg, sobolev_circle
+from scalehilbert.cli import main
+from scalehilbert.verify import OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle
 
 closed_form = sobolev_circle.fourier_gram_closed_form
 
@@ -69,3 +87,62 @@ def test_criterion_1_control(monkeypatch, name):
     assert not result.passed
     assert low <= result.defect <= high
     assert criterion_sigma_witness().passed
+
+
+def reject_non_finite(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_criterion_1_control_through_verify_all(monkeypatch, tmp_path):
+    monkeypatch.setattr(sobolev_circle, "fourier_gram_closed_form", CRITERION_1_CONTROLS["entry-zero"][0])
+    report_path = tmp_path / "report.json"
+    assert main(["--command", "verify-all", "--output", str(report_path)]) == 1
+    with open(report_path) as fh:
+        criteria = json.load(fh, parse_constant=reject_non_finite)["criteria"]
+    assert [c["number"] for c in criteria if not c["passed"]] == [1]
+    assert criteria[0]["defect"] is None
+    per_grade = criteria[0]["details"]["worst_scaled_delta_per_grade"]
+    assert per_grade[2] is None
+    assert max(per_grade[:2] + per_grade[3:]) <= 1e-15
+
+
+def kernel_control(skew):
+    """n = 24, a diagonal with 3 zeros and other entries +-U(0.5, 2),
+    conjugated by a random orthogonal matrix; with ``skew``, plus a random
+    skew part scaled to asymmetry 3e-11. All drawn from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    n, zeros = 24, 3
+    d = np.zeros(n)
+    d[zeros:] = rng.uniform(0.5, 2.0, n - zeros) * rng.choice([-1.0, 1.0], n - zeros)
+    q = linalg.random_orthogonal(n, rng)
+    a = q.T @ np.diag(d) @ q
+    a = (a + a.T) / 2
+    c = rng.standard_normal((n, n))
+    part = (c - c.T) / 2
+    return a + part * (3e-11 * np.linalg.norm(a) / np.linalg.norm(part)) if skew else a
+
+
+@pytest.mark.parametrize(
+    "skew, code, ker_dim, failing",
+    [
+        (False, 0, 3, {}),
+        (True, 1, 1, {"kernel-cokernel-angle": (2.1e-5, 2.2e-5), "restriction-invariance": (1.8e-10, 2.0e-10)}),
+    ],
+    ids=["unperturbed", "skew"],
+)
+def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
+    a = kernel_control(skew)
+    assert linalg.symmetry_defect(a) == (pytest.approx(3e-11, rel=1e-6) if skew else 0.0)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"n": 24, "kind": "dense", "matrix": a.tolist()}))
+    assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == code
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh, parse_constant=reject_non_finite)
+    assert report["kernel"]["ker_dim"] == ker_dim
+    certificates = {c["name"]: c for c in report["certificates"]}
+    assert list(certificates) == [cert.name for cert in OPERATOR_CERTIFICATES]
+    assert {name for name, c in certificates.items() if not c["passed"]} == set(failing)
+    for name, (low, high) in failing.items():
+        assert low <= certificates[name]["defect"] <= high
+    if not skew:
+        assert 1e-16 <= certificates["kernel-cokernel-angle"]["defect"] <= 1e-14
