@@ -78,7 +78,9 @@ class RunConfig:
             raise ValueError(f"--tol: expected a finite number > 0, got {self.tol}")
         if self.ladder is not None:
             sizes = tuple(int(s) for s in self.ladder)
-            if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            if not sizes or any(s < 1 for s in sizes) or any(
+                b <= a for a, b in zip(sizes, sizes[1:])
+            ):
                 raise ValueError(f"--ladder: expected strictly increasing positive sizes, got {list(sizes)}")
             object.__setattr__(self, "ladder", sizes)
 
