@@ -12,10 +12,11 @@ diagonal model.
 
 Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` computes lazily and at most once: the
-kernel SVD (singular values, plus vectors only when there is a kernel),
-the ``eigh`` spectral data and its reconstruction residual,
-the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
-result also gives its condition guard) with its normality pair and its
+symmetry defect (the gate of :func:`spectral_decompose`), the kernel
+SVD (singular values, plus vectors only when there is a kernel), the
+``eigh`` spectral data and its reconstruction residual, the resolvent
+at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose result also
+gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
 fractal weight, the graph Gram I + A^T A (grade 1 of :func:`graph_ladder`;
 the fractal certificate steps each higher grade from it and drops that
@@ -37,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
+from .linalg import SYMMETRY_TOL
 from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json
 from .weights import Weight, _json_int, _json_numbers, json_field
 
@@ -70,9 +72,6 @@ __all__ = [
 # Purely imaginary points are never eigenvalues of a symmetric operator,
 # so the unit imaginary point is an unconditionally safe default.
 DEFAULT_RESOLVENT_POINT = 1j
-
-# largest linalg.symmetry_defect, a relative asymmetry in [0, 1], that the symmetry gate accepts
-SYMMETRY_TOL = 1e-10
 
 
 class SpectrumError(ValueError):
@@ -222,19 +221,21 @@ class OperatorAnalysis:
     analysis passed to all certificates runs each factorization once.
     Build one per operator and drop it when that operator's
     certification is done; a new analysis always starts empty.
-    ``symmetric`` is set once the operator passed a symmetry gate, by a
-    caller that ran the gate at the tolerance it reports or by
-    :attr:`symmetric_spectral`.
     """
 
     def __init__(self, op: ScaleOperator):
         self.op = op
-        self.symmetric = False
 
     @classmethod
     def of(cls, op) -> "OperatorAnalysis":
         """``op`` itself if it is an analysis, else a fresh one for it."""
         return op if isinstance(op, cls) else cls(op)
+
+    @cached_property
+    def symmetry(self) -> float:
+        """:func:`scalehilbert.linalg.symmetry_defect` of the matrix, which
+        the symmetry gate of :func:`spectral_decompose` reads."""
+        return linalg.symmetry_defect(self.op.matrix)
 
     @cached_property
     def kernel(self) -> KernelReport:
@@ -265,15 +266,6 @@ class OperatorAnalysis:
         v = v[:, presentation]
         order = np.lexsort((np.arange(n), w, np.abs(w)))
         return SpectralData(gammas=w, vectors=v, order=order)
-
-    @property
-    def symmetric_spectral(self) -> SpectralData:
-        """The spectral data behind the symmetry gate, which runs here
-        (:func:`spectral_decompose`) unless ``symmetric`` is set."""
-        if not self.symmetric:
-            spectral_decompose(self)
-            self.symmetric = True
-        return self.spectral
 
     @cached_property
     def fractal_weight(self) -> Weight:
@@ -345,13 +337,13 @@ def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[f
     solved: grade 1 is the graph Gram, so c_lo = c_hi = 1, and for
     symmetric A at the point i, c0 = max_gamma sqrt(1 + gamma^2) /
     |gamma - i| = 1. That last identity needs symmetry, so this branch
-    passes the symmetry gate of :attr:`OperatorAnalysis.symmetric_spectral`
-    (ValueError on a non-symmetric operator).
+    passes the symmetry gate of :func:`spectral_decompose` (ValueError on
+    a non-symmetric operator).
     """
     an = OperatorAnalysis.of(op)
     scale = an.op.scale
     if scale is None:
-        an.symmetric_spectral  # the gate: c0 = 1 holds for symmetric A only
+        spectral_decompose(an)  # the gate: c0 = 1 holds for symmetric A only
         return 1.0, 1.0, 1.0
     g_one = gram_matrix(scale, 1)
     mu = linalg.generalized_eigh(g_one, an.graph_gram)[0]
@@ -405,7 +397,7 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     return float(commutator), float(adjoint)
 
 
-def spectral_decompose(op: ScaleOperator | OperatorAnalysis, tol: float = SYMMETRY_TOL) -> SpectralData:
+def spectral_decompose(op: ScaleOperator | OperatorAnalysis) -> SpectralData:
     """Orthonormal eigendecomposition with a deterministic presentation.
 
     Columns are sign-fixed (largest-magnitude entry positive) and listed
@@ -413,19 +405,18 @@ def spectral_decompose(op: ScaleOperator | OperatorAnalysis, tol: float = SYMMET
     the standard basis in the original coordinate order. The returned
     permutation ``order`` re-lists the pairs by nondecreasing |gamma|.
 
-    The :func:`scalehilbert.linalg.symmetry_defect` of the matrix is
-    checked against ``tol`` on every call; a failure raises ValueError.
-    The ``eigh`` comes from the operator's :class:`OperatorAnalysis`, so
-    it runs once per analysis. How well the pairs reconstruct the
+    The symmetry defect of the operator's :class:`OperatorAnalysis` is
+    checked against :data:`SYMMETRY_TOL` on every call; a failure raises
+    ValueError. The defect and the ``eigh`` come from the analysis, so
+    each runs once per analysis. How well the pairs reconstruct the
     operator and agree with the resolvent eigenproblem are certificates
     of their own
     (:attr:`OperatorAnalysis.relative_reconstruction`,
     :func:`resolvent_consistency`).
     """
     an = OperatorAnalysis.of(op)
-    defect = linalg.symmetry_defect(an.op.matrix)
-    if not defect <= tol:
-        raise ValueError(f"operator is not symmetric: defect {defect:.3e} exceeds tol {tol:.3e}")
+    if not an.symmetry <= SYMMETRY_TOL:
+        raise ValueError(f"operator is not symmetric: defect {an.symmetry:.3e} exceeds tol {SYMMETRY_TOL:.3e}")
     return an.spectral
 
 
@@ -524,7 +515,7 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     an = OperatorAnalysis.of(op)
-    data = an.symmetric_spectral
+    data = spectral_decompose(an)
     fw = an.fractal_weight
     deviations = []
     with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed grade: a NaN deviation, which fails
@@ -545,7 +536,7 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     so the operator and its grade-1 restriction are the same operator.
     """
     an = OperatorAnalysis.of(op)
-    data = an.symmetric_spectral
+    data = spectral_decompose(an)
     basis = rescaled_basis(data, an.fractal_weight, 1)
     in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
     in_graph.flat[:: an.op.n + 1] -= data.sorted_gammas()
@@ -557,7 +548,7 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     from diag(1 + gamma^2); zero means the eigenbasis carries the pair
     (grade 0, graph norm) isometrically onto the weighted model."""
     an = OperatorAnalysis.of(op)
-    data = an.symmetric_spectral
+    data = spectral_decompose(an)
     vs = data.sorted_vectors()
     actual = vs.T @ an.graph_gram @ vs
     g = data.sorted_gammas()

@@ -9,6 +9,8 @@
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+# largest symmetry_defect, a relative asymmetry in [0, 1], that a symmetry gate accepts
+SYMMETRY_TOL = 1e-10
 
 
 def as_square_matrix(m, name="matrix"):
@@ -48,13 +50,13 @@ def symmetry_defect(m):
     return num / den if den > 0.0 else 0.0
 
 
-def require_symmetric(m, tol=1e-10, name="matrix"):
+def require_symmetric(m, name="matrix"):
     """The symmetric part of a square matrix; LinAlgError if an entry is
-    NaN or infinite or its :func:`symmetry_defect` exceeds tol."""
+    NaN or infinite or its :func:`symmetry_defect` exceeds SYMMETRY_TOL."""
     a = as_square_matrix(m, name)
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError(f"{name} has a non-finite entry")
-    if symmetry_defect(a) > tol:
+    if symmetry_defect(a) > SYMMETRY_TOL:
         raise np.linalg.LinAlgError(f"{name} is not symmetric")
     return sym_part(a)
 
@@ -67,8 +69,8 @@ def cholesky_spd(m, name="matrix"):
         raise np.linalg.LinAlgError(f"{name} is not positive definite") from exc
 
 
-def require_spd(m, tol=1e-10, name="matrix"):
-    a = require_symmetric(m, tol, name)
+def require_spd(m, name="matrix"):
+    a = require_symmetric(m, name)
     cholesky_spd(a, name)
     return a
 

@@ -6,7 +6,8 @@ an :class:`OperatorAnalysis`. ``hessian-analyze`` evaluates all of them;
 the batch behind criteria 3, 4, 5 and 7 only :data:`BATCH_CERTIFICATES`,
 whose defects and tolerances those criteria read by registry entry.
 
-Each criterion function runs one property at its pinned tolerance and
+Each criterion function runs one property at its pinned tolerance (its
+registry entry's ``tol`` or a named constant, never a caller's) and
 returns a :class:`CriterionResult` with the worst observed defect and a
 JSON-ready detail dict. :func:`run_verify_all` executes the whole suite,
 including the determinism criterion, which reruns the first eight
@@ -78,10 +79,6 @@ class Certificate:
     tol: float
     defect: Callable[[OperatorAnalysis, int | None], float]
 
-    def tolerance(self, override: float | None = None) -> float:
-        """The pinned tolerance, or ``override`` when one is given."""
-        return self.tol if override is None else override
-
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
     """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else
@@ -94,7 +91,7 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
 # entries call the certificate functions through this module's names, so
 # patching a module binding reaches them.
 OPERATOR_CERTIFICATES = (
-    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: linalg.symmetry_defect(an.op.matrix)),
+    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: an.symmetry),
     KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: an.kernel.subspace_angle),
     Certificate("resolvent-residual", 1e-8, lambda an, k_max: an.resolvent.residual),
     NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an, k_max: an.normality[0]),
@@ -191,23 +188,23 @@ def _worst(batch, cert: Certificate) -> float:
     return float(np.max([row[cert.name] for row in batch]))
 
 
-def criterion_sobolev_oracle(tol: float | None = None, nu_max: int = 64, k_max: int = 3) -> CriterionResult:
+def criterion_sobolev_oracle() -> CriterionResult:
     """Closed-form Gram entries against the trapezoid oracle, as scaled
     deltas (:func:`scalehilbert.sobolev_circle.oracle_deltas`)."""
-    tol = ORACLE_TOL if tol is None else tol
+    nu_max, k_max = 64, 3
     per_grade = [delta for _, _, delta in oracle_deltas(nu_max, k_max)]
     worst = float(np.max(per_grade))
     return CriterionResult(
         number=1,
         name="sobolev-oracle-equivalence",
-        passed=worst <= tol,
+        passed=worst <= ORACLE_TOL,
         defect=worst,
-        tol=tol,
+        tol=ORACLE_TOL,
         details={"nu_max": nu_max, "k_max": k_max, "worst_scaled_delta_per_grade": per_grade},
     )
 
 
-def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResult:
+def criterion_sigma_witness() -> CriterionResult:
     """Per-index ratio between the Sobolev weight and sigma^k.
 
     Interval membership is evaluated in the log domain, on the log ratio
@@ -216,6 +213,7 @@ def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResu
     sides reduce to the identical expression -k * log1p(1). The large
     indices must sit within 1 percent of pi^(2k).
     """
+    nu_max, k_max = 4096, 3
     tail_rtol = 0.01
     tail_from = 1000
     bounds_ok = True
@@ -250,17 +248,16 @@ def criterion_sigma_witness(nu_max: int = 4096, k_max: int = 3) -> CriterionResu
     )
 
 
-def criterion_kernel_cokernel(batch, tol: float | None = None) -> CriterionResult:
+def criterion_kernel_cokernel(batch) -> CriterionResult:
     """Kernel and range-complement coincide (principal angle) with index 0."""
-    tol = KERNEL_ANGLE.tolerance(tol)
     worst = _worst(batch, KERNEL_ANGLE)
     indices_zero = all(row["kernel"].index == 0 for row in batch)
     return CriterionResult(
         number=3,
         name="kernel-cokernel-coincidence",
-        passed=worst <= tol and indices_zero,
+        passed=worst <= KERNEL_ANGLE.tol and indices_zero,
         defect=worst,
-        tol=tol,
+        tol=KERNEL_ANGLE.tol,
         details={
             "operators": len(batch),
             "rank_deficient": sum(1 for row in batch if row["kernel"].ker_dim > 0),
@@ -269,21 +266,20 @@ def criterion_kernel_cokernel(batch, tol: float | None = None) -> CriterionResul
     )
 
 
-def criterion_resolvent_normality(batch, tol: float | None = None) -> CriterionResult:
+def criterion_resolvent_normality(batch) -> CriterionResult:
     """Resolvents of the batch are normal with the conjugate-point adjoint;
     the non-symmetric control must show a macroscopic commutator."""
-    tol = NORMALITY.tolerance(tol)
     control_floor = 1e-2
     worst_commutator, worst_adjoint = _worst(batch, NORMALITY), _worst(batch, ADJOINT)
     worst = float(np.max([worst_commutator, worst_adjoint]))
     control, _ = normality_defect(resolvent(ScaleOperator(np.array(NEGATIVE_CONTROL))))
-    passed = worst <= tol and control >= control_floor
+    passed = worst <= NORMALITY.tol and control >= control_floor
     return CriterionResult(
         number=4,
         name=NORMALITY.name,
         passed=passed,
         defect=worst,
-        tol=tol,
+        tol=NORMALITY.tol,
         details={
             "operators": len(batch),
             "worst_commutator": worst_commutator,
@@ -294,41 +290,30 @@ def criterion_resolvent_normality(batch, tol: float | None = None) -> CriterionR
     )
 
 
-def criterion_spectral_consistency(
-    batch,
-    eig_tol: float | None = None,
-    recon_tol: float | None = None,
-) -> CriterionResult:
+def criterion_spectral_consistency(batch) -> CriterionResult:
     """Eigenvalues agree with the resolvent's, within the eigen-residual
     bound of :func:`resolvent_consistency`, and the eigendecomposition
     reconstructs the operator."""
-    eig_tol = CONSISTENCY.tolerance(eig_tol)
-    recon_tol = RECONSTRUCTION.tolerance(recon_tol)
     worst_eig = _worst(batch, CONSISTENCY)
     worst_recon = _worst(batch, RECONSTRUCTION)
     return CriterionResult(
         number=5,
         name="spectral-consistency",
-        passed=worst_eig <= eig_tol and worst_recon <= recon_tol,
+        passed=worst_eig <= CONSISTENCY.tol and worst_recon <= RECONSTRUCTION.tol,
         defect=worst_eig,
-        tol=eig_tol,
+        tol=CONSISTENCY.tol,
         details={
             "operators": len(batch),
             "worst_eigenvalue_dev": worst_eig,
             "worst_reconstruction": worst_recon,
-            "reconstruction_tol": recon_tol,
+            "reconstruction_tol": RECONSTRUCTION.tol,
         },
     )
 
 
-def criterion_fractal_certificate(
-    seed: int = DEFAULT_SEED,
-    n: int = 64,
-    k_max: int = 3,
-    tol: float | None = None,
-) -> CriterionResult:
+def criterion_fractal_certificate(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The graph-norm ladder makes the rescaled eigenbases orthonormal."""
-    tol = FRACTAL.tolerance(tol)
+    n, k_max = 64, 3
     rng = np.random.default_rng([seed, 6])
     b = rng.standard_normal((n, n))
     op = ScaleOperator((b + b.T) / (2.0 * np.sqrt(n)))
@@ -337,39 +322,33 @@ def criterion_fractal_certificate(
     return CriterionResult(
         number=6,
         name=FRACTAL.name,
-        passed=worst <= tol,
+        passed=worst <= FRACTAL.tol,
         defect=worst,
-        tol=tol,
+        tol=FRACTAL.tol,
         details={"n": n, "k_max": k_max, "gram_deviation_per_grade": list(structure.deviations)},
     )
 
 
-def criterion_restriction(batch, tol: float | None = None) -> CriterionResult:
+def criterion_restriction(batch) -> CriterionResult:
     """The operator looks identical in the graph-rescaled eigenbasis."""
-    tol = RESTRICTION.tolerance(tol)
     worst = _worst(batch, RESTRICTION)
     return CriterionResult(
         number=7,
         name=RESTRICTION.name,
-        passed=worst <= tol,
+        passed=worst <= RESTRICTION.tol,
         defect=worst,
-        tol=tol,
+        tol=RESTRICTION.tol,
         details={"operators": len(batch)},
     )
 
 
-def criterion_roundtrip(
-    seed: int = DEFAULT_SEED,
-    count: int = 20,
-    n: int = 64,
-    tol: float | None = None,
-) -> CriterionResult:
+def criterion_roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
     """weight -> diag(sqrt(weight - 1)) -> fractal weight recovers the weight.
 
     Half the weights start at exactly 1, so a zero eigenvalue is always
     exercised. Comparison happens per entry, relative, in the log domain.
     """
-    tol = 1e-12 if tol is None else tol
+    count, n, tol = 20, 64, 1e-12
     rng = np.random.default_rng([seed, 8])
     worst = 0.0
     for i in range(count):
@@ -391,32 +370,30 @@ def criterion_roundtrip(
     )
 
 
-def _run_core(seed: int, tol: float | None) -> list:
-    """Criteria 1 to 8 (everything except determinism), sharing one batch;
-    ``tol`` None keeps every pinned tolerance."""
+def _run_core(seed: int) -> list:
+    """Criteria 1 to 8 (everything except determinism), sharing one batch."""
     batch = analyze_operator_batch(standard_operator_set(seed))
     return [
-        criterion_sobolev_oracle(tol=tol),
+        criterion_sobolev_oracle(),
         criterion_sigma_witness(),
-        criterion_kernel_cokernel(batch=batch, tol=tol),
-        criterion_resolvent_normality(batch=batch, tol=tol),
-        criterion_spectral_consistency(batch=batch, eig_tol=tol, recon_tol=tol),
-        criterion_fractal_certificate(seed=seed, tol=tol),
-        criterion_restriction(batch=batch, tol=tol),
-        criterion_roundtrip(seed=seed, tol=tol),
+        criterion_kernel_cokernel(batch),
+        criterion_resolvent_normality(batch),
+        criterion_spectral_consistency(batch),
+        criterion_fractal_certificate(seed),
+        criterion_restriction(batch),
+        criterion_roundtrip(seed),
     ]
 
 
-def run_verify_all(seed: int = DEFAULT_SEED, tol: float | None = None) -> VerifySummary:
-    """All nine criteria. ``tol`` overrides the defect-based tolerances
-    (the sigma-witness interval and the negative-control floor stay
-    pinned). The determinism criterion reruns the first eight checks and
-    compares the serialized reports byte for byte. It covers reruns inside
-    one process only; across processes, see "Determinism" in the README.
+def run_verify_all(seed: int = DEFAULT_SEED) -> VerifySummary:
+    """All nine criteria, each at its pinned tolerance. The determinism
+    criterion reruns the first eight checks and compares the serialized
+    reports byte for byte. It covers reruns inside one process only;
+    across processes, see "Determinism" in the README.
     """
-    results = _run_core(seed, tol)
+    results = _run_core(seed)
     first = json.dumps([asdict(r) for r in results], indent=2)
-    second = json.dumps([asdict(r) for r in _run_core(seed, tol)], indent=2)
+    second = json.dumps([asdict(r) for r in _run_core(seed)], indent=2)
     identical = first == second
     results.append(
         CriterionResult(

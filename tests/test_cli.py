@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 import trapezoid
 
-from scalehilbert import cli, sobolev_circle
+from scalehilbert import cli, linalg, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
 from scalehilbert.sobolev_circle import _log_closed_form_diag
 from scalehilbert.spaces import diagonal_equivalence_constants
 from scalehilbert.verify import (
     BATCH_CERTIFICATES,
+    CONSISTENCY,
+    FRACTAL,
+    KERNEL_ANGLE,
+    NORMALITY,
     OPERATOR_CERTIFICATES,
     ORACLE_TOL,
+    RECONSTRUCTION,
+    RESTRICTION,
     analyze_operator_batch,
     standard_operator_set,
 )
@@ -136,8 +142,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig("ladder", k_max=-1)
         with pytest.raises(ValueError):
-            RunConfig("ladder", tol=0.0)
-        with pytest.raises(ValueError):
             RunConfig("ladder", ladder=(64, 64))
         with pytest.raises(ValueError):
             RunConfig("ladder", ladder=(128, 64))
@@ -145,24 +149,18 @@ class TestRunConfig:
             RunConfig("ladder", ladder=())
         with pytest.raises(ValueError, match="^--seed: expected an integer >= 0, got -1$"):
             RunConfig("verify-all", seed=-1)
-        for tol in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="^--tol: expected a finite number > 0"):
-                RunConfig("verify-all", tol=tol)
 
     @pytest.mark.parametrize(
         "flags, message",
         [
             (["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
-            (["--tol", "inf"], "--tol: expected a finite number > 0, got inf"),
-            (["--tol", "nan"], "--tol: expected a finite number > 0, got nan"),
-            (["--tol", "0"], "--tol: expected a finite number > 0, got 0.0"),
             (["--n", "0"], "--n: expected an integer >= 1, got 0"),
             (["--nu-max", "0"], "--nu-max: expected an integer >= 1, got 0"),
             (["--k-max", "-1"], "--k-max: expected an integer >= 0, got -1"),
             (["--ladder", "64,32"], "--ladder: expected strictly increasing positive sizes, got [64, 32]"),
             (["--ladder", "abc"], "--ladder: expected comma-separated integers, got 'abc'"),
         ],
-        ids=["seed", "tol-inf", "tol-nan", "tol-zero", "n", "nu-max", "k-max", "ladder-order", "ladder-text"],
+        ids=["seed", "n", "nu-max", "k-max", "ladder-order", "ladder-text"],
     )
     def test_bad_flag_is_named(self, capsys, flags, message):
         # before any command runs, for every command
@@ -214,11 +212,6 @@ class TestSobolevDemo:
             report = json.load(fh, parse_constant=reject_non_finite)
         assert report["oracle"]["passed"]
         assert len(report["rows"]) == 64 * 61
-
-    def test_unattainable_tol_fails(self):
-        code = main(["--command", "sobolev-demo", "--nu-max", "8", "--tol", "1e-30"])
-        assert code == 1
-        assert not read_report("scalehilbert_sobolev_demo.json")["oracle"]["passed"]
 
     def test_nan_oracle_delta_fails(self, monkeypatch):
         # a NaN delta at a grade after the first must not be skipped
@@ -378,23 +371,37 @@ class TestHessianAnalyze:
         assert report["halted_after"] == "symmetry"
         assert report["certificates"][0]["defect"] == 1.0
 
-    def test_tol_override_reaches_the_symmetry_gate(self, tmp_path):
-        # symmetric part plus a skew part of relative size 1e-8: the gate
-        # passes at --tol 1e-6, and no certificate re-checks at 1e-10
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal((6, 6))
-        sym = (b + b.T) / 2
-        c = rng.standard_normal((6, 6))
-        skew = (c - c.T) / 2
-        matrix = sym + skew * (1e-8 * np.linalg.norm(2 * sym) / np.linalg.norm(2 * skew))
-        path = tmp_path / "skewed.json"
-        path.write_text(json.dumps({"n": 6, "kind": "dense", "matrix": matrix.tolist()}))
-        code = main(["--command", "hessian-analyze", "--input", str(path), "--tol", "1e-6"])
-        assert code == 0
+    def test_symmetry_defect_computed_once_per_run(self, monkeypatch):
+        # the symmetry certificate and every spectral_decompose gate after
+        # it read the one defect that the analysis keeps
+        calls = []
+        symmetry_defect = linalg.symmetry_defect
+
+        def counted(m):
+            calls.append(m.shape)
+            return symmetry_defect(m)
+
+        monkeypatch.setattr(linalg, "symmetry_defect", counted)
+        assert main(["--command", "hessian-analyze", "--n", "8"]) == 0
+        assert calls == [(8, 8)]
+
+    def test_certificate_tolerances_are_the_registry_entries(self):
+        assert main(["--command", "hessian-analyze", "--n", "8"]) == 0
         certificates = read_report("scalehilbert_hessian_analyze.json")["certificates"]
-        assert [c["name"] for c in certificates] == [c.name for c in OPERATOR_CERTIFICATES]
-        assert certificates[0]["defect"] == pytest.approx(1e-8, rel=1e-6)
-        assert all(c["passed"] and c["tol"] == 1e-6 for c in certificates)
+        assert [(c["name"], c["tol"]) for c in certificates] == [(c.name, c.tol) for c in OPERATOR_CERTIFICATES]
+
+    @pytest.mark.parametrize("n, allocation", [(200_000_000_000, MemoryError), (2**62, None)], ids=["memory", "size"])
+    def test_oversized_default_operator_is_an_input_error(self, monkeypatch, capsys, n, allocation):
+        # no real huge allocation: MemoryError is raised in its place, and
+        # numpy refuses 2**62 entries by its size check before allocating
+        if allocation is not None:
+            def refuse(*args, **kwargs):
+                raise allocation("Unable to allocate")
+
+            monkeypatch.setattr(np, "arange", refuse)
+        assert main(["--command", "hessian-analyze", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --n {n}: the default {n} x {n} operator matrix is too large to allocate\n"
 
     def test_wide_range_spectrum_returns_an_exit_code(self, tmp_path, capsys):
         # numerical trouble shows as failed named certificates, never as an
@@ -790,13 +797,16 @@ class TestVerifyAll:
         assert report["passed"]
         assert len(report["criteria"]) == 9
         assert [c["number"] for c in report["criteria"]] == list(range(1, 10))
-        assert report["tol_override"] is None
+        assert "tol_override" not in report
 
-    def test_impossible_tol_fails(self):
-        assert main(["--command", "verify-all", "--tol", "1e-300"]) == 1
-        report = read_report("scalehilbert_verify_all.json")
-        assert not report["passed"]
-        assert report["tol_override"] == 1e-300
+    def test_criteria_read_the_pinned_tolerances(self):
+        # one definition per tolerance: ORACLE_TOL and the registry entries
+        assert main(["--command", "verify-all"]) == 0
+        criteria = read_report("scalehilbert_verify_all.json")["criteria"]
+        registry = {3: KERNEL_ANGLE, 4: NORMALITY, 5: CONSISTENCY, 6: FRACTAL, 7: RESTRICTION}
+        assert criteria[0]["tol"] == ORACLE_TOL
+        assert {c["number"]: c["tol"] for c in criteria[2:7]} == {k: cert.tol for k, cert in registry.items()}
+        assert criteria[4]["details"]["reconstruction_tol"] == RECONSTRUCTION.tol
 
 
 # a JSON integer of 401 digits, past the largest double (about 1.8e308)
@@ -939,6 +949,14 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["--command", "frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_tol_flag_exits_two(self, capsys, command):
+        # every tolerance is pinned; there is no flag to replace one
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", command, "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
     def test_command_is_required(self):
         with pytest.raises(SystemExit) as exc:

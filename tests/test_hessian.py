@@ -751,7 +751,7 @@ class TestDenseReferenceFormulas:
 
     @classmethod
     def pair_deviations(cls, an):
-        data = an.symmetric_spectral
+        data = spectral_decompose(an)
         vs = data.sorted_vectors()
         actual = vs.T @ cls.dense_ladder(an.op.matrix, 1)[1] @ vs
         g = data.sorted_gammas()
@@ -761,14 +761,14 @@ class TestDenseReferenceFormulas:
     @staticmethod
     def perturbed(an, vectors):
         """``an`` with its eigenvectors replaced, behind a passed gate."""
-        d = an.symmetric_spectral
+        d = spectral_decompose(an)
         an.spectral = SpectralData(gammas=d.gammas, vectors=vectors, order=d.order)
         return an
 
     @pytest.mark.parametrize("on_diagonal", [True, False], ids=["diagonal-max", "off-diagonal-max"])
     def test_pair_isometry(self, on_diagonal):
         an = self.analysis()
-        v = an.symmetric_spectral.vectors.copy()
+        v = spectral_decompose(an).vectors.copy()
         if on_diagonal:
             v[:, 4] *= 1.0 + 1e-6
         else:
@@ -783,7 +783,7 @@ class TestDenseReferenceFormulas:
     def test_restriction_fractal_and_resolvent(self, kind):
         an = self.analysis(kind)
         a, n = an.op.matrix, an.op.n
-        data = an.symmetric_spectral
+        data = spectral_decompose(an)
         basis = rescaled_basis(data, an.fractal_weight, 1)
         in_graph = basis.T @ self.dense_ladder(a, 1)[1] @ (a @ basis)
         assert restriction_invariance(an) == linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
@@ -801,7 +801,7 @@ class TestDenseReferenceFormulas:
 
     def test_overflowed_grade_stays_nan(self):
         an = OperatorAnalysis(ScaleOperator(np.diag([1e9, 1.0])))
-        data = an.symmetric_spectral
+        data = spectral_decompose(an)
         deviations = []
         with np.errstate(invalid="ignore"):
             for k, g in enumerate(self.dense_ladder(an.op.matrix, 40)):

@@ -29,8 +29,11 @@ Operator certificates, through ``hessian-analyze`` (pinned tolerances):
 |---|---|---|---|
 | rank-deficient A, n = 24, 3 zeros | 1.2e-15 | 3 | none |
 | the same A + skew part, asymmetry 3e-11 | 2.16e-5 | 1 | kernel-cokernel-angle, restriction-invariance (1.9e-10) |
+| the same A + skew part, asymmetry 2e-10 | not reached | not reached | symmetry (2.0e-10), which halts the run |
 
-The skew part passes the symmetry gate (tolerance 1e-10). Its 3 x 3
+The skew part at 3e-11 passes the symmetry gate (tolerance 1e-10); at
+2e-10, just above it, the run halts after the symmetry entry, and
+``spectral_decompose`` refuses the same analysis. At 3e-11 its 3 x 3
 block on the kernel has one zero eigenvalue and a pair +-i w, w ~ 1e-10,
 above the SVD cutoff, so the SVD counts one kernel vector where ``eigh``
 of the symmetric part sees three, and the angle carries what neither the
@@ -46,6 +49,7 @@ import pytest
 
 from scalehilbert import linalg, sobolev_circle
 from scalehilbert.cli import main
+from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, spectral_decompose
 from scalehilbert.verify import OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle
 
 closed_form = sobolev_circle.fourier_gram_closed_form
@@ -106,10 +110,10 @@ def test_criterion_1_control_through_verify_all(monkeypatch, tmp_path):
     assert max(per_grade[:2] + per_grade[3:]) <= 1e-15
 
 
-def kernel_control(skew):
+def kernel_control(skew, asymmetry=3e-11):
     """n = 24, a diagonal with 3 zeros and other entries +-U(0.5, 2),
     conjugated by a random orthogonal matrix; with ``skew``, plus a random
-    skew part scaled to asymmetry 3e-11. All drawn from default_rng(0)."""
+    skew part scaled to ``asymmetry``. All drawn from default_rng(0)."""
     rng = np.random.default_rng(0)
     n, zeros = 24, 3
     d = np.zeros(n)
@@ -119,7 +123,7 @@ def kernel_control(skew):
     a = (a + a.T) / 2
     c = rng.standard_normal((n, n))
     part = (c - c.T) / 2
-    return a + part * (3e-11 * np.linalg.norm(a) / np.linalg.norm(part)) if skew else a
+    return a + part * (asymmetry * np.linalg.norm(a) / np.linalg.norm(part)) if skew else a
 
 
 @pytest.mark.parametrize(
@@ -146,3 +150,18 @@ def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
         assert low <= certificates[name]["defect"] <= high
     if not skew:
         assert 1e-16 <= certificates["kernel-cokernel-angle"]["defect"] <= 1e-14
+
+
+def test_symmetry_control(tmp_path):
+    a = kernel_control(True, asymmetry=2e-10)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"n": 24, "kind": "dense", "matrix": a.tolist()}))
+    assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 1
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh, parse_constant=reject_non_finite)
+    assert report["halted_after"] == "symmetry" and not report["passed"]
+    [certificate] = report["certificates"]
+    assert certificate["name"] == "symmetry" and not certificate["passed"]
+    assert 1.99e-10 <= certificate["defect"] <= 2.01e-10
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
