@@ -126,6 +126,15 @@ def kernel_control(skew, asymmetry=3e-11):
     return a + part * (asymmetry * np.linalg.norm(a) / np.linalg.norm(part)) if skew else a
 
 
+def hessian_analyze(tmp_path, a, code):
+    """The strict-JSON ``hessian-analyze`` report of dense ``a``, whose run exits ``code``."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"n": len(a), "kind": "dense", "matrix": a.tolist()}))
+    assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == code
+    with open(tmp_path / "r.json") as fh:
+        return json.load(fh, parse_constant=reject_non_finite)
+
+
 @pytest.mark.parametrize(
     "skew, code, ker_dim, failing",
     [
@@ -137,11 +146,7 @@ def kernel_control(skew, asymmetry=3e-11):
 def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
     a = kernel_control(skew)
     assert linalg.symmetry_defect(a) == (pytest.approx(3e-11, rel=1e-6) if skew else 0.0)
-    path = tmp_path / "op.json"
-    path.write_text(json.dumps({"n": 24, "kind": "dense", "matrix": a.tolist()}))
-    assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == code
-    with open(tmp_path / "r.json") as fh:
-        report = json.load(fh, parse_constant=reject_non_finite)
+    report = hessian_analyze(tmp_path, a, code)
     assert report["kernel"]["ker_dim"] == ker_dim
     certificates = {c["name"]: c for c in report["certificates"]}
     assert list(certificates) == [cert.name for cert in OPERATOR_CERTIFICATES]
@@ -154,11 +159,7 @@ def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
 
 def test_symmetry_control(tmp_path):
     a = kernel_control(True, asymmetry=2e-10)
-    path = tmp_path / "op.json"
-    path.write_text(json.dumps({"n": 24, "kind": "dense", "matrix": a.tolist()}))
-    assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 1
-    with open(tmp_path / "r.json") as fh:
-        report = json.load(fh, parse_constant=reject_non_finite)
+    report = hessian_analyze(tmp_path, a, 1)
     assert report["halted_after"] == "symmetry" and not report["passed"]
     [certificate] = report["certificates"]
     assert certificate["name"] == "symmetry" and not certificate["passed"]
