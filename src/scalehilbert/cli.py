@@ -34,13 +34,14 @@ import numpy as np
 from .hessian import (
     OperatorAnalysis,
     ScaleOperator,
+    graph_equivalence_constants,
     operator_from_json,
     regularity_constant,
     resolvent,  # noqa: F401  (kept bound here: certbench's tracer test patches cli.resolvent)
 )
 from .sobolev_circle import (_log_closed_form_diag, _log_closed_form_grades, oracle_deltas, ratio_trace,
                              sigma_equivalence_constants)
-from .spaces import diagonal_equivalence_constants
+from .spaces import equivalence_constants
 from .verify import DEFAULT_SEED, OPERATOR_CERTIFICATES, ORACLE_TOL, SYMMETRY, run_verify_all
 from .weights import _closed_form_degree, _json_int, _json_type, _log_poly_plus_one, _require_double, json_field
 
@@ -240,10 +241,10 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
         {"nu": i + 1, "gamma": float(g), "weight": float(np.exp(lv))}
         for i, (g, lv) in enumerate(zip(analysis.spectral.sorted_gammas(), analysis.fractal_weight.log_values))
     ]
-    c_lo, c_hi, c_step1 = analysis.graph_equivalence
+    c_lo, c_hi = graph_equivalence_constants(analysis)
     report["constants"] = {
-        "regularity_grade0": regularity_constant(analysis, 0),
-        "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi, "c_step1": c_step1},
+        "regularity": [regularity_constant(analysis, k) for k in range(op.scale.k_max if op.scale else cfg.k_max)],
+        "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi},
     }
     kernel = analysis.kernel
     report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim, "index": kernel.index}
@@ -318,7 +319,7 @@ def _ladder_constants(left, right, sizes, k_max: int) -> dict:
             log_l, log_r = left_logs(k), right_logs(k)
             for a, b in zip(cuts, cuts[1:]):
                 with np.errstate(over="ignore"):  # an overflow is rejected by the caller, by grade and rung
-                    c_lo, c_hi = diagonal_equivalence_constants(log_l[a - lo : b - lo], log_r[a - lo : b - lo])
+                    c_lo, c_hi = equivalence_constants(log_l[a - lo : b - lo], log_r[a - lo : b - lo])
                 lows[k], highs[k] = np.minimum(lows[k], c_lo), np.maximum(highs[k], c_hi)  # a NaN stays
                 if b in rungs:
                     constants[k, b] = float(lows[k]), float(highs[k])

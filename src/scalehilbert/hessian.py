@@ -20,7 +20,8 @@ gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
 fractal weight, the graph Gram I + A^T A (grade 1 of :func:`graph_ladder`;
 the fractal certificate steps each higher grade from it and drops that
-grade once read) and the graph-equivalence constants. Each defect
+grade once read) and the equivalence constants of an explicit scale, one
+generalized solve per grade (:meth:`OperatorAnalysis.equivalence`). Each defect
 subtracts its expected identity or diagonal in place on the diagonal of
 the product it computes. The certificate functions accept either a bare
 :class:`ScaleOperator`, which gets a fresh analysis of its own, or an
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SYMMETRY_TOL
-from .spaces import TruncatedScaleSpace, gram_matrix, space_from_json
+from .spaces import GramGrade, TruncatedScaleSpace, equivalence_constants, gram_matrix, space_from_json
 from .weights import Weight, _json_int, _json_numbers, json_field
 
 __all__ = [
@@ -85,7 +86,9 @@ class ScaleOperator:
     The matrix holds the operator in grade-0 orthonormal coordinates.
     ``scale`` supplies the ambient ladder; ``None`` selects the graph
     default, where grade k + 1 is built from grade k through the
-    operator itself.
+    operator itself. An explicit scale needs grades 0 and 1, and grade 0
+    must be exactly the identity (log values all 0, or a Gram equal to I),
+    the product the matrix is symmetric in. A refusal names its field.
     """
 
     matrix: np.ndarray
@@ -99,10 +102,17 @@ class ScaleOperator:
             raise ValueError("operator matrix must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.scale is not None and self.scale.n != self.n:
-            raise ValueError(
-                f"scale dimension {self.scale.n} does not match operator dimension {self.n}"
-            )
+        if self.scale is None:
+            return
+        if self.scale.n != self.n:
+            raise ValueError(f"scale.n: scale dimension {self.scale.n} does not match operator dimension {self.n}")
+        if self.scale.k_max < 1:  # the graph-equivalence and regularity constants read grade 1
+            raise ValueError(f"scale.k_max: an operator's scale needs grades 0 and 1, got k_max {self.scale.k_max}")
+        g0 = self.scale.grades[0]
+        identity = (np.array_equal(g0.matrix, np.eye(self.n)) if isinstance(g0, GramGrade)
+                    else not g0.weight.log_values.any())
+        if not identity:
+            raise ValueError("scale.grades[0]: expected the identity, the inner product the matrix is symmetric in")
 
     @property
     def n(self) -> int:
@@ -217,14 +227,15 @@ def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
 class OperatorAnalysis:
     """The factorizations every certificate of one operator reads.
 
-    Each attribute is computed on first access and kept, so one
-    analysis passed to all certificates runs each factorization once.
+    Each attribute, and each grade of :meth:`equivalence`, is computed on
+    first access and kept, so one analysis runs each factorization once.
     Build one per operator and drop it when that operator's
     certification is done; a new analysis always starts empty.
     """
 
     def __init__(self, op: ScaleOperator):
         self.op = op
+        self._equivalence = {}
 
     @classmethod
     def of(cls, op) -> "OperatorAnalysis":
@@ -285,71 +296,53 @@ class OperatorAnalysis:
         return resolvent_consistency(self, self.spectral)
 
     @cached_property
-    def graph_equivalence(self) -> tuple[float, float, float]:
-        """:func:`graph_equivalence_constants` of the operator."""
-        return graph_equivalence_constants(self)
-
-    @cached_property
     def graph_gram(self) -> np.ndarray:
         """The graph Gram I + A^T A, grade 1 of :func:`graph_ladder`, read-only."""
         gram = _graph_step(self.op.matrix)
         gram.setflags(write=False)
         return gram
 
+    def equivalence(self, k: int) -> tuple[float, float]:
+        """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1}
+        against G_k + A^T G_k A, one solve per grade k, kept; grade 0 reads
+        :attr:`graph_gram` (G_0 = I). Numerical trouble (LinAlgError, as the
+        grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
+        if k < 0:
+            raise IndexError("grade must be >= 0")
+        scale = self.op.scale
+        if scale is None:
+            return 1.0, 1.0
+        if k not in self._equivalence:
+            g_next = gram_matrix(scale, k + 1)
+            form = self.graph_gram if k == 0 else _graph_step(self.op.matrix, gram_matrix(scale, k))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
+                    self._equivalence[k] = equivalence_constants(g_next, form)
+            except np.linalg.LinAlgError:
+                self._equivalence[k] = np.nan, np.nan
+        return self._equivalence[k]
+
 
 def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
-    """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2).
-
-    The quadratic right-hand side is norm equivalent to the literal
+    """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2):
+    the square root of c_hi of :meth:`OperatorAnalysis.equivalence` at
+    grade n, so C_0 is sqrt(c_hi) of the graph equivalence, from the same
+    solve. The quadratic right-hand side is norm equivalent to the literal
     (||Ax||_n + ||x||_n) within a factor sqrt(2), so C certifies the
-    truncated regularity property up to that documented slack. Computed
-    as the square root of the largest generalized eigenvalue between the
-    grade-(n+1) Gram of the explicit scale and the right-hand side form.
-
-    Under the graph default C is exactly 1 and nothing is solved: grade
-    n + 1 of the graph ladder is sym_part(G_n + A^T G_n A), which is the
-    right-hand side form itself.
+    truncated regularity property up to that documented slack. Under the
+    graph default C is exactly 1 and nothing is solved.
     """
-    if n_grade < 0:
-        raise IndexError("grade must be >= 0")
-    an = OperatorAnalysis.of(op)
-    scale = an.op.scale
-    if scale is None:
-        return 1.0
-    g_next = gram_matrix(scale, n_grade + 1)
-    mu = linalg.generalized_eigh(g_next, _graph_step(an.op.matrix, gram_matrix(scale, n_grade)))[0]
-    return float(np.sqrt(mu[-1]))
+    return float(np.sqrt(OperatorAnalysis.of(op).equivalence(n_grade)[1]))
 
 
-def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[float, float, float]:
-    """(c_lo, c_hi, c_step1) between the grade-1 norm and the graph norm.
-
-    c_lo and c_hi are the attained extreme generalized eigenvalues of the
-    grade-1 Gram of the explicit scale against the graph Gram (grade 1 of
-    the graph ladder), so c_lo ||x||_graph^2 <= ||x||_1^2 <=
-    c_hi ||x||_graph^2 with equality somewhere. c_step1 is the
-    constructive bound max(c0, |i| c0) = c0, with c0 the operator norm
-    of the resolvent at :data:`DEFAULT_RESOLVENT_POINT` = i as a map into
-    grade 1; it is reported for comparison and only finiteness is
-    contractual.
-
-    Under the graph default all three are exactly 1 and nothing is
-    solved: grade 1 is the graph Gram, so c_lo = c_hi = 1, and for
-    symmetric A at the point i, c0 = max_gamma sqrt(1 + gamma^2) /
-    |gamma - i| = 1. That last identity needs symmetry, so this branch
-    passes the symmetry gate of :func:`spectral_decompose` (ValueError on
-    a non-symmetric operator).
+def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[float, float]:
+    """(c_lo, c_hi) between the grade-1 norm and the graph norm, so that
+    c_lo ||x||_graph^2 <= ||x||_1^2 <= c_hi ||x||_graph^2 with equality
+    somewhere: grade 0 of :meth:`OperatorAnalysis.equivalence`, whose form
+    G_0 + A^T G_0 A is the graph Gram I + A^T A. Exactly (1.0, 1.0) under
+    the graph default, where grade 1 is the graph Gram.
     """
-    an = OperatorAnalysis.of(op)
-    scale = an.op.scale
-    if scale is None:
-        spectral_decompose(an)  # the gate: c0 = 1 holds for symmetric A only
-        return 1.0, 1.0, 1.0
-    g_one = gram_matrix(scale, 1)
-    mu = linalg.generalized_eigh(g_one, an.graph_gram)[0]
-    chol = linalg.cholesky_spd(g_one, "grade 1 Gram")
-    c_step1 = float(np.linalg.norm(chol.T @ an.resolvent.b_matrix, 2))
-    return float(mu[0]), float(mu[-1]), c_step1
+    return OperatorAnalysis.of(op).equivalence(0)
 
 
 def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> ResolventData:
@@ -558,12 +551,12 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     return float(np.maximum(np.abs(actual, out=actual).max(), on_diagonal.max()))
 
 
-def conjugated_diagonal(diag, seed: int, scale=None) -> ScaleOperator:
+def conjugated_diagonal(diag, seed: int) -> ScaleOperator:
     """Q^T diag(d) Q for a seeded random orthogonal Q (PCG64 generator)."""
     d = np.asarray(diag, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
     q = linalg.random_orthogonal(d.shape[0], rng)
-    return ScaleOperator(q.T @ np.diag(d) @ q, scale)
+    return ScaleOperator(q.T @ np.diag(d) @ q)
 
 
 def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
@@ -579,10 +572,6 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
     kind = json_field(obj, "kind", path, "dense")
     raw_scale = json_field(obj, "scale", path, "graph_default")
     scale = None if raw_scale == "graph_default" else space_from_json(raw_scale, f"{path}.scale")
-    if scale is not None and scale.n != n:
-        raise ValueError(f"{path}.scale.n: scale dimension {scale.n} does not match operator dimension {n}")
-    if scale is not None and scale.k_max < 1:  # the graph-equivalence and regularity constants read grade 1
-        raise ValueError(f"{path}.scale.k_max: an operator's scale needs grades 0 and 1, got k_max {scale.k_max}")
     if kind not in ("dense", "diagonal", "conjugated_diagonal"):
         raise ValueError(f"{path}.kind: unknown operator kind {kind!r}")
     key, shape = ("matrix", (n, n)) if kind == "dense" else ("diag", (n,))
@@ -595,5 +584,8 @@ def operator_from_json(obj: dict, path: str = "operator") -> ScaleOperator:
         seed = _json_int(obj, "seed", path)
         if seed < 0:
             raise ValueError(f"{path}.seed: expected an integer >= 0, got {seed}")
-        return conjugated_diagonal(values, seed, scale)
-    return ScaleOperator(values if kind == "dense" else np.diag(values), scale)
+        values = conjugated_diagonal(values, seed).matrix
+    try:
+        return ScaleOperator(np.diag(values) if kind == "diagonal" else values, scale)
+    except ValueError as exc:  # the matrix is checked above, so the scale is refused, by its field
+        raise ValueError(f"{path}.{exc}") from None

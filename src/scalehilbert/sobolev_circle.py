@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DiagonalGrade, TruncatedScaleSpace
+from .spaces import DiagonalGrade, TruncatedScaleSpace, equivalence_constants
 from .weights import Weight, sigma_weight
 
 __all__ = [
@@ -159,13 +159,14 @@ def oracle_deltas(nu_max: int, k_max: int):
         yield diag, quad, float(np.max(delta))
 
 
-def _log_sigma_ratio(nu_max: int, k: int) -> np.ndarray:
-    """log S_k(nu) - k log sigma(nu) over nu = 1..nu_max, log sigma read
-    from :func:`sigma_weight`; exactly -k log1p(1) at nu = 1."""
+def _log_sigma_tables(nu_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log S_k(nu), k log sigma(nu)) over nu = 1..nu_max, log sigma read
+    from :func:`sigma_weight`; their difference is exactly -k log1p(1) at
+    nu = 1."""
     _require_index(nu_max, "nu_max")
     if k < 0:
         raise ValueError(f"grade must be >= 0, got {k}")
-    return _log_closed_form_diag(np.arange(1, nu_max + 1), k) - k * sigma_weight(nu_max).log_values
+    return _log_closed_form_diag(np.arange(1, nu_max + 1), k), k * sigma_weight(nu_max).log_values
 
 
 def ratio_trace(nu_max: int, k: int) -> np.ndarray:
@@ -177,15 +178,14 @@ def ratio_trace(nu_max: int, k: int) -> np.ndarray:
     these bounds witness that the Sobolev ladder and the sigma-weighted
     sequence model are the same scale structure.
     """
-    return np.exp(_log_sigma_ratio(nu_max, k))
+    return np.exp(np.subtract(*_log_sigma_tables(nu_max, k)))
 
 
 def sigma_equivalence_constants(nu_max: int, k: int) -> tuple[float, float]:
     """Attained equivalence constants between the grade-k Sobolev weight
     and the k-th power of sigma, over the first nu_max indices: the
-    extremes of :func:`ratio_trace`."""
-    ratio = ratio_trace(nu_max, k)
-    return float(ratio.min()), float(ratio.max())
+    extremes of :func:`ratio_trace`, from :func:`equivalence_constants`."""
+    return equivalence_constants(*_log_sigma_tables(nu_max, k))
 
 
 def build_sobolev_space(nu_max: int, k_max: int) -> TruncatedScaleSpace:

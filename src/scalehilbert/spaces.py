@@ -35,7 +35,7 @@ __all__ = [
     "weighted_sequence_space",
     "gram_matrix",
     "inclusion_singular_values",
-    "diagonal_equivalence_constants",
+    "equivalence_constants",
     "is_scale_isometric",
     "space_from_json",
 ]
@@ -75,9 +75,9 @@ class TruncatedScaleSpace:
 
     Construction checks that every grade has dimension n and every weight
     is finite; a Gram grade checks that it is SPD when it is built. The
-    canonical normalization (grade 0 = constant weight 1) is enforced
-    only by :func:`weighted_sequence_space`; an explicit scale may start
-    at a nontrivial grade.
+    canonical normalization (grade 0 = constant weight 1) is enforced by
+    :func:`weighted_sequence_space` and ``hessian.ScaleOperator``, whose
+    scale must start at the identity; other spaces may start anywhere.
     """
 
     n: int
@@ -152,15 +152,18 @@ def inclusion_singular_values(s: TruncatedScaleSpace, k: int) -> np.ndarray:
     return np.sort(sv)[::-1]
 
 
-def diagonal_equivalence_constants(log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, float]:
-    """Equivalence constants for two diagonal forms, straight from the
-    per-coordinate ratios in log scale (safe for very large weights)."""
-    log_a = np.asarray(log_a, dtype=float)
-    log_b = np.asarray(log_b, dtype=float)
-    if log_a.shape != log_b.shape:
-        raise ValueError("log tables must have matching length")
-    ratio = np.exp(log_a - log_b)
-    return float(ratio.min()), float(ratio.max())
+def equivalence_constants(g: np.ndarray, h: np.ndarray) -> tuple[float, float]:
+    """(c_lo, c_hi), the attained extremes of g v = mu h v. Two 1-d arrays
+    are the log tables of diagonal forms, whose ratios are taken in log scale
+    (safe for very large weights); otherwise g is a symmetric and h an SPD
+    matrix, and the constants are the ends of :func:`linalg.generalized_eigh`."""
+    if np.ndim(g) == np.ndim(h) == 1:
+        if len(g) != len(h):
+            raise ValueError("log tables must have matching length")
+        ratio = np.exp(g - h)
+        return float(ratio.min()), float(ratio.max())
+    mu = linalg.generalized_eigh(g, h)[0]
+    return float(mu[0]), float(mu[-1])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .hessian import (
     restriction_invariance,
     spectral_decompose,
 )
-from .sobolev_circle import _log_sigma_ratio, oracle_deltas
+from .sobolev_circle import _log_sigma_tables, oracle_deltas
 
 __all__ = [
     "DEFAULT_SEED",
@@ -82,8 +82,9 @@ class Certificate:
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
     """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else
-    inf; 0 by identity under the graph default, where both constants are 1."""
-    c_lo, c_hi, _ = an.graph_equivalence
+    inf; 0 by identity under the graph default. Both forms are SPD, so it
+    fails only on numerical trouble, such as a pencil that raised LinAlgError."""
+    c_lo, c_hi = an.equivalence(0)
     return 0.0 if 0.0 < c_lo <= c_hi else float("inf")
 
 
@@ -220,7 +221,7 @@ def criterion_sigma_witness() -> CriterionResult:
     worst_tail = 0.0
     per_grade = []
     for k in range(k_max + 1):
-        log_ratio = _log_sigma_ratio(nu_max, k)
+        log_ratio = np.subtract(*_log_sigma_tables(nu_max, k))
         lo = -k * np.log1p(1.0)
         hi = k * np.log1p(4.0 * np.pi**2)
         inside = bool((log_ratio >= lo).all() and (log_ratio <= hi).all())

@@ -15,7 +15,7 @@ import trapezoid
 from scalehilbert import cli, linalg, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
 from scalehilbert.sobolev_circle import _log_closed_form_diag
-from scalehilbert.spaces import diagonal_equivalence_constants
+from scalehilbert.spaces import equivalence_constants
 from scalehilbert.verify import (
     BATCH_CERTIFICATES,
     CONSISTENCY,
@@ -110,6 +110,11 @@ def csv_writer_text(header, rows):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     with open("expected.csv", "rb") as fh:
         return fh.read()
+
+
+def table_grade(values):
+    """A diagonal scale grade with the given weight table."""
+    return {"type": "diagonal", "weight": {"n": len(values), "kind": "table", "values": values}}
 
 
 def diagonal_scale(weight):
@@ -323,8 +328,8 @@ class TestHessianAnalyze:
         assert "fractal-certificate" in names
         assert all(c["passed"] for c in report["certificates"])
         constants = report["constants"]
-        assert constants["regularity_grade0"] == 1.0
-        assert constants["graph_equivalence"] == {"c_lo": 1.0, "c_hi": 1.0, "c_step1": 1.0}
+        assert constants["regularity"] == [1.0, 1.0, 1.0]
+        assert constants["graph_equivalence"] == {"c_lo": 1.0, "c_hi": 1.0}
 
     def test_weight_csv_mirror(self):
         main(["--command", "hessian-analyze", "--n", "3"])
@@ -433,6 +438,18 @@ class TestHessianAnalyze:
         assert certificates["fractal-certificate"] == {
             "name": "fractal-certificate", "defect": None, "tol": 1e-8, "passed": False
         }
+
+    def test_overflowed_grade_pencil_reads_null(self, tmp_path):
+        # grade 2 = 1e308 I overflows in the grade-1 pencil G_2 against
+        # G_1 + A G_1 A = 3 I: C_1 reads null, with no RuntimeWarning (an error
+        # here). Only C_0's pencil has a certificate, so the run still passes.
+        scale = {"n": 2, "k_max": 2, "grades": [table_grade([1, 1]), table_grade([1, 1]), table_grade([1e308, 1e308])]}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "matrix": [[1, 1], [1, -1]], "scale": scale}))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
+        constants = read_report("scalehilbert_hessian_analyze.json")["constants"]
+        assert constants["graph_equivalence"] == pytest.approx({"c_lo": 1 / 3, "c_hi": 1 / 3}, rel=1e-14)
+        assert constants["regularity"] == [pytest.approx(3**-0.5, rel=1e-14), None]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_gram_is_named(self, tmp_path, capsys, bad):
@@ -576,6 +593,13 @@ class TestHessianAnalyze:
              "operator.diag: expected a rectangular array, got one nested 70 deep"),
             ({"scale": {"n": 2, "k_max": -1, "grades": []}},
              "operator.scale.k_max: a scale space needs at least one grade, got k_max -1"),
+            ({"matrix": [[1, 1], [1, -1]], "scale": {"n": 2, "k_max": 1, "grades": [table_grade([1, 100]),
+                                                                                  table_grade([2, 200])]}},
+             "operator.scale.grades[0]: expected the identity, the inner product the matrix is symmetric in"),
+            ({"kind": "conjugated_diagonal", "diag": [1.0, 2.0], "seed": 3,
+              "scale": {"n": 2, "k_max": 1, "grades": [{"type": "gram", "matrix": [[1, 0], [0, 1 + 2**-52]]},
+                                                       table_grade([2, 200])]}},
+             "operator.scale.grades[0]: expected the identity, the inner product the matrix is symmetric in"),
         ],
         ids=["scale", "matrix", "k_max", "grades", "grade", "weight", "seed",
              "n-null", "seed-list", "k_max-object", "weight-n-str", "seed-float", "n-string", "n-bool",
@@ -584,7 +608,7 @@ class TestHessianAnalyze:
              "n-zero", "n-negative", "seed-negative", "kind", "matrix-shape", "diag-shape",
              "table-count", "table-nonpositive", "formula-name", "weight-kind", "degree-negative", "weight-n-zero",
              "k_max-zero", "matrix-nan", "diag-infinity", "matrix-ragged", "matrix-deep", "diag-deep",
-             "k_max-negative"],
+             "k_max-negative", "grade0-diagonal", "grade0-gram"],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, message):
         obj = {"n": 2, "kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]], **spec}
@@ -768,7 +792,7 @@ class TestLadder:
         for k in range(4):
             log_l, log_r = whole_table(left, k), whole_table(right, k)
             for n, rung in zip(sizes, rungs):
-                c_lo, c_hi = diagonal_equivalence_constants(log_l[:n], log_r[:n])
+                c_lo, c_hi = equivalence_constants(log_l[:n], log_r[:n])
                 assert (rung["grades"][k]["c_lo"], rung["grades"][k]["c_hi"]) == (c_lo, c_hi)
 
     def test_memory_stays_below_the_whole_tables(self):

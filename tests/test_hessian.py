@@ -30,6 +30,7 @@ from scalehilbert.hessian import (
 )
 from scalehilbert.sobolev_circle import build_sobolev_space
 from scalehilbert.spaces import (
+    DiagonalGrade,
     GramGrade,
     TruncatedScaleSpace,
     gram_matrix,
@@ -71,6 +72,28 @@ class TestScaleOperator:
         scale = weighted_sequence_space(Weight(np.zeros(3)), 1)
         with pytest.raises(ValueError):
             ScaleOperator(np.eye(2), scale)
+
+    def test_rejects_scale_without_grade_one(self):
+        with pytest.raises(ValueError, match=r"^scale\.k_max: an operator's scale needs grades 0 and 1"):
+            ScaleOperator(np.eye(2), weighted_sequence_space(Weight(np.zeros(2)), 0))
+
+    @pytest.mark.parametrize(
+        "grade0",
+        [DiagonalGrade(Weight(np.log([1.0, 100.0]))), DiagonalGrade(Weight(np.array([0.0, 2.0**-1074]))),
+         GramGrade(np.diag([1.0, 100.0])), GramGrade(np.diag([1.0, 1.0 + 2.0**-52])), GramGrade([[1.0, 0.5], [0.5, 1.0]])],
+        ids=["diagonal", "diagonal-subnormal-log", "gram", "gram-one-ulp", "gram-off-diagonal"],
+    )
+    def test_grade_zero_must_be_exactly_the_identity(self, grade0):
+        # the matrix is written in grade-0 coordinates; there is no tolerance
+        grade1 = DiagonalGrade(Weight(np.log([2.0, 200.0])))
+        with pytest.raises(ValueError, match=r"^scale\.grades\[0\]: expected the identity"):
+            ScaleOperator(np.array([[1.0, 1.0], [1.0, -1.0]]), TruncatedScaleSpace(2, (grade0, grade1)))
+
+    @pytest.mark.parametrize("grade0", [DiagonalGrade(Weight(np.array([0.0, -0.0]))), GramGrade(np.eye(2))],
+                             ids=["diagonal", "gram"])
+    def test_identity_grade_zero_is_accepted(self, grade0):
+        scale = TruncatedScaleSpace(2, (grade0, DiagonalGrade(Weight(np.log([2.0, 200.0])))))
+        assert ScaleOperator(np.eye(2), scale).scale is scale
 
 
 class TestSymmetry:
@@ -300,19 +323,19 @@ class TestRegularity:
 class TestGraphEquivalence:
     def test_graph_default_constants_are_one(self):
         op = ScaleOperator(np.diag([0.0, 1.0, 4.0]))
-        assert graph_equivalence_constants(op) == (1.0, 1.0, 1.0)
+        assert graph_equivalence_constants(op) == (1.0, 1.0)
 
     def test_scaled_grade_one(self):
         a = np.diag([1.0, 2.0])
         g1 = 3.0 * (np.eye(2) + a.T @ a)
         scale = TruncatedScaleSpace(2, (GramGrade(np.eye(2)), GramGrade(g1)))
-        c_lo, c_hi, _ = graph_equivalence_constants(ScaleOperator(a, scale))
+        c_lo, c_hi = graph_equivalence_constants(ScaleOperator(a, scale))
         assert (c_lo, c_hi) == pytest.approx((3.0, 3.0), rel=1e-12)
 
     def test_random_operator_sanity(self):
         rng = np.random.default_rng(29)
         op = ScaleOperator(random_symmetric(rng, 9))
-        assert graph_equivalence_constants(op) == (1.0, 1.0, 1.0)
+        assert graph_equivalence_constants(op) == (1.0, 1.0)
 
 
 class TestShiftedFloerHessian:
@@ -337,13 +360,10 @@ class TestShiftedFloerHessian:
     def test_graph_equivalence_closed_form(self):
         op, lam, w = self.fixture()
         ratio = w[:, 1] / (1.0 + lam**2)
-        c_lo, c_hi, c_step1 = graph_equivalence_constants(op)
+        c_lo, c_hi = graph_equivalence_constants(op)
         assert c_lo == pytest.approx(ratio.min(), rel=1e-12)
         assert c_hi == pytest.approx(ratio.max(), rel=1e-12)
-        assert c_step1 == pytest.approx(np.sqrt(ratio.max()), rel=1e-12)
-        assert (c_lo, c_hi, c_step1) == pytest.approx(
-            (0.8, 1.175152986489625, 1.084044734542641), rel=1e-12
-        )
+        assert (c_lo, c_hi) == pytest.approx((0.8, 1.175152986489625), rel=1e-12)
 
     def test_regularity_closed_form(self):
         op, lam, w = self.fixture()
@@ -352,6 +372,36 @@ class TestShiftedFloerHessian:
             closed = np.sqrt(np.max(w[:, n + 1] / (w[:, n] * (1.0 + lam**2))))
             assert regularity_constant(op, n) == pytest.approx(closed, rel=1e-12)
             assert regularity_constant(op, n) == pytest.approx(value, rel=1e-12)
+
+
+class TestSmoothFloerHessian:
+    """J d/dt + s + 2c cos(2 pi t) on the Sobolev ladder, s = 0.5, c = 0.15,
+    in the basis that diagonalizes J d/dt: index nu carries the signed
+    frequency f = 0, +m, -m at nu = 1, 2m, 2m + 1, with eigenvalue
+    s + 2 pi f, and the grades of ``build_sobolev_space`` weigh nu by |f|
+    alone. The multiplication by 2c cos(2 pi t) adds c at |f - g| = 1, so
+    the operator is not diagonal and every constant comes from a
+    generalized solve. The pins are measured; they are converged in nu_max."""
+
+    S, C = 0.5, 0.15
+    PINNED_EQUIVALENCE = (0.6979774391081233, 1.2430199638374926)
+    PINNED_REGULARITY = (1.1149080517412602, 1.7010315327400842, 4.9265460101565015)
+
+    def operator(self, nu_max):
+        nu = np.arange(1, nu_max + 1)
+        f = np.where(nu % 2 == 0, nu // 2, -(nu // 2))
+        a = np.diag(self.S + 2.0 * np.pi * f) + self.C * (np.abs(np.subtract.outer(f, f)) == 1)
+        return ScaleOperator(a, build_sobolev_space(nu_max, 3))
+
+    @pytest.mark.parametrize("nu_max", [33, 129])
+    def test_constants_are_pinned(self, nu_max):
+        an = OperatorAnalysis(self.operator(nu_max))
+        assert np.count_nonzero(an.op.matrix - np.diag(np.diagonal(an.op.matrix))) == 2 * (nu_max - 1)
+        c_lo, c_hi = graph_equivalence_constants(an)
+        assert (c_lo, c_hi) == pytest.approx(self.PINNED_EQUIVALENCE, rel=1e-12)
+        regularity = [regularity_constant(an, k) for k in range(3)]
+        assert regularity == pytest.approx(self.PINNED_REGULARITY, rel=1e-12)
+        assert regularity[0] == np.sqrt(c_hi)  # the same solve, bit for bit
 
 
 class TestResolvent:
@@ -726,8 +776,6 @@ class TestOperatorAnalysis:
             spectral_decompose(an)
         with pytest.raises(ValueError, match="not symmetric"):
             restriction_invariance(an)
-        with pytest.raises(ValueError, match="not symmetric"):
-            graph_equivalence_constants(an)
 
 
 class TestDenseReferenceFormulas:

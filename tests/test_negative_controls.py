@@ -37,8 +37,24 @@ The skew part at 3e-11 passes the symmetry gate (tolerance 1e-10); at
 block on the kernel has one zero eigenvalue and a pair +-i w, w ~ 1e-10,
 above the SVD cutoff, so the SVD counts one kernel vector where ``eigh``
 of the symmetric part sees three, and the angle carries what neither the
-gate nor ``eigh`` sees. Rows for the other operator certificates and the
-other criteria are still to be added.
+gate nor ``eigh`` sees.
+
+graph-equivalence-positivity, through ``hessian-analyze`` on
+A = Q^T diag(d) Q (``conjugated_diagonal``, seed 3) with the unit diagonal
+scale of grades 0 and 1:
+
+| control | positivity defect | c_lo, c_hi | fails |
+|---|---|---|---|
+| d = (1, 1, 0.5, -2) | 0 | 0.2, 0.8 | none |
+| d = (1e9, 1, 0.5, -2), graph Gram condition about 1e18 | inf (null) | null, null | 8 entries (below) |
+
+Under the control the Cholesky factorization of the graph Gram I + A^T A
+in the grade-0 pencil fails, the pencil reads (nan, nan), and the run
+exits 1 with resolvent-residual (2.7e-8), resolvent-normality,
+resolvent-adjoint, eigenvalue-resolvent-consistency, fractal-certificate,
+restriction-invariance, pair-isometry and graph-equivalence-positivity
+failing, with no RuntimeWarning. Rows for the other operator
+certificates and the other criteria are still to be added.
 """
 
 import json
@@ -127,9 +143,10 @@ def kernel_control(skew, asymmetry=3e-11):
 
 
 def hessian_analyze(tmp_path, a, code):
-    """The strict-JSON ``hessian-analyze`` report of dense ``a``, whose run exits ``code``."""
+    """The strict-JSON ``hessian-analyze`` report of dense ``a`` (or of the
+    operator object ``a``), whose run exits ``code``."""
     path = tmp_path / "op.json"
-    path.write_text(json.dumps({"n": len(a), "kind": "dense", "matrix": a.tolist()}))
+    path.write_text(json.dumps(a if isinstance(a, dict) else {"n": len(a), "kind": "dense", "matrix": a.tolist()}))
     assert main(["--command", "hessian-analyze", "--input", str(path), "--output", str(tmp_path / "r.json")]) == code
     with open(tmp_path / "r.json") as fh:
         return json.load(fh, parse_constant=reject_non_finite)
@@ -166,3 +183,30 @@ def test_symmetry_control(tmp_path):
     assert 1.99e-10 <= certificate["defect"] <= 2.01e-10
     with pytest.raises(ValueError, match="not symmetric"):
         spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
+
+
+POSITIVITY_CONTROL_FAILS = {
+    "resolvent-residual", "resolvent-normality", "resolvent-adjoint", "eigenvalue-resolvent-consistency",
+    "fractal-certificate", "restriction-invariance", "pair-isometry", "graph-equivalence-positivity",
+}
+
+
+@pytest.mark.parametrize(
+    "top, code, failing", [(1.0, 0, set()), (1e9, 1, POSITIVITY_CONTROL_FAILS)], ids=["unperturbed", "ill-conditioned"]
+)
+def test_graph_equivalence_positivity_control(tmp_path, top, code, failing):
+    unit = {"type": "diagonal", "weight": {"n": 4, "kind": "table", "values": [1, 1, 1, 1]}}
+    report = hessian_analyze(tmp_path, {"n": 4, "kind": "conjugated_diagonal", "diag": [top, 1, 0.5, -2], "seed": 3,
+                                        "scale": {"n": 4, "k_max": 1, "grades": [unit, unit]}}, code)
+    certificates = {c["name"]: c for c in report["certificates"]}
+    assert list(certificates) == [cert.name for cert in OPERATOR_CERTIFICATES]
+    assert {name for name, c in certificates.items() if not c["passed"]} == failing
+    positivity, constants = certificates["graph-equivalence-positivity"]["defect"], report["constants"]
+    if failing:
+        assert positivity is None  # inf, written as null
+        assert 2.6e-8 <= certificates["resolvent-residual"]["defect"] <= 2.8e-8
+        assert constants == {"regularity": [None], "graph_equivalence": {"c_lo": None, "c_hi": None}}
+    else:
+        assert positivity == 0.0
+        assert constants["graph_equivalence"] == pytest.approx({"c_lo": 0.2, "c_hi": 0.8}, rel=1e-14)
+        assert constants["regularity"] == pytest.approx([0.8**0.5], rel=1e-14)

@@ -6,7 +6,7 @@ from scalehilbert.spaces import (
     DiagonalGrade,
     GramGrade,
     TruncatedScaleSpace,
-    diagonal_equivalence_constants,
+    equivalence_constants,
     gram_matrix,
     inclusion_singular_values,
     is_scale_isometric,
@@ -165,26 +165,27 @@ class TestInclusion:
 
 
 class TestEquivalence:
-    """Equivalence constants of two SPD forms are the extreme generalized
-    eigenvalues, the ends of :func:`scalehilbert.linalg.generalized_eigh`'s
-    nondecreasing eigenvalues."""
+    """:func:`equivalence_constants` of two SPD forms are the extreme
+    generalized eigenvalues, the ends of
+    :func:`scalehilbert.linalg.generalized_eigh`'s nondecreasing
+    eigenvalues; of two diagonal forms, the extreme ratios of their log
+    tables."""
 
     def test_identical_forms(self):
         g = random_spd(np.random.default_rng(0), 5)
-        mu = generalized_eigh(g, g)[0]
-        assert (mu[0], mu[-1]) == pytest.approx((1.0, 1.0), rel=1e-12)
+        assert equivalence_constants(g, g) == pytest.approx((1.0, 1.0), rel=1e-12)
 
     def test_scaled_form(self):
         g = random_spd(np.random.default_rng(1), 5)
-        mu = generalized_eigh(4.0 * g, g)[0]
-        assert (mu[0], mu[-1]) == pytest.approx((4.0, 4.0), rel=1e-12)
+        assert equivalence_constants(4.0 * g, g) == pytest.approx((4.0, 4.0), rel=1e-12)
 
     def test_bounds_hold_on_samples_and_are_attained(self):
         rng = np.random.default_rng(2)
         n = 12
         a, b = random_spd(rng, n), random_spd(rng, n)
         mu, basis = generalized_eigh(a, b)
-        c_lo, c_hi = mu[0], mu[-1]
+        c_lo, c_hi = equivalence_constants(a, b)
+        assert (c_lo, c_hi) == (mu[0], mu[-1])
         x = rng.standard_normal((20000, n))
         ratios = np.einsum("si,ij,sj->s", x, a, x) / np.einsum("si,ij,sj->s", x, b, x)
         slack = 1e-10 * c_hi
@@ -198,27 +199,28 @@ class TestEquivalence:
     def test_swap_inverts_constants(self):
         rng = np.random.default_rng(3)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
-        mu, swapped = generalized_eigh(a, b)[0], generalized_eigh(b, a)[0]
-        assert (swapped[0], swapped[-1]) == pytest.approx((1.0 / mu[-1], 1.0 / mu[0]), rel=1e-10)
+        (c_lo, c_hi), swapped = equivalence_constants(a, b), equivalence_constants(b, a)
+        assert swapped == pytest.approx((1.0 / c_hi, 1.0 / c_lo), rel=1e-10)
 
     def test_rejects_non_spd(self):
         with pytest.raises(np.linalg.LinAlgError):
-            generalized_eigh(np.eye(2), np.diag([1.0, -1.0]))
+            equivalence_constants(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            generalized_eigh(np.eye(2), np.eye(3))
+            equivalence_constants(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="matching length"):
+            equivalence_constants(np.zeros(2), np.zeros(3))
 
     def test_diagonal_path_matches_dense(self):
         log_a = np.log([1.0, 4.0, 9.0])
         log_b = np.log([2.0, 2.0, 2.0])
-        fast = diagonal_equivalence_constants(log_a, log_b)
-        mu = generalized_eigh(np.diag(np.exp(log_a)), np.diag(np.exp(log_b)))[0]
-        assert fast == pytest.approx((mu[0], mu[-1]), rel=1e-12)
+        fast = equivalence_constants(log_a, log_b)
+        assert fast == pytest.approx(equivalence_constants(np.diag(np.exp(log_a)), np.diag(np.exp(log_b))), rel=1e-12)
         assert fast == pytest.approx((0.5, 4.5), rel=1e-14)
 
     def test_diagonal_path_survives_huge_weights(self):
-        c_lo, c_hi = diagonal_equivalence_constants(
+        c_lo, c_hi = equivalence_constants(
             np.array([2000.0, 2001.0]), np.array([2000.5, 2000.5])
         )
         assert np.isfinite([c_lo, c_hi]).all()
