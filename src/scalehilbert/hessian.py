@@ -6,31 +6,34 @@ kernel and cokernel, its resolvent at an off-axis point is normal, its
 spectral decomposition is real and orthonormal, and the weight
 1 + gamma^2 built from its eigenvalues turns the graph-norm ladder into
 a weighted sequence model. The final product of the module is
-:func:`build_fractal_structure`, which assembles the ladder, rescales
-the eigenbasis grade by grade, and reports the isometry defect onto the
-diagonal model.
+:func:`build_fractal_structure`, which reports the isometry defect of
+the rescaled eigenbasis onto the diagonal model, grade by grade.
 
 Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` computes lazily and at most once: the
-symmetry defect (the gate of :func:`spectral_decompose`), the kernel
-SVD (singular values, plus vectors only when there is a kernel), the
-``eigh`` spectral data and its reconstruction residual, the resolvent
-at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose result also
-gives its condition guard) with its normality pair and its
-consistency bound (the eigen-residuals of the ``eigh`` pairs), the
-fractal weight, the graph Gram I + A^T A (grade 1 of :func:`graph_ladder`;
-the fractal certificate steps each higher grade from it and drops that
-grade once read) and the equivalence constants of an explicit scale, one
-generalized solve per grade (:meth:`OperatorAnalysis.equivalence`). Each defect
-subtracts its expected identity or diagonal in place on the diagonal of
-the product it computes. The certificate functions accept either a bare
+symmetry defect (the gate of :func:`spectral_decompose`), the ``eigh``
+spectral data and its reconstruction residual, the eigenbasis pass
+(:meth:`OperatorAnalysis.eigenbasis_pass`: one pass over A^j V gives
+the fractal, restriction and pair-isometry defects and keeps only those
+scalars, so no graph Gram is formed), the kernel report (a full-rank
+proof from the ``eigh`` pairs, else an SVD: singular values, plus vectors
+only when there is a kernel), the resolvent at
+:data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose result also gives its
+condition guard) with its normality pair and its consistency bound (the
+eigen-residuals of the ``eigh`` pairs), the fractal weight, and, for an
+explicit scale only, the graph Gram I + A^T A and the equivalence
+constants, one generalized solve per grade
+(:meth:`OperatorAnalysis.equivalence`). Each defect subtracts its
+expected identity or diagonal in place on the diagonal of the product it
+computes. The certificate functions accept either a bare
 :class:`ScaleOperator`, which gets a fresh analysis of its own, or an
 analysis shared between them; none re-runs another.
 ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them in the order
 the CLI and the acceptance suite evaluate them.
 
-Complex arithmetic appears only inside resolvent computations; every
-other result is real.
+Complex arithmetic appears only inside resolvent computations, and
+there a product with a real operand runs as a real product on the
+complex array's float view; every other result is real.
 """
 
 from dataclasses import dataclass
@@ -53,6 +56,7 @@ __all__ = [
     "SpectralData",
     "ResolventData",
     "FractalStructure",
+    "EigenbasisPass",
     "check_kernel_cokernel",
     "regularity_constant",
     "graph_ladder",
@@ -62,7 +66,6 @@ __all__ = [
     "spectral_decompose",
     "resolvent_consistency",
     "fractal_weight",
-    "rescaled_basis",
     "build_fractal_structure",
     "restriction_invariance",
     "pair_isometry_certificate",
@@ -164,6 +167,17 @@ class SpectralData:
         return self.vectors[:, self.order]
 
 
+@dataclass(frozen=True)
+class EigenbasisPass:
+    """The scalars of :meth:`OperatorAnalysis.eigenbasis_pass`: the fractal
+    deviations of grades 0..k_max, the restriction defect and the pair-isometry
+    defect (None, with grade 0 alone, in a pass run without ``k_max``)."""
+
+    deviations: tuple
+    restriction: float
+    pair: float | None
+
+
 @dataclass(frozen=True, eq=False)
 class ResolventData:
     """The inverse B of (operator - point * identity) at an off-spectrum
@@ -172,31 +186,6 @@ class ResolventData:
     point: complex
     b_matrix: np.ndarray
     residual: float
-
-
-def check_kernel_cokernel(op: ScaleOperator) -> KernelReport:
-    """Kernel and cokernel data from a singular value decomposition.
-
-    Dimensions count singular values at or below n * machine epsilon
-    times the largest one. The reported angle is the
-    largest principal angle between the kernel and the orthogonal
-    complement of the range; for a symmetric operator the two subspaces
-    coincide and the angle vanishes. The index ker_dim - coker_dim is 0
-    for every square matrix, which is the truncated Fredholm statement.
-
-    The rank comes from a values-only SVD. At full rank both subspaces
-    are empty and the angle is 0, so no singular vectors are computed;
-    otherwise one full SVD gives the kernel and the range complement as
-    orthonormal slices of V and U, cut at that same rank.
-    """
-    s = np.linalg.svd(op.matrix, compute_uv=False)
-    cutoff = op.n * linalg.EPS * (float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank == op.n:
-        return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
-    u, _, vt = np.linalg.svd(op.matrix)
-    angle = float(np.max(linalg.principal_angles(vt[rank:].T, u[:, rank:])))
-    return KernelReport(ker_dim=op.n - rank, coker_dim=op.n - rank, subspace_angle=angle)
 
 
 def _graph_step(a: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -227,8 +216,11 @@ def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
 class OperatorAnalysis:
     """The factorizations every certificate of one operator reads.
 
-    Each attribute, and each grade of :meth:`equivalence`, is computed on
-    first access and kept, so one analysis runs each factorization once.
+    Each attribute, each grade of :meth:`equivalence` and the
+    :meth:`eigenbasis_pass` are computed on first access and kept, so one
+    analysis runs each factorization once. The arrays kept are the
+    eigenvectors, the resolvent B and, for an explicit scale, the graph
+    Gram; the eigenbasis pass keeps scalars only.
     Build one per operator and drop it when that operator's
     certification is done; a new analysis always starts empty.
     """
@@ -236,6 +228,7 @@ class OperatorAnalysis:
     def __init__(self, op: ScaleOperator):
         self.op = op
         self._equivalence = {}
+        self._pass = None
 
     @classmethod
     def of(cls, op) -> "OperatorAnalysis":
@@ -250,7 +243,10 @@ class OperatorAnalysis:
 
     @cached_property
     def kernel(self) -> KernelReport:
-        return check_kernel_cokernel(self.op)
+        """:func:`check_kernel_cokernel` of this analysis, whose full-rank
+        proof reads the spectral data, the reconstruction residual and the
+        eigenbasis pass kept here."""
+        return check_kernel_cokernel(self)
 
     @cached_property
     def resolvent(self) -> ResolventData:
@@ -284,11 +280,15 @@ class OperatorAnalysis:
         return fractal_weight(self.spectral)
 
     @cached_property
+    def reconstruction_residual(self) -> float:
+        """||A - V diag(gamma) V^T||_F, which the full-rank proof also reads."""
+        d = self.spectral
+        return linalg.frobenius(self.op.matrix - (d.vectors * d.gammas) @ d.vectors.T)
+
+    @cached_property
     def relative_reconstruction(self) -> float:
         """||A - V diag(gamma) V^T||_F / ||A||_F."""
-        d = self.spectral
-        residual = linalg.frobenius(self.op.matrix - (d.vectors * d.gammas) @ d.vectors.T)
-        return residual / max(linalg.frobenius(self.op.matrix), np.finfo(float).tiny)
+        return self.reconstruction_residual / max(linalg.frobenius(self.op.matrix), np.finfo(float).tiny)
 
     @cached_property
     def consistency(self) -> float:
@@ -297,10 +297,83 @@ class OperatorAnalysis:
 
     @cached_property
     def graph_gram(self) -> np.ndarray:
-        """The graph Gram I + A^T A, grade 1 of :func:`graph_ladder`, read-only."""
+        """The graph Gram I + A^T A, grade 1 of :func:`graph_ladder`, read-only:
+        the form of an explicit scale's grade-0 pencil. The eigenbasis
+        certificates do not read it."""
         gram = _graph_step(self.op.matrix)
         gram.setflags(write=False)
         return gram
+
+    def eigenbasis_pass(self, k_max: int | None = None) -> EigenbasisPass:
+        """The ladder certificates of the eigenbasis from one pass over
+        Y_j = A^j V, V the |gamma|-sorted eigenvectors, j <= max(k_max, 2).
+
+        Grade k of the graph ladder is G_k = sum_j C(k, j) (A^j)^T A^j, exactly
+        for G_{k+1} = G_k + A^T G_k A and any square A, so
+        V^T G_k V = sum_j C(k, j) Y_j^T Y_j: the Grams P_j = Y_j^T Y_j give every
+        grade, summed in place by Pascal's rule, and no G_k is formed. Grade k
+        rescaled by the weight^(-k/2) of :attr:`fractal_weight`, in the log
+        domain and one side at a time, minus I is the fractal deviation; the
+        unscaled grade 1 is the pair-isometry matrix; and
+        V^T G_1 A V = Y_0^T Y_1 + Y_1^T Y_2, rescaled by weight^(-1/2), minus
+        diag(gamma) is the restriction matrix. Only the scalars are kept.
+
+        ``k_max`` None runs grade 0 and restriction alone (what the batch and
+        the full-rank proof read; no Gram of a power Y_j, j >= 1). A kept pass
+        is reused when it covers the request; otherwise the pass runs again,
+        for every grade asked, and replaces it.
+        """
+        if k_max is not None and k_max < 0:
+            raise ValueError("k_max must be >= 0")
+        kept = self._pass
+        if kept is not None and (k_max is None or (kept.pair is not None and len(kept.deviations) > k_max)):
+            return kept
+        data = spectral_decompose(self)
+        a, n, logs = self.op.matrix, self.op.n, self.fractal_weight.log_values
+        n_grams = 1 if k_max is None else max(k_max, 1) + 1
+        top = max(n_grams - 1, 2)
+        pair = None
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade reads inf or NaN, which fails
+            y = data.sorted_vectors()
+            grams = [y.T @ y]
+            grade = grams[0].copy()  # grade 0 needs no rescale
+            grade.flat[:: n + 1] -= 1.0
+            deviations = [linalg.frobenius(grade)]
+            del grade
+            for j in range(1, top + 1):  # y is Y_{j-1}
+                y_next = a @ y
+                if j == 1:
+                    in_graph = y.T @ y_next
+                elif j == 2:
+                    in_graph += y.T @ y_next
+                    _rescale(in_graph, logs, 1).flat[:: n + 1] -= data.sorted_gammas()
+                    restriction = linalg.frobenius(in_graph)
+                    del in_graph
+                if 2 <= j <= n_grams:  # P_{j-1} after restriction's products: at most five n x n arrays live
+                    grams.append(y.T @ y)
+                y = y_next
+            if top < n_grams:  # P_top
+                grams.append(y.T @ y)
+            del y, y_next
+            for k in range(1, n_grams):
+                for j in range(len(grams) - 1):  # Pascal's rule: grams[0] becomes grade k
+                    grams[j] += grams[j + 1]
+                grams.pop()  # no later step reads the last
+                if k == 1:
+                    g = data.sorted_gammas()
+                    expected = 1.0 + g * g  # >= 1, so the relative deviation divides by it
+                    on_diagonal = np.abs(np.diagonal(grams[0]) - expected) / expected
+                    off_diagonal = np.abs(grams[0])
+                    off_diagonal.flat[:: n + 1] = 0.0
+                    pair = float(np.maximum(off_diagonal.max(), on_diagonal.max()))
+                    del off_diagonal
+                if k <= k_max:
+                    grade = _rescale(grams[0] if k == n_grams - 1 else grams[0].copy(), logs, k)
+                    grade.flat[:: n + 1] -= 1.0
+                    deviations.append(linalg.frobenius(grade))
+                    del grade
+        self._pass = EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
+        return self._pass
 
     def equivalence(self, k: int) -> tuple[float, float]:
         """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1}
@@ -321,6 +394,72 @@ class OperatorAnalysis:
             except np.linalg.LinAlgError:
                 self._equivalence[k] = np.nan, np.nan
         return self._equivalence[k]
+
+
+def check_kernel_cokernel(op: ScaleOperator | OperatorAnalysis) -> KernelReport:
+    """Kernel and cokernel data: a full-rank proof first, else an SVD.
+
+    Dimensions count singular values at or below n * machine epsilon
+    times the largest one. The reported angle is the
+    largest principal angle between the kernel and the orthogonal
+    complement of the range; for a symmetric operator the two subspaces
+    coincide and the angle vanishes. The index ker_dim - coker_dim is 0
+    for every square matrix, which is the truncated Fredholm statement.
+
+    The proof reads what the analysis already holds for a symmetric
+    operator: the computed pairs (gamma, V) of ``eigh``, the
+    reconstruction residual E = A - V diag(gamma) V^T and
+    delta = ||V^T V - I||_F, grade 0 of :meth:`OperatorAnalysis.eigenbasis_pass`.
+    With delta < 1, sigma_min(V)^2 >= 1 - delta and sigma_max(V)^2 <= 1 + delta,
+    so Weyl's inequality for singular values gives
+    sigma_min(A) >= (1 - delta) min|gamma| - ||E||_F and
+    sigma_1(A) <= (1 + delta) max|gamma| + ||E||_F. Each computed norm is
+    widened by the rounding of the products behind it (Higham, Accuracy and
+    Stability, 3.5, with g(m) = m u / (1 - m u) and u = eps / 2):
+    ||E||_F by g(n + 1) max|gamma| ||V||_F^2 and delta by g(n) ||V||_F^2,
+    each norm evaluation by a factor 1 + g(n^2 + 3), and the two scalar
+    bounds by 1 -+ g(4). Full rank is reported, with no SVD, only when the
+    lower bound exceeds n eps times the upper one; a NaN anywhere fails the
+    proof. The widening is of order n^2 eps ||A||, so the proof certifies
+    only that far clear of the cutoff, beyond the SVD's own rounding of it.
+
+    Otherwise the rank comes from a values-only SVD. At full rank both
+    subspaces are empty and the angle is 0, so no singular vectors are
+    computed; else one full SVD gives the kernel and the range complement
+    as orthonormal slices of V and U, cut at that same rank.
+    """
+    an = OperatorAnalysis.of(op)
+    if _full_rank_proved(an):
+        return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
+    a, n = an.op.matrix, an.op.n
+    s = np.linalg.svd(a, compute_uv=False)
+    cutoff = n * linalg.EPS * (float(s[0]) if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    if rank == n:
+        return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
+    u, _, vt = np.linalg.svd(a)
+    angle = float(np.max(linalg.principal_angles(vt[rank:].T, u[:, rank:])))
+    return KernelReport(ker_dim=n - rank, coker_dim=n - rank, subspace_angle=angle)
+
+
+def _full_rank_proved(an: OperatorAnalysis) -> bool:
+    """The full-rank proof of :func:`check_kernel_cokernel`; False, and so
+    the SVD, for an operator the symmetry gate refuses."""
+    if not an.symmetry <= SYMMETRY_TOL:
+        return False
+    n, data = an.op.n, an.spectral
+
+    def g(m):
+        return m * linalg.EPS / 2 / (1.0 - m * linalg.EPS / 2)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound is non-finite and fails
+        abs_g = np.abs(data.gammas)
+        v_sq = linalg.frobenius(data.vectors) ** 2 * (1.0 + g(2 * n * n + 4))
+        delta = an.eigenbasis_pass().deviations[0] * (1.0 + g(n * n + 3)) + g(n) * v_sq
+        residual = an.reconstruction_residual * (1.0 + g(n * n + 3)) + g(n + 1) * abs_g.max() * v_sq
+        lower = ((1.0 - delta) * abs_g.min() - residual) * (1.0 - g(4))
+        upper = ((1.0 + delta) * abs_g.max() + residual) * (1.0 + g(4))
+        return bool(delta < 1.0 and lower > n * linalg.EPS * upper)
 
 
 def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
@@ -352,7 +491,8 @@ def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> Re
     unconditionally for symmetric operators. An exactly singular
     inversion, a non-finite inverse B or n eps kappa_1 >= 1, with the 1-norm
     condition number kappa_1 = ||A - point I||_1 ||B||_1 read off the
-    inverse, raise :class:`SpectrumError`.
+    inverse, raise :class:`SpectrumError`. The residual (A - point I) B - I
+    is formed as A B - point B, A B as a real product on B's float view.
     """
     point = complex(point)
     if point.imag == 0.0:
@@ -364,9 +504,11 @@ def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> Re
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"resolvent point on spectrum: {point}") from exc
     kappa = np.abs(shifted).sum(axis=0).max() * np.abs(b).sum(axis=0).max()
+    del shifted
     if not op.n * linalg.EPS * kappa < 1.0:  # also when b holds NaN or inf
         raise SpectrumError(f"resolvent point on spectrum: {point}")
-    product = shifted @ b
+    product = (op.matrix @ b.view(float)).view(complex)  # A B, one real product on B's float view
+    product -= point * b
     product.flat[:: op.n + 1] -= 1.0
     b.setflags(write=False)
     return ResolventData(point=point, b_matrix=b, residual=linalg.frobenius(product))
@@ -427,7 +569,8 @@ def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralDa
     defect is max_i of that radius times |gamma_i - point|^2 /
     (1 + |gamma_i|); wherever it is at most 1e-8 it is within 1.5e-8
     relative of the exact bound. Each pair is bounded by its own residual,
-    so the defect stays of order eps ||A|| however wide the spectrum.
+    so the defect stays of order eps ||A|| however wide the spectrum. The
+    residuals B V are one real product with B's float view.
     """
     b = OperatorAnalysis.of(op).resolvent.b_matrix
     v, shift = data.vectors, data.gammas - DEFAULT_RESOLVENT_POINT
@@ -435,7 +578,9 @@ def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralDa
     g = np.abs(np.subtract.outer(mu, mu))
     np.fill_diagonal(g, np.inf)
     g = g.min(axis=0)
-    r = b @ v - v * mu
+    # B V as (V^T B^T)^T, a real product on the float view of a contiguous B^T
+    r = (v.T @ np.ascontiguousarray(b.T).view(float)).view(complex).T
+    r -= v * mu
     rq_offset = np.einsum("ij,ij->j", v.conj(), r)
     r -= v * rq_offset
     s = np.linalg.norm(r, axis=0)
@@ -463,16 +608,14 @@ def fractal_weight(data: SpectralData) -> Weight:
     return Weight(logs)
 
 
-def rescaled_basis(data: SpectralData, fw: Weight, k: int) -> np.ndarray:
-    """Eigenvectors in |gamma| order, column nu scaled by weight^(-k/2).
-
-    The scaling happens in the log domain, so high grades of rapidly
-    growing weights do not underflow prematurely.
-    """
-    if k < 0:
-        raise ValueError("grade must be >= 0")
-    factors = np.exp(-0.5 * k * fw.log_values)
-    return data.sorted_vectors() * factors
+def _rescale(m: np.ndarray, log_weight: np.ndarray, k: int) -> np.ndarray:
+    """``m`` with entry (i, j) times (w_i w_j)^(-k/2), in place: the factors
+    come from the log weight, so high grades of fast-growing weights do not
+    underflow early, and multiply one side at a time."""
+    factors = np.exp(-0.5 * k * log_weight)
+    m *= factors[:, None]
+    m *= factors
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,24 +645,13 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
 
     Grade k + 1 is grade k plus the operator-transported grade k. For
     every grade up to k_max the rescaled eigenbasis is checked to be
-    orthonormal; the recorded deviations are the certificate that the
+    orthonormal; the recorded deviations, from
+    :meth:`OperatorAnalysis.eigenbasis_pass`, are the certificate that the
     ladder carries the fractal structure of the weight 1 + gamma^2.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
     an = OperatorAnalysis.of(op)
-    data = spectral_decompose(an)
-    fw = an.fractal_weight
-    deviations = []
-    with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed grade: a NaN deviation, which fails
-        for k in range(k_max + 1):
-            g = None if k == 0 else an.graph_gram if k == 1 else _graph_step(an.op.matrix, g)
-            basis = rescaled_basis(data, fw, k)
-            gram = basis.T @ basis if g is None else basis.T @ g @ basis
-            gram.flat[:: an.op.n + 1] -= 1.0
-            deviations.append(linalg.frobenius(gram))
-            del basis, gram  # the next grade's step runs without them
-    return FractalStructure(weight=fw, spectral=data, deviations=tuple(float(d) for d in deviations))
+    deviations = an.eigenbasis_pass(k_max).deviations[: k_max + 1]
+    return FractalStructure(weight=an.fractal_weight, spectral=spectral_decompose(an), deviations=deviations)
 
 
 def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
@@ -527,28 +659,18 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     rescaled basis (graph inner product) and in the plain eigenbasis
     (grade-0 inner product); both equal diag(gamma) in exact arithmetic,
     so the operator and its grade-1 restriction are the same operator.
+    Read from :meth:`OperatorAnalysis.eigenbasis_pass`.
     """
-    an = OperatorAnalysis.of(op)
-    data = spectral_decompose(an)
-    basis = rescaled_basis(data, an.fractal_weight, 1)
-    in_graph = basis.T @ an.graph_gram @ (an.op.matrix @ basis)
-    in_graph.flat[:: an.op.n + 1] -= data.sorted_gammas()
-    return linalg.frobenius(in_graph)
+    return OperatorAnalysis.of(op).eigenbasis_pass().restriction
 
 
 def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
-    """Largest entrywise relative deviation of the eigenbasis graph Gram
-    from diag(1 + gamma^2); zero means the eigenbasis carries the pair
-    (grade 0, graph norm) isometrically onto the weighted model."""
-    an = OperatorAnalysis.of(op)
-    data = spectral_decompose(an)
-    vs = data.sorted_vectors()
-    actual = vs.T @ an.graph_gram @ vs
-    g = data.sorted_gammas()
-    expected = 1.0 + g * g  # >= 1, so the relative deviation divides by it
-    on_diagonal = np.abs(np.diagonal(actual) - expected) / expected
-    actual.flat[:: an.op.n + 1] = 0.0
-    return float(np.maximum(np.abs(actual, out=actual).max(), on_diagonal.max()))
+    """Largest entrywise deviation of the eigenbasis graph Gram from
+    diag(1 + gamma^2), relative on the diagonal and absolute off it; zero
+    means the eigenbasis carries the pair (grade 0, graph norm)
+    isometrically onto the weighted model. The Gram is the unscaled grade 1
+    of :meth:`OperatorAnalysis.eigenbasis_pass`."""
+    return OperatorAnalysis.of(op).eigenbasis_pass(0).pair
 
 
 def conjugated_diagonal(diag, seed: int) -> ScaleOperator:

@@ -73,7 +73,8 @@ NEGATIVE_CONTROL = ((0.0, 1.0), (0.0, 0.0))
 class Certificate:
     """One operator certificate: it passes when ``defect(analysis, k_max)``
     is at most the tolerance. ``k_max`` is the top grade of the graph
-    ladder; only the fractal certificate reads it."""
+    ladder; the fractal certificate reads it, and the kernel entry runs the
+    eigenbasis pass up to it (None in the batch, which reads no grade)."""
 
     name: str
     tol: float
@@ -81,11 +82,24 @@ class Certificate:
 
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
-    """0 when the graph-equivalence constants satisfy 0 < c_lo <= c_hi, else
-    inf; 0 by identity under the graph default. Both forms are SPD, so it
-    fails only on numerical trouble, such as a pencil that raised LinAlgError."""
-    c_lo, c_hi = an.equivalence(0)
-    return 0.0 if 0.0 < c_lo <= c_hi else float("inf")
+    """0 when the constants of every grade k < k_max of the scale, the grades
+    whose C_k the report lists, satisfy 0 < c_lo <= c_hi, else inf; 0 by
+    identity under the graph default. The forms are SPD, so it fails only on
+    numerical trouble, such as a pencil that raised LinAlgError or overflowed."""
+    grades = an.op.scale.k_max if an.op.scale is not None else 1
+    return 0.0 if all(0.0 < lo <= hi for lo, hi in map(an.equivalence, range(grades))) else float("inf")
+
+
+def _kernel_angle(an: OperatorAnalysis, k_max: int | None) -> float:
+    """The kernel angle. Its full-rank proof reads grade 0 of the eigenbasis
+    pass, so given a ``k_max`` (hessian-analyze) the pass runs here first, for
+    every grade the fractal certificate reads, and the ladder certificates
+    after it reuse it; without one (the batch) the proof runs the pass that
+    restriction reads. A failed proof's SVD then runs before the resolvent
+    is held."""
+    if k_max is not None and an.symmetry <= SYMMETRY_TOL:
+        an.eigenbasis_pass(k_max)
+    return an.kernel.subspace_angle
 
 
 # Ordered as hessian-analyze reports them, symmetry (its gate) first. The
@@ -93,7 +107,7 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
 # patching a module binding reaches them.
 OPERATOR_CERTIFICATES = (
     SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: an.symmetry),
-    KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: an.kernel.subspace_angle),
+    KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: _kernel_angle(an, k_max)),
     Certificate("resolvent-residual", 1e-8, lambda an, k_max: an.resolvent.residual),
     NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an, k_max: an.normality[0]),
     ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an, k_max: an.normality[1]),

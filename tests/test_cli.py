@@ -439,15 +439,19 @@ class TestHessianAnalyze:
             "name": "fractal-certificate", "defect": None, "tol": 1e-8, "passed": False
         }
 
-    def test_overflowed_grade_pencil_reads_null(self, tmp_path):
+    def test_overflowed_grade_pencil_reads_null(self, tmp_path, capsys):
         # grade 2 = 1e308 I overflows in the grade-1 pencil G_2 against
         # G_1 + A G_1 A = 3 I: C_1 reads null, with no RuntimeWarning (an error
-        # here). Only C_0's pencil has a certificate, so the run still passes.
+        # here). The positivity certificate covers every listed C_k, so the
+        # run fails by that entry's name.
         scale = {"n": 2, "k_max": 2, "grades": [table_grade([1, 1]), table_grade([1, 1]), table_grade([1e308, 1e308])]}
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"n": 2, "matrix": [[1, 1], [1, -1]], "scale": scale}))
-        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
-        constants = read_report("scalehilbert_hessian_analyze.json")["constants"]
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 1
+        assert "FAIL (graph-equivalence-positivity)" in capsys.readouterr().out
+        report = read_report("scalehilbert_hessian_analyze.json")
+        assert [c["name"] for c in report["certificates"] if not c["passed"]] == ["graph-equivalence-positivity"]
+        constants = report["constants"]
         assert constants["graph_equivalence"] == pytest.approx({"c_lo": 1 / 3, "c_hi": 1 / 3}, rel=1e-14)
         assert constants["regularity"] == [pytest.approx(3**-0.5, rel=1e-14), None]
 

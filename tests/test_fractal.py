@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from scalehilbert.hessian import (
+    OperatorAnalysis,
     ScaleOperator,
+    _rescale,
     build_fractal_structure,
     conjugated_diagonal,
     fractal_weight,
     graph_ladder,
     pair_isometry_certificate,
-    rescaled_basis,
     restriction_invariance,
     spectral_decompose,
 )
@@ -74,31 +75,30 @@ class TestFractalWeight:
 
 
 class TestRescaledBasis:
+    """The log-domain rescale of the eigenbasis pass: entry (i, j) of a
+    grade-k Gram times (w_i w_j)^(-k/2)."""
+
     def test_grade_zero_is_plain_eigenbasis(self):
         data = decompose_diag([2.0, 1.0, 5.0])
-        fw = fractal_weight(data)
-        assert np.array_equal(rescaled_basis(data, fw, 0), data.sorted_vectors())
+        gram = data.sorted_vectors().T @ data.sorted_vectors()
+        assert np.array_equal(_rescale(gram.copy(), fractal_weight(data).log_values, 0), gram)
 
     def test_zero_spectrum_never_rescales(self):
         data = decompose_diag([0.0, 0.0])
-        fw = fractal_weight(data)
+        gram = np.array([[1.0, 0.25], [0.25, 3.0]])
         for k in (0, 1, 5):
-            assert np.array_equal(rescaled_basis(data, fw, k), data.sorted_vectors())
+            assert np.array_equal(_rescale(gram.copy(), fractal_weight(data).log_values, k), gram)
 
     def test_columns_shrink_by_weight_power(self):
         d = np.array([1.0, 2.0, 3.0])
         data = decompose_diag(d)
-        fw = fractal_weight(data)
-        basis = rescaled_basis(data, fw, 2)
-        for i, g in enumerate(d):
-            col = np.zeros(3)
-            col[i] = 1.0 / (1.0 + g * g)
-            assert basis[:, i] == pytest.approx(col, rel=1e-14)
+        scaled = _rescale(np.ones((3, 3)), fractal_weight(data).log_values, 2)
+        w = 1.0 + d * d
+        assert scaled == pytest.approx(1.0 / np.outer(w, w), rel=1e-14)
 
     def test_rejects_negative_grade(self):
-        data = decompose_diag([1.0])
-        with pytest.raises(ValueError):
-            rescaled_basis(data, fractal_weight(data), -1)
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            OperatorAnalysis(ScaleOperator(np.diag([1.0]))).eigenbasis_pass(-1)
 
 
 def ladder_spaces(op, fs, k_max):

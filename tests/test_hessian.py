@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from scalehilbert import linalg
+from scalehilbert import hessian, linalg, verify
 from scalehilbert.hessian import (
     DEFAULT_RESOLVENT_POINT,
+    KernelReport,
     OperatorAnalysis,
     ScaleOperator,
     SpectralData,
@@ -22,7 +25,6 @@ from scalehilbert.hessian import (
     operator_from_json,
     pair_isometry_certificate,
     regularity_constant,
-    rescaled_basis,
     resolvent,
     resolvent_consistency,
     restriction_invariance,
@@ -238,6 +240,65 @@ class TestKernelCokernel:
         report = check_kernel_cokernel(op)
         assert report.ker_dim == self.full_svd_reference(op.matrix)[0] == 2
         assert report.subspace_angle == 0.0
+
+
+    @staticmethod
+    @st.composite
+    def kernel_inputs(draw):
+        """A conjugated spectrum of dimension n <= 48: magnitudes log-uniform
+        within 0 to 18 decades below a top of 10^-300..10^300, with zeros,
+        clusters and values at f * n * eps times the top, f log-uniform in
+        0.1..1e4 (around the rank cutoff and the proof's widening of it),
+        random signs, a seeded orthogonal conjugation and, on a flag, a skew
+        part at relative asymmetry 3e-11."""
+        n = draw(st.integers(1, 48))
+        top, decades = 10.0 ** draw(st.floats(-300, 300)), draw(st.floats(0, 18))
+        entries = []
+        for i in range(n):
+            kind = draw(st.sampled_from(["spread"] * 5 + ["zero", "cluster", "cutoff"]) if i else st.just("spread"))
+            if kind == "spread":
+                entries.append(top * 10.0 ** -draw(st.floats(0, decades)) if i else top)
+            elif kind == "zero":
+                entries.append(0.0)
+            elif kind == "cluster":
+                entries.append(entries[draw(st.integers(0, i - 1))] * (1.0 + 1e-11 * draw(st.floats(-1, 1))))
+            else:
+                entries.append(top * n * linalg.EPS * 10.0 ** draw(st.floats(-1, 4)))
+        d = np.array(entries) * np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q = linalg.random_orthogonal(n, rng)
+        a = linalg.sym_part(q.T @ np.diag(d) @ q)
+        if draw(st.booleans()) and n > 1:
+            c = rng.standard_normal((n, n))
+            part = (c - c.T) / 2.0
+            a = a + part * (3e-11 * linalg.frobenius(a) / linalg.frobenius(part))
+        return a
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(a=kernel_inputs())
+    def test_full_rank_proof_implies_the_svd_rank(self, a):
+        # whenever the proof certifies full rank, the values-only SVD finds
+        # it too: its smallest singular value is above the rank cutoff
+        an = OperatorAnalysis(ScaleOperator(a))
+        if hessian._full_rank_proved(an):
+            s = np.linalg.svd(a, compute_uv=False)
+            assert s[-1] > a.shape[0] * linalg.EPS * s[0]
+            assert check_kernel_cokernel(an) == KernelReport(0, 0, 0.0)
+
+    @pytest.mark.parametrize("n, smallest", [(24, 1e-14), (48, 10 * 48 * linalg.EPS)], ids=["1e-14", "ten-cutoffs"])
+    def test_inconclusive_proof_leaves_the_rank_to_the_svd(self, n, smallest):
+        # full rank, with the smallest |d| above the cutoff n eps (top 1) but
+        # within the proof's rounding widening, of order n^2 eps / 2, so the
+        # SVD decides
+        d = np.linspace(0.5, 1.0, n)
+        d[7] = smallest
+        op = conjugated_diagonal(d, seed=5)
+        an = OperatorAnalysis(op)
+        assert not hessian._full_rank_proved(an)
+        s = np.linalg.svd(op.matrix, compute_uv=False)
+        assert s[-1] > n * linalg.EPS * s[0]
+        assert check_kernel_cokernel(an) == KernelReport(0, 0, 0.0)
+        assert self.full_svd_reference(op.matrix) == (0, 0.0)
 
 
 class TestGraphLadder:
@@ -762,6 +823,28 @@ class TestOperatorAnalysis:
         gram = an.graph_gram
         build_fractal_structure(an, 3)
         assert an.graph_gram is gram
+        ladder = an.eigenbasis_pass(3)
+        restriction_invariance(an), pair_isometry_certificate(an), build_fractal_structure(an, 2)
+        assert an.eigenbasis_pass() is an.eigenbasis_pass(0) is ladder
+        assert an.eigenbasis_pass(4) is not ladder and an.eigenbasis_pass(3) is an.eigenbasis_pass(4)
+
+    def test_graph_default_forms_no_graph_gram(self):
+        # every certificate reads the eigenbasis pass; only an explicit
+        # scale's grade-0 pencil reads the graph Gram
+        an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0, 0.5], seed=4))
+        for cert in OPERATOR_CERTIFICATES:
+            cert.defect(an, 3)
+        assert "graph_gram" not in vars(an)
+        assert an.eigenbasis_pass(3).restriction == restriction_invariance(an)
+
+    def test_batch_runs_the_restriction_only_pass(self):
+        # the batch reads grade 0 (the full-rank proof) and restriction, so
+        # its pass forms no Gram of A V or A^2 V and no pair-isometry matrix
+        an = OperatorAnalysis(conjugated_diagonal(np.linspace(-2.0, 2.4, 10), seed=8))
+        row = verify._analysis_row(an)
+        ladder = an.eigenbasis_pass()
+        assert ladder.pair is None and len(ladder.deviations) == 1
+        assert row["restriction-invariance"] == ladder.restriction and row["kernel"].ker_dim == 0
 
     def test_cached_grams_are_read_only(self):
         an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])))
@@ -779,9 +862,20 @@ class TestOperatorAnalysis:
 
 
 class TestDenseReferenceFormulas:
-    """The defects subtract their expected diagonal in place; each equals
-    its dense formula, which subtracts a full identity or diagonal
-    matrix, bit for bit."""
+    """The direct dense formulas, kept here as the reference route: each
+    forms the graph ladder's Grams G_k, rescales the eigenbasis by
+    weight^(-k/2) and takes its products against them; the resolvent
+    residual is the complex product (A - iI) B. The package reaches the same
+    quantities through the eigenbasis pass and real products, so each defect
+    must agree with its reference within ROUNDOFF * n * eps times the scale
+    of the matrix it measures: for grade k, sqrt(n) (the Frobenius norm of
+    I) times the ladder's spread (max weight / min weight)^k, since both
+    routes round the unscaled grade, of size max weight^k, before the
+    rescale divides entry (i, j) by (w_i w_j)^(k/2); ||diag(gamma)||_F for
+    restriction; max(1 + gamma^2) for pair isometry; ||A - iI||_F ||B||_F
+    for the resolvent residual."""
+
+    ROUNDOFF = 4.0
 
     @staticmethod
     def analysis(kind="rank_deficient"):
@@ -797,6 +891,21 @@ class TestDenseReferenceFormulas:
                 grams.append(linalg.sym_part(g + (a.T @ a if k == 0 else a.T @ g @ a)))
         return grams
 
+    @staticmethod
+    def basis(an, k):
+        """The |gamma|-sorted eigenvectors, column nu scaled by weight^(-k/2)."""
+        return spectral_decompose(an).sorted_vectors() * np.exp(-0.5 * k * an.fractal_weight.log_values)
+
+    @classmethod
+    def fractal_deviations(cls, an, k_max):
+        deviations = []
+        with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed grade
+            for k, g in enumerate(cls.dense_ladder(an.op.matrix, k_max)):
+                basis = cls.basis(an, k)
+                gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
+                deviations.append(linalg.frobenius(gram - np.eye(an.op.n)))
+        return deviations
+
     @classmethod
     def pair_deviations(cls, an):
         data = spectral_decompose(an)
@@ -805,6 +914,15 @@ class TestDenseReferenceFormulas:
         g = data.sorted_gammas()
         expected = np.diag(1.0 + g * g)
         return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
+
+    @classmethod
+    def bound(cls, n, scale):
+        return cls.ROUNDOFF * n * linalg.EPS * scale
+
+    @classmethod
+    def grade_bounds(cls, an, k_max):
+        logs = an.fractal_weight.log_values
+        return [cls.bound(an.op.n, np.sqrt(an.op.n) * np.exp(k * (logs.max() - logs.min()))) for k in range(k_max + 1)]
 
     @staticmethod
     def perturbed(an, vectors):
@@ -825,48 +943,45 @@ class TestDenseReferenceFormulas:
         dev = self.pair_deviations(self.perturbed(an, v))
         row, col = np.unravel_index(np.argmax(dev), dev.shape)
         assert (row == col) == on_diagonal
-        assert pair_isometry_certificate(an) == dev.max() > 1e-7
+        g = spectral_decompose(an).gammas
+        assert dev.max() > 1e-7
+        assert abs(pair_isometry_certificate(an) - dev.max()) <= self.bound(an.op.n, np.max(1.0 + g * g))
 
     @pytest.mark.parametrize("kind", sorted(PARITY_SPECTRA))
     def test_restriction_fractal_and_resolvent(self, kind):
         an = self.analysis(kind)
         a, n = an.op.matrix, an.op.n
         data = spectral_decompose(an)
-        basis = rescaled_basis(data, an.fractal_weight, 1)
+        basis = self.basis(an, 1)
         in_graph = basis.T @ self.dense_ladder(a, 1)[1] @ (a @ basis)
-        assert restriction_invariance(an) == linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
-        deviations = []
-        for k, g in enumerate(self.dense_ladder(a, 5)):
-            basis = rescaled_basis(data, an.fractal_weight, k)
-            gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
-            deviations.append(linalg.frobenius(gram - np.eye(n)))
-        assert build_fractal_structure(an, 5).deviations == tuple(deviations)
+        reference = linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
+        assert abs(restriction_invariance(an) - reference) <= self.bound(n, np.linalg.norm(data.gammas))
+        deviations = build_fractal_structure(an, 5).deviations
+        assert (np.abs(np.subtract(deviations, self.fractal_deviations(an, 5))) <= self.grade_bounds(an, 5)).all()
         shifted = a - DEFAULT_RESOLVENT_POINT * np.eye(n)
         b = np.linalg.solve(shifted, np.eye(n, dtype=complex))
         r = an.resolvent
         assert np.array_equal(r.b_matrix, b)
-        assert r.residual == linalg.frobenius(shifted @ b - np.eye(n))
+        reference = linalg.frobenius(shifted @ b - np.eye(n))
+        assert abs(r.residual - reference) <= self.bound(n, linalg.frobenius(shifted) * linalg.frobenius(b))
 
     def test_overflowed_grade_stays_nan(self):
+        # grade 18 of diag(1e9, 1) overflows; from there on the direct route
+        # reads NaN (0 * inf in the rescaled product) and the pass inf or NaN
         an = OperatorAnalysis(ScaleOperator(np.diag([1e9, 1.0])))
-        data = spectral_decompose(an)
-        deviations = []
-        with np.errstate(invalid="ignore"):
-            for k, g in enumerate(self.dense_ladder(an.op.matrix, 40)):
-                basis = rescaled_basis(data, an.fractal_weight, k)
-                gram = basis.T @ basis if k == 0 else basis.T @ g @ basis
-                deviations.append(linalg.frobenius(gram - np.eye(2)))
-        got = build_fractal_structure(an, 40).deviations
-        assert np.isnan(got).any()
-        assert np.array_equal(got, deviations, equal_nan=True)
+        got, reference = build_fractal_structure(an, 40).deviations, self.fractal_deviations(an, 40)
+        first = int(np.argmin(np.isfinite(reference)))
+        assert first == 18 and np.isnan(reference[first:]).all()
+        assert np.isfinite(got[:first]).all() and not np.isfinite(got[first:]).any()
+        assert (np.abs(np.subtract(got[:first], reference[:first])) <= self.grade_bounds(an, first - 1)).all()
         assert not FRACTAL.defect(an, 40) <= FRACTAL.tol
 
 
 def test_full_pass_working_set():
     """One pass of every operator certificate on an n = 256 operator peaks
-    below 11 n x n doubles of traced allocations: the analysis keeps B,
-    the eigenvectors and the graph Gram, and no certificate builds a full
-    identity or diagonal matrix."""
+    below 11 n x n doubles of traced allocations: the analysis keeps B and
+    the eigenvectors, the eigenbasis pass keeps only scalars, and no
+    certificate builds a full identity or diagonal matrix."""
     n = 256
     op = ScaleOperator(random_symmetric(np.random.default_rng(256), n) / np.sqrt(n))
     tracemalloc.start()

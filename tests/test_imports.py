@@ -1,12 +1,13 @@
 """Every module-level import in ``src/scalehilbert`` is used or exported,
-and the dense generalized eigensolve has one set of callers.
+and the dense generalized eigensolve and the SVD each have one set of
+callers.
 
 No lint tool is a dependency, so each module is read with ``ast``: a
 name bound by a module-level import must occur as a name elsewhere in
 the module or be listed in its ``__all__``. Star imports (the package
 ``__init__``) export by design and are skipped. The same walk lists the
 functions that reference a name, so that a second route to the
-equivalence constants cannot come back unnoticed.
+equivalence constants or to the rank cannot come back unnoticed.
 """
 
 import ast
@@ -86,3 +87,9 @@ def test_generalized_eigh_has_one_definition_of_equivalence():
 
 def test_cholesky_is_called_only_inside_linalg():
     assert {caller.split(".")[0] for caller in callers_in_src("cholesky_spd")} == {"linalg"}
+
+
+def test_svd_has_one_route_to_the_rank():
+    # the kernel certificate's fallback after its full-rank proof, and the
+    # principal angles between the subspaces that SVD returns
+    assert callers_in_src("svd") == {"hessian.check_kernel_cokernel", "linalg.principal_angles"}

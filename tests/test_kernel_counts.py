@@ -7,8 +7,10 @@ factorization it makes is counted; ``numpy.linalg.norm`` calls its
 module-internal SVD and does not show up. The values-only SVDs that
 :func:`scalehilbert.linalg.principal_angles` takes are counted apart,
 as ``angle_svd``, and stay out of ``svd_uv``. The kernel certificate
-takes a values-only SVD and a second one with vectors only when the
-operator has a kernel. The resolvent is one ``inv`` per operator; ``solve``
+first tries a full-rank proof from the ``eigh`` pairs it shares with the
+other certificates and takes no SVD when it holds; otherwise it takes a
+values-only SVD, and a second one with vectors only when the operator has
+a kernel. The resolvent is one ``inv`` per operator; ``solve``
 runs only for the L^-1 of a generalized symmetric eigensolve, so never
 under the graph default.
 """
@@ -89,18 +91,20 @@ def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
     spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
             "diag": [0.3, -0.8, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 0
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 1, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 0}
-    assert kernel_calls.svd_uv == [False]
+    # full rank is proved from the eigh pairs, so no SVD runs
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 0}
+    assert kernel_calls.svd_uv == []
 
 
 def test_batch_factorizes_once_per_operator(kernel_calls):
     ops = standard_operator_set(count=6)
     rows = analyze_operator_batch(ops)
     assert len(rows) == 6
-    # one values-only svd per operator, a vector svd per rank-deficient one
+    # full rank is proved without an SVD; a rank-deficient operator takes
+    # a values-only svd and then a vector svd
     assert [row["kernel"].ker_dim > 0 for row in rows] == [False, True] * 3
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 9, "solve": 0, "inv": 6, "cholesky": 0, "angle_svd": 6}
-    assert kernel_calls.svd_uv == [False, False, True] * 3
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 0, "inv": 6, "cholesky": 0, "angle_svd": 6}
+    assert kernel_calls.svd_uv == [False, True] * 3
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):

@@ -53,8 +53,38 @@ in the grade-0 pencil fails, the pencil reads (nan, nan), and the run
 exits 1 with resolvent-residual (2.7e-8), resolvent-normality,
 resolvent-adjoint, eigenvalue-resolvent-consistency, fractal-certificate,
 restriction-invariance, pair-isometry and graph-equivalence-positivity
-failing, with no RuntimeWarning. Rows for the other operator
-certificates and the other criteria are still to be added.
+failing, with no RuntimeWarning.
+
+The entries computed from the eigenpairs through one eigenbasis pass and
+from the resolvent through real products, evaluated by the registry on the
+n = 24 GOE operator (B + B^T) / (2 sqrt(24)), B standard normal from
+default_rng(5), at k_max 3. The eigenpair perturbations are cache patches
+on ``OperatorAnalysis.spectral`` behind a passed symmetry gate (gamma_5 =
+0.9645 in the presentation order):
+
+| control | fails (defect) |
+|---|---|
+| none | none |
+| gamma_5 + 1e-6 | eigenvalue-resolvent-consistency (5.09e-7), spectral-reconstruction (2.88e-7), fractal-certificate (3.00e-6), restriction-invariance (1.96e-6), pair-isometry (9.99e-7) |
+| v_3, v_4 rotated by 1e-6 | spectral-reconstruction (7.21e-7), fractal-certificate (1.95e-6), restriction-invariance (2.70e-6), pair-isometry (7.74e-7) |
+
+The consistency check passes the rotation (6.4e-11) by design: by the
+Temple bound an eigenvalue is second order in a vector error.
+resolvent-residual has no eigenpair row; its control is
+``conjugated_diagonal(d, seed=3)`` under the graph default:
+
+| control | resolvent-residual | fails |
+|---|---|---|
+| d = (1, 1, 0.5, -2) | 2.9e-16 | none |
+| d = (1e9, 1, 0.5, -2) | 2.70e-8 | resolvent-residual, -normality (3.0e-9), -adjoint (1.2e-8), eigenvalue-resolvent-consistency (3.5e-8), fractal-certificate, restriction-invariance, pair-isometry |
+
+There the ladder defects depend on the route: the eigenbasis pass reads
+fractal 2.7e19, restriction 21 and pair isometry 30, the former direct
+products against the graph Gram 5.7e36, 71 and 122.
+
+The earlier flip-record row "graph Gram + symmetric 1e-8" (fails fractal,
+restriction and pair isometry) no longer applies under the graph default:
+no certificate forms the graph Gram there, so there is nothing to perturb.
 """
 
 import json
@@ -65,7 +95,7 @@ import pytest
 
 from scalehilbert import linalg, sobolev_circle
 from scalehilbert.cli import main
-from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, spectral_decompose
+from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, SpectralData, conjugated_diagonal, spectral_decompose
 from scalehilbert.verify import OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle
 
 closed_form = sobolev_circle.fourier_gram_closed_form
@@ -210,3 +240,67 @@ def test_graph_equivalence_positivity_control(tmp_path, top, code, failing):
         assert positivity == 0.0
         assert constants["graph_equivalence"] == pytest.approx({"c_lo": 0.2, "c_hi": 0.8}, rel=1e-14)
         assert constants["regularity"] == pytest.approx([0.8**0.5], rel=1e-14)
+
+
+def goe_analysis(gammas=None, vectors=None):
+    """The flip record's n = 24 GOE operator, its eigenpairs optionally
+    replaced by a cache patch behind a passed symmetry gate."""
+    b = np.random.default_rng(5).standard_normal((24, 24))
+    an = OperatorAnalysis(ScaleOperator((b + b.T) / (2.0 * np.sqrt(24))))
+    d = spectral_decompose(an)
+    if gammas is not None or vectors is not None:
+        an.spectral = SpectralData(d.gammas if gammas is None else gammas(d.gammas.copy()),
+                                   d.vectors if vectors is None else vectors(d.vectors.copy()), d.order)
+    return an
+
+
+def shift_gamma_5(g):
+    g[5] += 1e-6
+    return g
+
+
+def rotate_v3_v4(v):
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    v[:, [3, 4]] = v[:, [3, 4]] @ np.array([[c, -s], [s, c]])
+    return v
+
+
+# control -> (unperturbed analysis, perturbed analysis, every failing entry -> defect bounds)
+REROUTED_CONTROLS = {
+    "gamma-5-shift": (goe_analysis, lambda: goe_analysis(gammas=shift_gamma_5), {
+        "eigenvalue-resolvent-consistency": (5.0e-7, 5.2e-7), "spectral-reconstruction": (2.8e-7, 3.0e-7),
+        "fractal-certificate": (2.9e-6, 3.1e-6), "restriction-invariance": (1.9e-6, 2.0e-6),
+        "pair-isometry": (9.9e-7, 1.01e-6)}),
+    "v3-v4-rotation": (goe_analysis, lambda: goe_analysis(vectors=rotate_v3_v4), {
+        "spectral-reconstruction": (7.1e-7, 7.3e-7), "fractal-certificate": (1.9e-6, 2.0e-6),
+        "restriction-invariance": (2.6e-6, 2.8e-6), "pair-isometry": (7.6e-7, 7.9e-7)}),
+    "ill-conditioned": (lambda: OperatorAnalysis(conjugated_diagonal([1.0, 1.0, 0.5, -2.0], seed=3)),
+                        lambda: OperatorAnalysis(conjugated_diagonal([1e9, 1.0, 0.5, -2.0], seed=3)), {
+        "resolvent-residual": (2.6e-8, 2.8e-8), "resolvent-normality": (2.9e-9, 3.1e-9),
+        "resolvent-adjoint": (1.1e-8, 1.2e-8), "eigenvalue-resolvent-consistency": (3.4e-8, 3.7e-8),
+        "fractal-certificate": (1e15, 1e40), "restriction-invariance": (10.0, 100.0),
+        "pair-isometry": (10.0, 200.0)}),
+}
+# the entries whose defects the eigenbasis pass and the real resolvent products compute -> their controls
+REROUTED = {
+    "resolvent-residual": ["ill-conditioned"],
+    "eigenvalue-resolvent-consistency": ["gamma-5-shift"],
+    "fractal-certificate": ["gamma-5-shift", "v3-v4-rotation"],
+    "restriction-invariance": ["gamma-5-shift", "v3-v4-rotation"],
+    "pair-isometry": ["gamma-5-shift", "v3-v4-rotation"],
+}
+
+
+def registry_defects(an):
+    return {cert.name: (cert.defect(an, 3), cert.tol) for cert in OPERATOR_CERTIFICATES}
+
+
+@pytest.mark.parametrize("name", REROUTED)
+def test_rerouted_entry_control(name):
+    for control in REROUTED[name]:
+        unperturbed, perturbed, failing = REROUTED_CONTROLS[control]
+        assert all(defect <= tol for defect, tol in registry_defects(unperturbed()).values())
+        defects = registry_defects(perturbed())
+        assert {entry for entry, (defect, tol) in defects.items() if not defect <= tol} == set(failing)
+        for entry, (low, high) in failing.items():
+            assert low <= defects[entry][0] <= high, (control, entry)
