@@ -13,6 +13,7 @@ import numpy as np
 from scalehilbert import (
     SYMMETRY_TOL,
     GramGrade,
+    OperatorAnalysis,
     ScaleOperator,
     TruncatedScaleSpace,
     build_fractal_structure,
@@ -20,9 +21,7 @@ from scalehilbert import (
     fractal_weight,
     graph_ladder,
     is_scale_isometric,
-    linalg,
     normality_defect,
-    resolvent,
     resolvent_consistency,
     spectral_decompose,
     weighted_sequence_space,
@@ -32,25 +31,28 @@ rng = np.random.default_rng(1729)
 n = 24
 b = rng.standard_normal((n, n))
 op = ScaleOperator((b + b.T) / (2 * np.sqrt(n)))
+# one analysis up to grade 3 holds every factorization the steps below
+# read, so the run makes one eigh and one resolvent inversion
+an = OperatorAnalysis(op, 3)
 
 # symmetry first; everything downstream assumes it
-sym = linalg.symmetry_defect(op.matrix)
+sym = an.symmetry
 print(f"symmetry defect {sym:.3e} (tol {SYMMETRY_TOL:.0e}): {'ok' if sym <= SYMMETRY_TOL else 'FAIL'}")
 
 # kernel and cokernel coincide for symmetric matrices; the principal
 # angle between them is the quantitative witness
-kernel = check_kernel_cokernel(op)
+kernel = check_kernel_cokernel(an)
 print(f"ker_dim {kernel.ker_dim}, coker_dim {kernel.coker_dim}, angle {kernel.subspace_angle:.2e}")
 
 # the resolvent at the unit imaginary point exists unconditionally and
 # must be normal, with adjoint equal to the conjugate-point resolvent
-r = resolvent(op)
+r = an.resolvent
 commutator, adjoint = normality_defect(r)
 print(f"resolvent residual {r.residual:.2e}, commutator {commutator:.2e}, adjoint {adjoint:.2e}")
 
 # eigenvalues from the direct decomposition against the resolvent route
-data = spectral_decompose(op)
-dev = resolvent_consistency(op, data)
+data = spectral_decompose(an)
+dev = resolvent_consistency(an, data)
 print(f"eigenvalues in [{data.gammas.min():+.4f}, {data.gammas.max():+.4f}], "
       f"resolvent cross-check {dev:.2e}")
 
@@ -59,7 +61,7 @@ print(f"eigenvalues in [{data.gammas.min():+.4f}, {data.gammas.max():+.4f}], "
 fw = fractal_weight(data)
 print("fractal weight, first five entries:", np.round(fw.values()[:5], 4))
 
-structure = build_fractal_structure(op, k_max=3)
+structure = build_fractal_structure(an, k_max=3)
 print("per-grade Gram deviations of the rescaled eigenbasis:")
 for k, d in enumerate(structure.deviations):
     print(f"  grade {k}: {d:.3e}")

@@ -218,16 +218,17 @@ def _load_operator(cfg: RunConfig) -> tuple[ScaleOperator, str]:
 def cmd_hessian_analyze(cfg: RunConfig) -> int:
     """Every operator certificate, in registry order; halts early on asymmetry.
 
-    All certificates read one :class:`OperatorAnalysis` of the operator.
+    All certificates read one :class:`OperatorAnalysis` of the operator at
+    the top grade ``--k-max``.
     """
     op, source = _load_operator(cfg)
-    analysis = OperatorAnalysis(op)
+    analysis = OperatorAnalysis(op, cfg.k_max)
     certificates = []
     report = {"command": "hessian-analyze", "operator": {"n": op.n, "source": source}, "certificates": certificates}
     out = cfg.output_file()
 
     for cert in OPERATOR_CERTIFICATES:
-        defect = float(cert.defect(analysis, cfg.k_max))
+        defect = float(cert.defect(analysis))
         passed = bool(defect <= cert.tol)
         certificates.append({"name": cert.name, "defect": defect, "tol": cert.tol, "passed": passed})
         if cert is SYMMETRY and not passed:
@@ -243,11 +244,11 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     ]
     c_lo, c_hi = graph_equivalence_constants(analysis)
     report["constants"] = {
-        "regularity": [regularity_constant(analysis, k) for k in range(op.scale.k_max if op.scale else cfg.k_max)],
+        "regularity": [regularity_constant(analysis, k) for k in range(op.scale.k_max if op.scale else analysis.k_max)],
         "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi},
     }
     kernel = analysis.kernel
-    report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim, "index": kernel.index}
+    report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim}
     report["gammas"] = [float(g) for g in analysis.spectral.gammas]
     report["order"] = [int(i) for i in analysis.spectral.order]
     report["fractal_weight"] = weight_rows

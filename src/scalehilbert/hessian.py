@@ -10,18 +10,19 @@ a weighted sequence model. The final product of the module is
 the rescaled eigenbasis onto the diagonal model, grade by grade.
 
 Every certificate of one operator reads the same factorizations, which
-an :class:`OperatorAnalysis` computes lazily and at most once: the
-symmetry defect (the gate of :func:`spectral_decompose`), the ``eigh``
-spectral data and its reconstruction residual, the eigenbasis pass
-(:meth:`OperatorAnalysis.eigenbasis_pass`: one pass over A^j V gives
-the fractal, restriction and pair-isometry defects and keeps only those
-scalars, so no graph Gram is formed), the kernel report (a full-rank
-proof from the ``eigh`` pairs, else an SVD: singular values, plus vectors
-only when there is a kernel), the resolvent at
-:data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose result also gives its
-condition guard) with its normality pair and its consistency bound (the
-eigen-residuals of the ``eigh`` pairs), the fractal weight, and, for an
-explicit scale only, the graph Gram I + A^T A and the equivalence
+an :class:`OperatorAnalysis` of the operator and its top grade k_max
+computes lazily and at most once: the symmetry defect (the gate of
+:func:`spectral_decompose`), the ``eigh`` spectral data and its
+reconstruction residual, the eigenbasis pass
+(:attr:`OperatorAnalysis.eigenbasis_pass`: one pass over A^j V gives the
+fractal defects of grades 0..max(k_max, 1), the restriction and the
+pair-isometry defects and keeps only those scalars, so no graph Gram is
+formed), the kernel report (a full-rank proof from the ``eigh`` pairs,
+else an SVD: singular values, plus vectors only when there is a kernel),
+the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
+result also gives its condition guard) with its normality pair and its
+consistency bound (the eigen-residuals of the ``eigh`` pairs), the
+fractal weight, and, for an explicit scale only, the equivalence
 constants, one generalized solve per grade
 (:meth:`OperatorAnalysis.equivalence`). Each defect subtracts its
 expected identity or diagonal in place on the diagonal of the product it
@@ -124,17 +125,13 @@ class ScaleOperator:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Kernel data of a square matrix. ``index`` is 0 by construction:
-    ``coker_dim`` comes from the same numerical rank as ``ker_dim``. The
+    """Kernel data of a square matrix. ``coker_dim`` comes from the same
+    numerical rank as ``ker_dim``, so the two are equal by construction; the
     measured evidence that kernel and cokernel coincide is ``subspace_angle``."""
 
     ker_dim: int
     coker_dim: int
     subspace_angle: float
-
-    @property
-    def index(self) -> int:
-        return self.ker_dim - self.coker_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,21 +166,20 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class EigenbasisPass:
-    """The scalars of :meth:`OperatorAnalysis.eigenbasis_pass`: the fractal
-    deviations of grades 0..k_max, the restriction defect and the pair-isometry
-    defect (None, with grade 0 alone, in a pass run without ``k_max``)."""
+    """The scalars of :attr:`OperatorAnalysis.eigenbasis_pass`: the fractal
+    deviations of grades 0..max(k_max, 1), the restriction defect and the
+    pair-isometry defect."""
 
     deviations: tuple
     restriction: float
-    pair: float | None
+    pair: float
 
 
 @dataclass(frozen=True, eq=False)
 class ResolventData:
-    """The inverse B of (operator - point * identity) at an off-spectrum
-    point, read-only (frozen by :func:`resolvent`)."""
+    """The inverse B of (operator - :data:`DEFAULT_RESOLVENT_POINT` * identity),
+    read-only (frozen by :func:`resolvent`), and its residual."""
 
-    point: complex
     b_matrix: np.ndarray
     residual: float
 
@@ -214,26 +210,33 @@ def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
 
 
 class OperatorAnalysis:
-    """The factorizations every certificate of one operator reads.
+    """The factorizations every certificate of one operator reads, up to
+    the top grade ``k_max`` of its graph ladder.
 
-    Each attribute, each grade of :meth:`equivalence` and the
-    :meth:`eigenbasis_pass` are computed on first access and kept, so one
+    Each attribute, the :attr:`eigenbasis_pass` among them, and each grade
+    of :meth:`equivalence` are computed on first access and kept, so one
     analysis runs each factorization once. The arrays kept are the
-    eigenvectors, the resolvent B and, for an explicit scale, the graph
-    Gram; the eigenbasis pass keeps scalars only.
-    Build one per operator and drop it when that operator's
+    eigenvectors and the resolvent B; the eigenbasis pass keeps scalars
+    only. Build one per operator and drop it when that operator's
     certification is done; a new analysis always starts empty.
     """
 
-    def __init__(self, op: ScaleOperator):
-        self.op = op
+    def __init__(self, op: ScaleOperator, k_max: int = 0):
+        if k_max < 0:
+            raise ValueError("k_max must be >= 0")
+        self.op, self.k_max = op, k_max
         self._equivalence = {}
-        self._pass = None
 
     @classmethod
-    def of(cls, op) -> "OperatorAnalysis":
-        """``op`` itself if it is an analysis, else a fresh one for it."""
-        return op if isinstance(op, cls) else cls(op)
+    def of(cls, op, k_max: int = 0) -> "OperatorAnalysis":
+        """``op`` itself if it is an analysis, else a fresh one for it up to
+        ``k_max``. A shared analysis whose top grade is below ``k_max``
+        raises ValueError."""
+        if not isinstance(op, cls):
+            return cls(op, k_max)
+        if op.k_max < k_max:
+            raise ValueError(f"k_max {k_max} exceeds the analysis's top grade {op.k_max}")
+        return op
 
     @cached_property
     def symmetry(self) -> float:
@@ -296,15 +299,7 @@ class OperatorAnalysis:
         return resolvent_consistency(self, self.spectral)
 
     @cached_property
-    def graph_gram(self) -> np.ndarray:
-        """The graph Gram I + A^T A, grade 1 of :func:`graph_ladder`, read-only:
-        the form of an explicit scale's grade-0 pencil. The eigenbasis
-        certificates do not read it."""
-        gram = _graph_step(self.op.matrix)
-        gram.setflags(write=False)
-        return gram
-
-    def eigenbasis_pass(self, k_max: int | None = None) -> EigenbasisPass:
+    def eigenbasis_pass(self) -> EigenbasisPass:
         """The ladder certificates of the eigenbasis from one pass over
         Y_j = A^j V, V the |gamma|-sorted eigenvectors, j <= max(k_max, 2).
 
@@ -316,23 +311,14 @@ class OperatorAnalysis:
         domain and one side at a time, minus I is the fractal deviation; the
         unscaled grade 1 is the pair-isometry matrix; and
         V^T G_1 A V = Y_0^T Y_1 + Y_1^T Y_2, rescaled by weight^(-1/2), minus
-        diag(gamma) is the restriction matrix. Only the scalars are kept.
-
-        ``k_max`` None runs grade 0 and restriction alone (what the batch and
-        the full-rank proof read; no Gram of a power Y_j, j >= 1). A kept pass
-        is reused when it covers the request; otherwise the pass runs again,
-        for every grade asked, and replaces it.
+        diag(gamma) is the restriction matrix. Grades 0..max(k_max, 1) are
+        covered, each from the same products whatever k_max is, and only the
+        scalars are kept.
         """
-        if k_max is not None and k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        kept = self._pass
-        if kept is not None and (k_max is None or (kept.pair is not None and len(kept.deviations) > k_max)):
-            return kept
         data = spectral_decompose(self)
         a, n, logs = self.op.matrix, self.op.n, self.fractal_weight.log_values
-        n_grams = 1 if k_max is None else max(k_max, 1) + 1
+        n_grams = max(self.k_max, 1) + 1
         top = max(n_grams - 1, 2)
-        pair = None
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade reads inf or NaN, which fails
             y = data.sorted_vectors()
             grams = [y.T @ y]
@@ -367,19 +353,17 @@ class OperatorAnalysis:
                     off_diagonal.flat[:: n + 1] = 0.0
                     pair = float(np.maximum(off_diagonal.max(), on_diagonal.max()))
                     del off_diagonal
-                if k <= k_max:
-                    grade = _rescale(grams[0] if k == n_grams - 1 else grams[0].copy(), logs, k)
-                    grade.flat[:: n + 1] -= 1.0
-                    deviations.append(linalg.frobenius(grade))
-                    del grade
-        self._pass = EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
-        return self._pass
+                grade = _rescale(grams[0] if k == n_grams - 1 else grams[0].copy(), logs, k)
+                grade.flat[:: n + 1] -= 1.0
+                deviations.append(linalg.frobenius(grade))
+                del grade
+        return EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
 
     def equivalence(self, k: int) -> tuple[float, float]:
         """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1}
-        against G_k + A^T G_k A, one solve per grade k, kept; grade 0 reads
-        :attr:`graph_gram` (G_0 = I). Numerical trouble (LinAlgError, as the
-        grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
+        against G_k + A^T G_k A, one solve per grade k, kept; grade 0's form
+        is the graph Gram I + A^T A (G_0 = I). Numerical trouble (LinAlgError,
+        as the grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
         if k < 0:
             raise IndexError("grade must be >= 0")
         scale = self.op.scale
@@ -387,7 +371,7 @@ class OperatorAnalysis:
             return 1.0, 1.0
         if k not in self._equivalence:
             g_next = gram_matrix(scale, k + 1)
-            form = self.graph_gram if k == 0 else _graph_step(self.op.matrix, gram_matrix(scale, k))
+            form = _graph_step(self.op.matrix, gram_matrix(scale, k) if k else None)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
                     self._equivalence[k] = equivalence_constants(g_next, form)
@@ -403,13 +387,13 @@ def check_kernel_cokernel(op: ScaleOperator | OperatorAnalysis) -> KernelReport:
     times the largest one. The reported angle is the
     largest principal angle between the kernel and the orthogonal
     complement of the range; for a symmetric operator the two subspaces
-    coincide and the angle vanishes. The index ker_dim - coker_dim is 0
-    for every square matrix, which is the truncated Fredholm statement.
+    coincide and the angle vanishes. ker_dim and coker_dim agree for every
+    square matrix (index 0, the truncated Fredholm statement).
 
     The proof reads what the analysis already holds for a symmetric
     operator: the computed pairs (gamma, V) of ``eigh``, the
     reconstruction residual E = A - V diag(gamma) V^T and
-    delta = ||V^T V - I||_F, grade 0 of :meth:`OperatorAnalysis.eigenbasis_pass`.
+    delta = ||V^T V - I||_F, grade 0 of :attr:`OperatorAnalysis.eigenbasis_pass`.
     With delta < 1, sigma_min(V)^2 >= 1 - delta and sigma_max(V)^2 <= 1 + delta,
     so Weyl's inequality for singular values gives
     sigma_min(A) >= (1 - delta) min|gamma| - ||E||_F and
@@ -455,7 +439,7 @@ def _full_rank_proved(an: OperatorAnalysis) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound is non-finite and fails
         abs_g = np.abs(data.gammas)
         v_sq = linalg.frobenius(data.vectors) ** 2 * (1.0 + g(2 * n * n + 4))
-        delta = an.eigenbasis_pass().deviations[0] * (1.0 + g(n * n + 3)) + g(n) * v_sq
+        delta = an.eigenbasis_pass.deviations[0] * (1.0 + g(n * n + 3)) + g(n) * v_sq
         residual = an.reconstruction_residual * (1.0 + g(n * n + 3)) + g(n + 1) * abs_g.max() * v_sq
         lower = ((1.0 - delta) * abs_g.min() - residual) * (1.0 - g(4))
         upper = ((1.0 + delta) * abs_g.max() + residual) * (1.0 + g(4))
@@ -484,19 +468,18 @@ def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[f
     return OperatorAnalysis.of(op).equivalence(0)
 
 
-def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> ResolventData:
-    """Invert (operator - point * identity) at a point off the spectrum.
+def resolvent(op: ScaleOperator) -> ResolventData:
+    """Invert (operator - point * identity) at the off-axis point
+    :data:`DEFAULT_RESOLVENT_POINT`, where the inverse exists
+    unconditionally for symmetric operators.
 
-    Real points are rejected: off the real axis the inverse exists
-    unconditionally for symmetric operators. An exactly singular
-    inversion, a non-finite inverse B or n eps kappa_1 >= 1, with the 1-norm
-    condition number kappa_1 = ||A - point I||_1 ||B||_1 read off the
-    inverse, raise :class:`SpectrumError`. The residual (A - point I) B - I
-    is formed as A B - point B, A B as a real product on B's float view.
+    An exactly singular inversion, a non-finite inverse B or
+    n eps kappa_1 >= 1, with the 1-norm condition number
+    kappa_1 = ||A - point I||_1 ||B||_1 read off the inverse, raise
+    :class:`SpectrumError`. The residual (A - point I) B - I is formed as
+    A B - point B, A B as a real product on B's float view.
     """
-    point = complex(point)
-    if point.imag == 0.0:
-        raise ValueError("resolvent point must lie off the real axis")
+    point = DEFAULT_RESOLVENT_POINT
     shifted = op.matrix.astype(complex)
     shifted.flat[:: op.n + 1] -= point
     try:
@@ -511,7 +494,7 @@ def resolvent(op: ScaleOperator, point: complex = DEFAULT_RESOLVENT_POINT) -> Re
     product -= point * b
     product.flat[:: op.n + 1] -= 1.0
     b.setflags(write=False)
-    return ResolventData(point=point, b_matrix=b, residual=linalg.frobenius(product))
+    return ResolventData(b_matrix=b, residual=linalg.frobenius(product))
 
 
 def normality_defect(r: ResolventData) -> tuple[float, float]:
@@ -646,11 +629,13 @@ def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) ->
     Grade k + 1 is grade k plus the operator-transported grade k. For
     every grade up to k_max the rescaled eigenbasis is checked to be
     orthonormal; the recorded deviations, from
-    :meth:`OperatorAnalysis.eigenbasis_pass`, are the certificate that the
-    ladder carries the fractal structure of the weight 1 + gamma^2.
+    :attr:`OperatorAnalysis.eigenbasis_pass`, are the certificate that the
+    ladder carries the fractal structure of the weight 1 + gamma^2. A bare
+    operator gets an analysis up to k_max; a shared analysis with a lower
+    top grade raises ValueError.
     """
-    an = OperatorAnalysis.of(op)
-    deviations = an.eigenbasis_pass(k_max).deviations[: k_max + 1]
+    an = OperatorAnalysis.of(op, k_max)
+    deviations = an.eigenbasis_pass.deviations[: k_max + 1]
     return FractalStructure(weight=an.fractal_weight, spectral=spectral_decompose(an), deviations=deviations)
 
 
@@ -659,9 +644,9 @@ def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
     rescaled basis (graph inner product) and in the plain eigenbasis
     (grade-0 inner product); both equal diag(gamma) in exact arithmetic,
     so the operator and its grade-1 restriction are the same operator.
-    Read from :meth:`OperatorAnalysis.eigenbasis_pass`.
+    Read from :attr:`OperatorAnalysis.eigenbasis_pass`.
     """
-    return OperatorAnalysis.of(op).eigenbasis_pass().restriction
+    return OperatorAnalysis.of(op).eigenbasis_pass.restriction
 
 
 def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
@@ -669,8 +654,8 @@ def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
     diag(1 + gamma^2), relative on the diagonal and absolute off it; zero
     means the eigenbasis carries the pair (grade 0, graph norm)
     isometrically onto the weighted model. The Gram is the unscaled grade 1
-    of :meth:`OperatorAnalysis.eigenbasis_pass`."""
-    return OperatorAnalysis.of(op).eigenbasis_pass(0).pair
+    of :attr:`OperatorAnalysis.eigenbasis_pass`."""
+    return OperatorAnalysis.of(op).eigenbasis_pass.pair
 
 
 def conjugated_diagonal(diag, seed: int) -> ScaleOperator:

@@ -2,9 +2,11 @@
 
 :data:`OPERATOR_CERTIFICATES` is the one ordered registry of operator
 certificates, each a name, a pinned tolerance and a defect function of
-an :class:`OperatorAnalysis`. ``hessian-analyze`` evaluates all of them;
-the batch behind criteria 3, 4, 5 and 7 only :data:`BATCH_CERTIFICATES`,
-whose defects and tolerances those criteria read by registry entry.
+an :class:`OperatorAnalysis`, which carries the top grade of the graph
+ladder. ``hessian-analyze`` evaluates all of them on an analysis at its
+``--k-max``; the batch behind criteria 3, 4, 5 and 7 only
+:data:`BATCH_CERTIFICATES`, on an analysis at grade 0, and those criteria
+read the defects and tolerances by registry entry.
 
 Each criterion function runs one property at its pinned tolerance (its
 registry entry's ``tol`` or a named constant, never a caller's) and
@@ -71,14 +73,13 @@ NEGATIVE_CONTROL = ((0.0, 1.0), (0.0, 0.0))
 
 @dataclass(frozen=True)
 class Certificate:
-    """One operator certificate: it passes when ``defect(analysis, k_max)``
-    is at most the tolerance. ``k_max`` is the top grade of the graph
-    ladder; the fractal certificate reads it, and the kernel entry runs the
-    eigenbasis pass up to it (None in the batch, which reads no grade)."""
+    """One operator certificate: it passes when ``defect(analysis)`` is at
+    most the tolerance. The fractal certificate reads every grade up to the
+    analysis's own top grade ``k_max``."""
 
     name: str
     tol: float
-    defect: Callable[[OperatorAnalysis, int | None], float]
+    defect: Callable[[OperatorAnalysis], float]
 
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
@@ -90,35 +91,26 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
     return 0.0 if all(0.0 < lo <= hi for lo, hi in map(an.equivalence, range(grades))) else float("inf")
 
 
-def _kernel_angle(an: OperatorAnalysis, k_max: int | None) -> float:
-    """The kernel angle. Its full-rank proof reads grade 0 of the eigenbasis
-    pass, so given a ``k_max`` (hessian-analyze) the pass runs here first, for
-    every grade the fractal certificate reads, and the ladder certificates
-    after it reuse it; without one (the batch) the proof runs the pass that
-    restriction reads. A failed proof's SVD then runs before the resolvent
-    is held."""
-    if k_max is not None and an.symmetry <= SYMMETRY_TOL:
-        an.eigenbasis_pass(k_max)
-    return an.kernel.subspace_angle
-
-
 # Ordered as hessian-analyze reports them, symmetry (its gate) first. The
-# entries call the certificate functions through this module's names, so
-# patching a module binding reaches them.
+# kernel entry's full-rank proof reads the eigenbasis pass, so behind a
+# passed gate the pass runs there, before a failed proof's SVD and before
+# the resolvent is held; the ladder entries after it read the kept pass.
+# The entries call the certificate functions through this module's names,
+# so patching a module binding reaches them.
 OPERATOR_CERTIFICATES = (
-    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an, k_max: an.symmetry),
-    KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an, k_max: _kernel_angle(an, k_max)),
-    Certificate("resolvent-residual", 1e-8, lambda an, k_max: an.resolvent.residual),
-    NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an, k_max: an.normality[0]),
-    ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an, k_max: an.normality[1]),
-    CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an, k_max: an.consistency),
-    RECONSTRUCTION := Certificate("spectral-reconstruction", 1e-10, lambda an, k_max: an.relative_reconstruction),
+    SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an: an.symmetry),
+    KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an: an.kernel.subspace_angle),
+    Certificate("resolvent-residual", 1e-8, lambda an: an.resolvent.residual),
+    NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an: an.normality[0]),
+    ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an: an.normality[1]),
+    CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an: an.consistency),
+    RECONSTRUCTION := Certificate("spectral-reconstruction", 1e-10, lambda an: an.relative_reconstruction),
     FRACTAL := Certificate(
-        "fractal-certificate", 1e-8, lambda an, k_max: np.max(build_fractal_structure(an, k_max).deviations)
+        "fractal-certificate", 1e-8, lambda an: np.max(build_fractal_structure(an, an.k_max).deviations)
     ),
-    RESTRICTION := Certificate("restriction-invariance", 1e-10, lambda an, k_max: restriction_invariance(an)),
-    Certificate("pair-isometry", 1e-10, lambda an, k_max: pair_isometry_certificate(an)),
-    Certificate("graph-equivalence-positivity", 1.0, lambda an, k_max: _positivity_defect(an)),
+    RESTRICTION := Certificate("restriction-invariance", 1e-10, lambda an: restriction_invariance(an)),
+    Certificate("pair-isometry", 1e-10, lambda an: pair_isometry_certificate(an)),
+    Certificate("graph-equivalence-positivity", 1.0, lambda an: _positivity_defect(an)),
 )
 # what criteria 3, 4, 5 and 7 read from every batch operator
 BATCH_CERTIFICATES = (KERNEL_ANGLE, NORMALITY, ADJOINT, CONSISTENCY, RECONSTRUCTION, RESTRICTION)
@@ -186,14 +178,15 @@ def analyze_operator_batch(ops) -> list:
     """One row per operator: the defect of every entry of
     :data:`BATCH_CERTIFICATES` under its name, plus the kernel report.
 
-    Each operator gets its own :class:`OperatorAnalysis`, released once
-    its row is built, so only one operator's factorizations are alive.
+    Each operator gets its own :class:`OperatorAnalysis` at top grade 0
+    (its eigenbasis pass covers grades 0 and 1), released once its row is
+    built, so only one operator's factorizations are alive.
     """
     return [_analysis_row(OperatorAnalysis(op)) for op in ops]
 
 
 def _analysis_row(an: OperatorAnalysis) -> dict:
-    row = {c.name: c.defect(an, None) for c in BATCH_CERTIFICATES}
+    row = {c.name: c.defect(an) for c in BATCH_CERTIFICATES}
     row["kernel"] = an.kernel
     return row
 
@@ -264,20 +257,15 @@ def criterion_sigma_witness() -> CriterionResult:
 
 
 def criterion_kernel_cokernel(batch) -> CriterionResult:
-    """Kernel and range-complement coincide (principal angle) with index 0."""
+    """Kernel and range-complement coincide (principal angle)."""
     worst = _worst(batch, KERNEL_ANGLE)
-    indices_zero = all(row["kernel"].index == 0 for row in batch)
     return CriterionResult(
         number=3,
         name="kernel-cokernel-coincidence",
-        passed=worst <= KERNEL_ANGLE.tol and indices_zero,
+        passed=worst <= KERNEL_ANGLE.tol,
         defect=worst,
         tol=KERNEL_ANGLE.tol,
-        details={
-            "operators": len(batch),
-            "rank_deficient": sum(1 for row in batch if row["kernel"].ker_dim > 0),
-            "indices_all_zero": indices_zero,
-        },
+        details={"operators": len(batch), "rank_deficient": sum(1 for row in batch if row["kernel"].ker_dim > 0)},
     )
 
 

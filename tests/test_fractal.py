@@ -98,7 +98,7 @@ class TestRescaledBasis:
 
     def test_rejects_negative_grade(self):
         with pytest.raises(ValueError, match="k_max must be >= 0"):
-            OperatorAnalysis(ScaleOperator(np.diag([1.0]))).eigenbasis_pass(-1)
+            OperatorAnalysis(ScaleOperator(np.diag([1.0])), -1)
 
 
 def ladder_spaces(op, fs, k_max):
@@ -157,6 +157,12 @@ class TestBuildFractalStructure:
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             build_fractal_structure(ScaleOperator(np.array([[0.0, 1.0], [0.0, 0.0]])), 1)
+
+    def test_shared_analysis_must_reach_k_max(self):
+        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])), 2)
+        assert len(build_fractal_structure(an, 2).deviations) == 3
+        with pytest.raises(ValueError, match="k_max 3 exceeds the analysis's top grade 2"):
+            build_fractal_structure(an, 3)
 
 
 class TestRestrictionInvariance:

@@ -1,6 +1,6 @@
 """Every module-level import in ``src/scalehilbert`` is used or exported,
-and the dense generalized eigensolve and the SVD each have one set of
-callers.
+the dense generalized eigensolve and the SVD each have one set of
+callers, and ``OperatorAnalysis`` has one set of construction sites.
 
 No lint tool is a dependency, so each module is read with ``ast``: a
 name bound by a module-level import must occur as a name elsewhere in
@@ -47,24 +47,42 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == KEPT.get(path.stem, [])
 
 
-def referencing_functions(source: str, module: str, name: str) -> set:
-    """``module.function`` (or ``module.Class.method``) for every top-level
-    definition of ``source`` that references ``name``, as a bare name or as
-    an attribute, other than its own definition; ``module.<module>`` for a
-    reference outside any definition."""
-    found = set()
+def top_level_scopes(source: str, module: str):
+    """(``module.function``, node) for every top-level function of
+    ``source``, (``module.Class.method``, node) for every method of a
+    top-level class and (``module.<module>``, node) for any other statement."""
     for node in ast.parse(source).body:
         scopes = [node]
         if isinstance(node, ast.ClassDef):
             scopes = [item for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for scope in scopes:
             owner = getattr(scope, "name", "<module>")
-            qualified = f"{node.name}.{owner}" if isinstance(node, ast.ClassDef) else owner
-            for inner in ast.walk(scope):
-                if (isinstance(inner, ast.Name) and inner.id == name) or (
-                    isinstance(inner, ast.Attribute) and inner.attr == name
-                ):
-                    found.add(f"{module}.{qualified}")
+            yield f"{module}.{node.name}.{owner}" if isinstance(node, ast.ClassDef) else f"{module}.{owner}", scope
+
+
+def referencing_functions(source: str, module: str, name: str) -> set:
+    """The scopes of :func:`top_level_scopes` that reference ``name``, as a
+    bare name or as an attribute, other than its own definition."""
+    return {
+        qualified
+        for qualified, scope in top_level_scopes(source, module)
+        for inner in ast.walk(scope)
+        if (isinstance(inner, ast.Name) and inner.id == name) or (isinstance(inner, ast.Attribute) and inner.attr == name)
+    }
+
+
+def constructing_functions(source: str, module: str, cls: str) -> set:
+    """The scopes of :func:`top_level_scopes` that call ``cls``, as a bare
+    name or as an attribute, or, in a method of ``cls`` itself, through the
+    classmethod argument ``cls``."""
+    found = set()
+    for qualified, scope in top_level_scopes(source, module):
+        own = qualified.startswith(f"{module}.{cls}.")
+        for inner in ast.walk(scope):
+            if isinstance(inner, ast.Call):
+                callee = getattr(inner.func, "id", getattr(inner.func, "attr", None))
+                if callee == cls or (own and callee == "cls"):
+                    found.add(qualified)
     return found
 
 
@@ -93,3 +111,17 @@ def test_svd_has_one_route_to_the_rank():
     # the kernel certificate's fallback after its full-rank proof, and the
     # principal angles between the subspaces that SVD returns
     assert callers_in_src("svd") == {"hessian.check_kernel_cokernel", "linalg.principal_angles"}
+
+
+def test_walker_finds_constructions():
+    source = ("class A:\n    @classmethod\n    def of(cls, x):\n        return cls(x)\n    def f(self):\n        return A\n"
+              "def g():\n    return m.A(1)\ndef h(cls):\n    return cls(1)\n")
+    assert constructing_functions(source, "m", "A") == {"m.A.of", "m.g"}
+
+
+def test_operator_analysis_has_three_construction_sites():
+    # the top grade k_max is named once per analysis: the CLI builds one at
+    # --k-max, the batch one per operator at grade 0, and ``of`` one for a
+    # bare operator; every other function shares the analysis it is given
+    sites = set().union(*(constructing_functions(p.read_text(), p.stem, "OperatorAnalysis") for p in SRC.glob("*.py")))
+    assert sites == {"hessian.OperatorAnalysis.of", "cli.cmd_hessian_analyze", "verify.analyze_operator_batch"}

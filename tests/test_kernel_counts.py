@@ -20,6 +20,7 @@ import collections
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -33,6 +34,8 @@ from scalehilbert.hessian import OperatorAnalysis, graph_equivalence_constants, 
 from scalehilbert.verify import analyze_operator_batch, run_verify_all, standard_operator_set
 
 import test_hessian
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 KERNELS = {
     "eig": (np.linalg, "eig"),
@@ -162,6 +165,16 @@ def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monk
         # grades 1 and 2 add one solve each; grade 0 and the second pass none
         assert solves["generalized_eigh"] == 3
         assert dict(kernel_calls) == {"eig": 0, "eigh": 3, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
+
+
+def test_demo_shares_one_analysis(kernel_calls, tmp_path, monkeypatch, capsys):
+    """demos/fractal_from_operator.py reads every certificate from one
+    OperatorAnalysis: one ``eigh`` and one ``inv``. The four Cholesky
+    factorizations are ``is_scale_isometric``'s, one per grade 0..3."""
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "fractal_from_operator.py"), run_name="__main__")
+    assert "scale isometry onto the weighted model: True" in capsys.readouterr().out
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 4, "angle_svd": 0}
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):

@@ -70,6 +70,19 @@ on ``OperatorAnalysis.spectral`` behind a passed symmetry gate (gamma_5 =
 
 The consistency check passes the rotation (6.4e-11) by design: by the
 Temple bound an eigenvalue is second order in a vector error.
+
+The resolvent B of the same operator, by cache patch on
+``OperatorAnalysis.resolvent`` (its residual kept), plus a perturbation E
+with ||E||_F = 1e-7 ||B||_F, E drawn from default_rng(11): the symmetric
+C + C^T of its first standard normal 24 x 24 draw C, or its second draw
+as is:
+
+| control | fails (defect) |
+|---|---|
+| B + symmetric E | resolvent-normality (1.36e-8), eigenvalue-resolvent-consistency (5.36e-8) |
+| B + nonsymmetric E | resolvent-normality (1.91e-8), resolvent-adjoint (1.42e-7), eigenvalue-resolvent-consistency (3.68e-8) |
+
+A symmetric E keeps B^T = B, so only the adjoint passes it.
 resolvent-residual has no eigenpair row; its control is
 ``conjugated_diagonal(d, seed=3)`` under the graph default:
 
@@ -95,7 +108,8 @@ import pytest
 
 from scalehilbert import linalg, sobolev_circle
 from scalehilbert.cli import main
-from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, SpectralData, conjugated_diagonal, spectral_decompose
+from scalehilbert.hessian import (OperatorAnalysis, ResolventData, ScaleOperator, SpectralData, conjugated_diagonal,
+                                  spectral_decompose)
 from scalehilbert.verify import OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle
 
 closed_form = sobolev_circle.fourier_gram_closed_form
@@ -182,12 +196,12 @@ def hessian_analyze(tmp_path, a, code):
         return json.load(fh, parse_constant=reject_non_finite)
 
 
+KERNEL_CONTROL_FAILS = {"kernel-cokernel-angle": (2.1e-5, 2.2e-5), "restriction-invariance": (1.8e-10, 2.0e-10)}
+
+
 @pytest.mark.parametrize(
     "skew, code, ker_dim, failing",
-    [
-        (False, 0, 3, {}),
-        (True, 1, 1, {"kernel-cokernel-angle": (2.1e-5, 2.2e-5), "restriction-invariance": (1.8e-10, 2.0e-10)}),
-    ],
+    [(False, 0, 3, {}), (True, 1, 1, KERNEL_CONTROL_FAILS)],
     ids=["unperturbed", "skew"],
 )
 def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
@@ -204,13 +218,17 @@ def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
         assert 1e-16 <= certificates["kernel-cokernel-angle"]["defect"] <= 1e-14
 
 
+SYMMETRY_CONTROL_FAILS = {"symmetry": (1.99e-10, 2.01e-10)}
+
+
 def test_symmetry_control(tmp_path):
     a = kernel_control(True, asymmetry=2e-10)
     report = hessian_analyze(tmp_path, a, 1)
     assert report["halted_after"] == "symmetry" and not report["passed"]
     [certificate] = report["certificates"]
-    assert certificate["name"] == "symmetry" and not certificate["passed"]
-    assert 1.99e-10 <= certificate["defect"] <= 2.01e-10
+    [(name, (low, high))] = SYMMETRY_CONTROL_FAILS.items()
+    assert certificate["name"] == name and not certificate["passed"]
+    assert low <= certificate["defect"] <= high
     with pytest.raises(ValueError, match="not symmetric"):
         spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
 
@@ -242,15 +260,21 @@ def test_graph_equivalence_positivity_control(tmp_path, top, code, failing):
         assert constants["regularity"] == pytest.approx([0.8**0.5], rel=1e-14)
 
 
-def goe_analysis(gammas=None, vectors=None):
-    """The flip record's n = 24 GOE operator, its eigenpairs optionally
-    replaced by a cache patch behind a passed symmetry gate."""
+def goe_analysis(gammas=None, vectors=None, perturbation=None):
+    """The flip record's n = 24 GOE operator at k_max 3, its eigenpairs
+    optionally replaced by a cache patch behind a passed symmetry gate, or its
+    resolvent B by B + E, ||E||_F = 1e-7 ||B||_F, E = ``perturbation()``
+    rescaled."""
     b = np.random.default_rng(5).standard_normal((24, 24))
-    an = OperatorAnalysis(ScaleOperator((b + b.T) / (2.0 * np.sqrt(24))))
+    an = OperatorAnalysis(ScaleOperator((b + b.T) / (2.0 * np.sqrt(24))), 3)
     d = spectral_decompose(an)
     if gammas is not None or vectors is not None:
         an.spectral = SpectralData(d.gammas if gammas is None else gammas(d.gammas.copy()),
                                    d.vectors if vectors is None else vectors(d.vectors.copy()), d.order)
+    if perturbation is not None:
+        r, e = an.resolvent, perturbation()
+        an.resolvent = ResolventData(r.b_matrix + e * (1e-7 * linalg.frobenius(r.b_matrix) / linalg.frobenius(e)),
+                                     r.residual)
     return an
 
 
@@ -265,6 +289,17 @@ def rotate_v3_v4(v):
     return v
 
 
+def symmetric_e():
+    c = np.random.default_rng(11).standard_normal((24, 24))
+    return c + c.T
+
+
+def nonsymmetric_e():
+    rng = np.random.default_rng(11)
+    rng.standard_normal((24, 24))
+    return rng.standard_normal((24, 24))
+
+
 # control -> (unperturbed analysis, perturbed analysis, every failing entry -> defect bounds)
 REROUTED_CONTROLS = {
     "gamma-5-shift": (goe_analysis, lambda: goe_analysis(gammas=shift_gamma_5), {
@@ -274,17 +309,25 @@ REROUTED_CONTROLS = {
     "v3-v4-rotation": (goe_analysis, lambda: goe_analysis(vectors=rotate_v3_v4), {
         "spectral-reconstruction": (7.1e-7, 7.3e-7), "fractal-certificate": (1.9e-6, 2.0e-6),
         "restriction-invariance": (2.6e-6, 2.8e-6), "pair-isometry": (7.6e-7, 7.9e-7)}),
-    "ill-conditioned": (lambda: OperatorAnalysis(conjugated_diagonal([1.0, 1.0, 0.5, -2.0], seed=3)),
-                        lambda: OperatorAnalysis(conjugated_diagonal([1e9, 1.0, 0.5, -2.0], seed=3)), {
+    "b-symmetric": (goe_analysis, lambda: goe_analysis(perturbation=symmetric_e), {
+        "resolvent-normality": (1.35e-8, 1.37e-8), "eigenvalue-resolvent-consistency": (5.3e-8, 5.4e-8)}),
+    "b-nonsymmetric": (goe_analysis, lambda: goe_analysis(perturbation=nonsymmetric_e), {
+        "resolvent-normality": (1.9e-8, 1.92e-8), "resolvent-adjoint": (1.41e-7, 1.43e-7),
+        "eigenvalue-resolvent-consistency": (3.6e-8, 3.7e-8)}),
+    "ill-conditioned": (lambda: OperatorAnalysis(conjugated_diagonal([1.0, 1.0, 0.5, -2.0], seed=3), 3),
+                        lambda: OperatorAnalysis(conjugated_diagonal([1e9, 1.0, 0.5, -2.0], seed=3), 3), {
         "resolvent-residual": (2.6e-8, 2.8e-8), "resolvent-normality": (2.9e-9, 3.1e-9),
         "resolvent-adjoint": (1.1e-8, 1.2e-8), "eigenvalue-resolvent-consistency": (3.4e-8, 3.7e-8),
         "fractal-certificate": (1e15, 1e40), "restriction-invariance": (10.0, 100.0),
         "pair-isometry": (10.0, 200.0)}),
 }
-# the entries whose defects the eigenbasis pass and the real resolvent products compute -> their controls
+# the entries whose defects the eigenbasis pass and the resolvent compute -> their controls
 REROUTED = {
     "resolvent-residual": ["ill-conditioned"],
-    "eigenvalue-resolvent-consistency": ["gamma-5-shift"],
+    "resolvent-normality": ["b-symmetric", "b-nonsymmetric"],
+    "resolvent-adjoint": ["b-nonsymmetric"],
+    "eigenvalue-resolvent-consistency": ["gamma-5-shift", "b-symmetric"],
+    "spectral-reconstruction": ["gamma-5-shift", "v3-v4-rotation"],
     "fractal-certificate": ["gamma-5-shift", "v3-v4-rotation"],
     "restriction-invariance": ["gamma-5-shift", "v3-v4-rotation"],
     "pair-isometry": ["gamma-5-shift", "v3-v4-rotation"],
@@ -292,7 +335,7 @@ REROUTED = {
 
 
 def registry_defects(an):
-    return {cert.name: (cert.defect(an, 3), cert.tol) for cert in OPERATOR_CERTIFICATES}
+    return {cert.name: (cert.defect(an), cert.tol) for cert in OPERATOR_CERTIFICATES}
 
 
 @pytest.mark.parametrize("name", REROUTED)
@@ -304,3 +347,9 @@ def test_rerouted_entry_control(name):
         assert {entry for entry, (defect, tol) in defects.items() if not defect <= tol} == set(failing)
         for entry, (low, high) in failing.items():
             assert low <= defects[entry][0] <= high, (control, entry)
+
+
+def test_every_registry_entry_has_a_control():
+    # each entry is failed by name by at least one control of this module
+    controlled = set(SYMMETRY_CONTROL_FAILS) | set(KERNEL_CONTROL_FAILS) | POSITIVITY_CONTROL_FAILS | set(REROUTED)
+    assert {cert.name for cert in OPERATOR_CERTIFICATES} <= controlled
