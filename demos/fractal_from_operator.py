@@ -61,15 +61,14 @@ print(f"eigenvalues in [{data.gammas.min():+.4f}, {data.gammas.max():+.4f}], "
 fw = fractal_weight(data)
 print("fractal weight, first five entries:", np.round(fw.values()[:5], 4))
 
-structure = build_fractal_structure(an, k_max=3)
 print("per-grade Gram deviations of the rescaled eigenbasis:")
-for k, d in enumerate(structure.deviations):
+for k, d in enumerate(build_fractal_structure(an)):
     print(f"  grade {k}: {d:.3e}")
 
 # the certificate above reads the ladder Grams only; as scale spaces, the
 # graph ladder maps onto the weighted model by the sorted eigenbasis
 ladder = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in graph_ladder(op.matrix, 3)))
-model = weighted_sequence_space(structure.weight, 3)
-report = is_scale_isometric(ladder, model, structure.spectral.sorted_vectors().T)
+model = weighted_sequence_space(fw, 3)
+report = is_scale_isometric(ladder, model, data.sorted_vectors().T)
 print(f"scale isometry onto the weighted model: {report.is_isometric} "
       f"(worst grade defect {max(report.defects):.3e})")

@@ -26,9 +26,11 @@ fractal weight, and, for an explicit scale only, the equivalence
 constants, one generalized solve per grade
 (:meth:`OperatorAnalysis.equivalence`). Each defect subtracts its
 expected identity or diagonal in place on the diagonal of the product it
-computes. The certificate functions accept either a bare
-:class:`ScaleOperator`, which gets a fresh analysis of its own, or an
-analysis shared between them; none re-runs another.
+computes. Every certificate function takes the analysis, the one way
+in, so the top grade is named once, where the analysis is built, and no
+certificate re-runs another's factorization; :func:`resolvent`,
+:func:`normality_defect` and :func:`fractal_weight` are the steps the
+analysis itself runs on its operator, resolvent and spectral data.
 ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them in the order
 the CLI and the acceptance suite evaluate them.
 
@@ -56,7 +58,6 @@ __all__ = [
     "KernelReport",
     "SpectralData",
     "ResolventData",
-    "FractalStructure",
     "EigenbasisPass",
     "check_kernel_cokernel",
     "regularity_constant",
@@ -227,17 +228,6 @@ class OperatorAnalysis:
         self.op, self.k_max = op, k_max
         self._equivalence = {}
 
-    @classmethod
-    def of(cls, op, k_max: int = 0) -> "OperatorAnalysis":
-        """``op`` itself if it is an analysis, else a fresh one for it up to
-        ``k_max``. A shared analysis whose top grade is below ``k_max``
-        raises ValueError."""
-        if not isinstance(op, cls):
-            return cls(op, k_max)
-        if op.k_max < k_max:
-            raise ValueError(f"k_max {k_max} exceeds the analysis's top grade {op.k_max}")
-        return op
-
     @cached_property
     def symmetry(self) -> float:
         """:func:`scalehilbert.linalg.symmetry_defect` of the matrix, which
@@ -380,7 +370,7 @@ class OperatorAnalysis:
         return self._equivalence[k]
 
 
-def check_kernel_cokernel(op: ScaleOperator | OperatorAnalysis) -> KernelReport:
+def check_kernel_cokernel(an: OperatorAnalysis) -> KernelReport:
     """Kernel and cokernel data: a full-rank proof first, else an SVD.
 
     Dimensions count singular values at or below n * machine epsilon
@@ -412,7 +402,6 @@ def check_kernel_cokernel(op: ScaleOperator | OperatorAnalysis) -> KernelReport:
     computed; else one full SVD gives the kernel and the range complement
     as orthonormal slices of V and U, cut at that same rank.
     """
-    an = OperatorAnalysis.of(op)
     if _full_rank_proved(an):
         return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
     a, n = an.op.matrix, an.op.n
@@ -446,7 +435,7 @@ def _full_rank_proved(an: OperatorAnalysis) -> bool:
         return bool(delta < 1.0 and lower > n * linalg.EPS * upper)
 
 
-def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> float:
+def regularity_constant(an: OperatorAnalysis, n_grade: int) -> float:
     """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2):
     the square root of c_hi of :meth:`OperatorAnalysis.equivalence` at
     grade n, so C_0 is sqrt(c_hi) of the graph equivalence, from the same
@@ -455,17 +444,17 @@ def regularity_constant(op: ScaleOperator | OperatorAnalysis, n_grade: int) -> f
     truncated regularity property up to that documented slack. Under the
     graph default C is exactly 1 and nothing is solved.
     """
-    return float(np.sqrt(OperatorAnalysis.of(op).equivalence(n_grade)[1]))
+    return float(np.sqrt(an.equivalence(n_grade)[1]))
 
 
-def graph_equivalence_constants(op: ScaleOperator | OperatorAnalysis) -> tuple[float, float]:
+def graph_equivalence_constants(an: OperatorAnalysis) -> tuple[float, float]:
     """(c_lo, c_hi) between the grade-1 norm and the graph norm, so that
     c_lo ||x||_graph^2 <= ||x||_1^2 <= c_hi ||x||_graph^2 with equality
     somewhere: grade 0 of :meth:`OperatorAnalysis.equivalence`, whose form
     G_0 + A^T G_0 A is the graph Gram I + A^T A. Exactly (1.0, 1.0) under
     the graph default, where grade 1 is the graph Gram.
     """
-    return OperatorAnalysis.of(op).equivalence(0)
+    return an.equivalence(0)
 
 
 def resolvent(op: ScaleOperator) -> ResolventData:
@@ -515,7 +504,7 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     return float(commutator), float(adjoint)
 
 
-def spectral_decompose(op: ScaleOperator | OperatorAnalysis) -> SpectralData:
+def spectral_decompose(an: OperatorAnalysis) -> SpectralData:
     """Orthonormal eigendecomposition with a deterministic presentation.
 
     Columns are sign-fixed (largest-magnitude entry positive) and listed
@@ -532,13 +521,12 @@ def spectral_decompose(op: ScaleOperator | OperatorAnalysis) -> SpectralData:
     (:attr:`OperatorAnalysis.relative_reconstruction`,
     :func:`resolvent_consistency`).
     """
-    an = OperatorAnalysis.of(op)
     if not an.symmetry <= SYMMETRY_TOL:
         raise ValueError(f"operator is not symmetric: defect {an.symmetry:.3e} exceeds tol {SYMMETRY_TOL:.3e}")
     return an.spectral
 
 
-def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralData) -> float:
+def resolvent_consistency(an: OperatorAnalysis, data: SpectralData) -> float:
     """Bound on the mismatch between the eigenvalues gamma and point + 1/mu,
     mu the eigenvalues of the shared resolvent B at the default point.
 
@@ -555,7 +543,7 @@ def resolvent_consistency(op: ScaleOperator | OperatorAnalysis, data: SpectralDa
     so the defect stays of order eps ||A|| however wide the spectrum. The
     residuals B V are one real product with B's float view.
     """
-    b = OperatorAnalysis.of(op).resolvent.b_matrix
+    b = an.resolvent.b_matrix
     v, shift = data.vectors, data.gammas - DEFAULT_RESOLVENT_POINT
     mu = 1.0 / shift
     g = np.abs(np.subtract.outer(mu, mu))
@@ -601,61 +589,42 @@ def _rescale(m: np.ndarray, log_weight: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class FractalStructure:
-    """The fractal weight of an operator and its ladder certificate.
+def build_fractal_structure(an: OperatorAnalysis) -> tuple:
+    """The fractal certificate: the deviations of grades 0..``an.k_max`` of
+    the graph ladder, from :attr:`OperatorAnalysis.eigenbasis_pass`.
 
-    ``deviations[k]`` is the Frobenius distance from identity of the
-    grade-k graph-ladder Gram of the rescaled basis; small deviations
-    certify that the ladder is scale isometric to the weighted sequence
-    model (the fractal certificate of ``scalehilbert.verify``). The
-    identity behind it: in the eigenbasis the graph ladder is
-    diag((1 + gamma^2)^k), because grade k + 1 is G_k + A^T G_k A, so
-    weight^(-k/2) rescales every grade to the identity. The scale spaces
-    themselves are not built here; ``TruncatedScaleSpace`` over
-    :func:`graph_ladder`, ``weighted_sequence_space(weight, k_max)`` and
-    the map ``spectral.sorted_vectors().T`` give them, for
-    ``is_scale_isometric``.
+    Deviation k is the Frobenius distance from the identity of the grade-k
+    Gram of the eigenbasis rescaled by the fractal weight^(-k/2). In the
+    eigenbasis the graph ladder is diag((1 + gamma^2)^k), because grade
+    k + 1 is G_k + A^T G_k A, so small deviations certify that the ladder is
+    scale isometric to the weighted sequence model of the weight
+    1 + gamma^2. The scale spaces themselves are not built here:
+    ``TruncatedScaleSpace`` over :func:`graph_ladder`,
+    ``weighted_sequence_space(an.fractal_weight, an.k_max)`` and the map
+    ``spectral_decompose(an).sorted_vectors().T`` give them, for
+    ``is_scale_isometric``. The symmetry gate of :func:`spectral_decompose`
+    applies; a refused operator raises ValueError.
     """
-
-    weight: Weight
-    spectral: SpectralData
-    deviations: tuple
+    return an.eigenbasis_pass.deviations[: an.k_max + 1]
 
 
-def build_fractal_structure(op: ScaleOperator | OperatorAnalysis, k_max: int) -> FractalStructure:
-    """Assemble the graph-norm ladder and certify its diagonal model.
-
-    Grade k + 1 is grade k plus the operator-transported grade k. For
-    every grade up to k_max the rescaled eigenbasis is checked to be
-    orthonormal; the recorded deviations, from
-    :attr:`OperatorAnalysis.eigenbasis_pass`, are the certificate that the
-    ladder carries the fractal structure of the weight 1 + gamma^2. A bare
-    operator gets an analysis up to k_max; a shared analysis with a lower
-    top grade raises ValueError.
-    """
-    an = OperatorAnalysis.of(op, k_max)
-    deviations = an.eigenbasis_pass.deviations[: k_max + 1]
-    return FractalStructure(weight=an.fractal_weight, spectral=spectral_decompose(an), deviations=deviations)
-
-
-def restriction_invariance(op: ScaleOperator | OperatorAnalysis) -> float:
+def restriction_invariance(an: OperatorAnalysis) -> float:
     """Frobenius distance between the operator's matrix in the graph-
     rescaled basis (graph inner product) and in the plain eigenbasis
     (grade-0 inner product); both equal diag(gamma) in exact arithmetic,
     so the operator and its grade-1 restriction are the same operator.
     Read from :attr:`OperatorAnalysis.eigenbasis_pass`.
     """
-    return OperatorAnalysis.of(op).eigenbasis_pass.restriction
+    return an.eigenbasis_pass.restriction
 
 
-def pair_isometry_certificate(op: ScaleOperator | OperatorAnalysis) -> float:
+def pair_isometry_certificate(an: OperatorAnalysis) -> float:
     """Largest entrywise deviation of the eigenbasis graph Gram from
     diag(1 + gamma^2), relative on the diagonal and absolute off it; zero
     means the eigenbasis carries the pair (grade 0, graph norm)
     isometrically onto the weighted model. The Gram is the unscaled grade 1
     of :attr:`OperatorAnalysis.eigenbasis_pass`."""
-    return OperatorAnalysis.of(op).eigenbasis_pass.pair
+    return an.eigenbasis_pass.pair
 
 
 def conjugated_diagonal(diag, seed: int) -> ScaleOperator:

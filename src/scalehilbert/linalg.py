@@ -22,7 +22,9 @@ def as_square_matrix(m, name="matrix"):
 
 
 def sym_part(m):
-    return (m + m.T) / 2.0
+    """(m + m^T) / 2, halved before the add so that entries near the
+    double max do not overflow; the same bits for normal numbers."""
+    return m / 2.0 + m.T / 2.0
 
 
 def frobenius(m):

@@ -4,7 +4,9 @@ A truncated scale space is a finite ladder of inner products (grades) on a
 common n-dimensional coordinate space, expressed in the grade-0 orthonormal
 basis. Each grade is either diagonal (a weight table) or a general SPD Gram
 matrix. Grade k of the canonical weighted model uses the k-th power of a
-single weight; general spaces may carry arbitrary SPD grades.
+single weight, whose log values must be finite and nondecreasing:
+:func:`weighted_sequence_space` refuses any other weight and names the
+first index nu at fault. General spaces may carry arbitrary SPD grades.
 
 All types are immutable after construction and all operations are pure,
 so spaces can be shared freely across threads.
@@ -20,9 +22,7 @@ from .weights import (
     _json_int,
     _json_numbers,
     _json_type,
-    constant_weight,
     json_field,
-    validate_weight,
     weight_from_json,
     weight_power,
 )
@@ -115,10 +115,14 @@ def weighted_sequence_space(w: Weight, k_max: int) -> TruncatedScaleSpace:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    report = validate_weight(w)
-    if not report.ok:
-        raise ValueError(f"invalid weight: {report.violations[0].message}")
-    grades = [DiagonalGrade(constant_weight(w.n))]
+    finite = np.isfinite(w.log_values)
+    if not finite.all():
+        nu = int(np.argmin(finite)) + 1
+        raise ValueError(f"invalid weight: log value at nu={nu} is not finite (weight must be positive and finite)")
+    drops = np.diff(w.log_values) < 0
+    if drops.any():
+        raise ValueError(f"invalid weight: weight decreases at nu={int(np.argmax(drops)) + 2}")
+    grades = [DiagonalGrade(Weight(np.zeros(w.n)))]
     grades += [DiagonalGrade(weight_power(w, k)) for k in range(1, k_max + 1)]
     return TruncatedScaleSpace(w.n, tuple(grades))
 

@@ -105,9 +105,7 @@ OPERATOR_CERTIFICATES = (
     ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an: an.normality[1]),
     CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an: an.consistency),
     RECONSTRUCTION := Certificate("spectral-reconstruction", 1e-10, lambda an: an.relative_reconstruction),
-    FRACTAL := Certificate(
-        "fractal-certificate", 1e-8, lambda an: np.max(build_fractal_structure(an, an.k_max).deviations)
-    ),
+    FRACTAL := Certificate("fractal-certificate", 1e-8, lambda an: np.max(build_fractal_structure(an))),
     RESTRICTION := Certificate("restriction-invariance", 1e-10, lambda an: restriction_invariance(an)),
     Certificate("pair-isometry", 1e-10, lambda an: pair_isometry_certificate(an)),
     Certificate("graph-equivalence-positivity", 1.0, lambda an: _positivity_defect(an)),
@@ -320,15 +318,15 @@ def criterion_fractal_certificate(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = np.random.default_rng([seed, 6])
     b = rng.standard_normal((n, n))
     op = ScaleOperator((b + b.T) / (2.0 * np.sqrt(n)))
-    structure = build_fractal_structure(op, k_max)
-    worst = float(np.max(structure.deviations))
+    deviations = build_fractal_structure(OperatorAnalysis(op, k_max))
+    worst = float(np.max(deviations))
     return CriterionResult(
         number=6,
         name=FRACTAL.name,
         passed=worst <= FRACTAL.tol,
         defect=worst,
         tol=FRACTAL.tol,
-        details={"n": n, "k_max": k_max, "gram_deviation_per_grade": list(structure.deviations)},
+        details={"n": n, "k_max": k_max, "gram_deviation_per_grade": list(deviations)},
     )
 
 
@@ -359,8 +357,7 @@ def criterion_roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         if i % 2 == 0:
             logs = logs - logs[0]
         gammas = np.sqrt(np.expm1(logs))
-        op = ScaleOperator(np.diag(gammas))
-        fw = fractal_weight(spectral_decompose(op))
+        fw = fractal_weight(spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag(gammas)))))
         rel = np.abs(np.expm1(fw.log_values - logs))
         worst = float(np.max([worst, rel.max()]))
     return CriterionResult(

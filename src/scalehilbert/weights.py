@@ -4,7 +4,8 @@ A weight table is the seed of a weighted sequence space: grade k of the
 scale uses the k-th power of the weight. Powers of interesting weights
 (e.g. nu**2 + 1 raised to grade 3) leave double-precision range quickly,
 so every weight is kept as a table of log values and only exponentiated
-on demand. Indices are 1-based throughout the public API.
+on demand. Entry i of a table belongs to the index nu = i + 1, and
+messages name the 1-based nu.
 """
 
 from dataclasses import dataclass
@@ -13,11 +14,7 @@ import numpy as np
 
 __all__ = [
     "Weight",
-    "WeightViolation",
-    "WeightValidation",
     "weight_power",
-    "validate_weight",
-    "constant_weight",
     "poly_plus_one_weight",
     "sigma_weight",
     "weight_from_json",
@@ -39,17 +36,6 @@ class Weight:
     def n(self) -> int:
         return self.log_values.shape[0]
 
-    def value(self, nu: int) -> float:
-        """f(nu); inf past the double-precision range."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_value(nu)))
-
-    def log_value(self, nu: int) -> float:
-        """log f(nu), exact; raises IndexError outside 1..n."""
-        if not 1 <= nu <= self.n:
-            raise IndexError(f"weight index {nu} out of range 1..{self.n}")
-        return float(self.log_values[nu - 1])
-
     def values(self) -> np.ndarray:
         """Materialize the linear-scale table (inf past the overflow bound)."""
         with np.errstate(over="ignore"):
@@ -62,59 +48,6 @@ def weight_power(w: Weight, k: int) -> Weight:
     if k != int(k) or k < 0:
         raise ValueError(f"power must be a nonnegative integer, got {k}")
     return Weight(w.log_values * int(k))
-
-
-@dataclass(frozen=True)
-class WeightViolation:
-    kind: str  # "non_finite" | "not_monotone"
-    index: int  # first offending 1-based index
-    message: str
-
-
-@dataclass(frozen=True)
-class WeightValidation:
-    violations: tuple[WeightViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_weight(w: Weight) -> WeightValidation:
-    """Diagnostic check of the weight invariants; never raises.
-
-    Reports the first index at which positivity/finiteness (finite log value)
-    or monotonicity (nondecreasing log values) fails.
-    """
-    found = []
-    finite = np.isfinite(w.log_values)
-    if not finite.all():
-        idx = int(np.argmin(finite)) + 1
-        found.append(
-            WeightViolation(
-                "non_finite",
-                idx,
-                f"log value at nu={idx} is not finite (weight must be positive and finite)",
-            )
-        )
-    if w.n > 1:
-        drops = np.diff(w.log_values) < 0
-        if drops.any():
-            idx = int(np.argmax(drops)) + 2
-            found.append(
-                WeightViolation(
-                    "not_monotone",
-                    idx,
-                    f"weight decreases at nu={idx}",
-                )
-            )
-    return WeightValidation(tuple(found))
-
-
-def constant_weight(n: int) -> Weight:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Weight(np.zeros(n))
 
 
 def _log_poly_plus_one(nu, degree: int) -> np.ndarray:

@@ -441,10 +441,12 @@ class TestHessianAnalyze:
 
     def test_overflowed_grade_pencil_reads_null(self, tmp_path, capsys):
         # grade 2 = 1e308 I overflows in the grade-1 pencil G_2 against
-        # G_1 + A G_1 A = 3 I: C_1 reads null, with no RuntimeWarning (an error
-        # here). The positivity certificate covers every listed C_k, so the
-        # run fails by that entry's name.
-        scale = {"n": 2, "k_max": 2, "grades": [table_grade([1, 1]), table_grade([1, 1]), table_grade([1e308, 1e308])]}
+        # G_1 + A G_1 A = 0.3 I, reduced to 1e308 / 0.3 past the double max:
+        # C_1 reads null, with no RuntimeWarning (an error here). The
+        # positivity certificate covers every listed C_k, so the run fails by
+        # that entry's name.
+        scale = {"n": 2, "k_max": 2,
+                 "grades": [table_grade([1, 1]), table_grade([0.1, 0.1]), table_grade([1e308, 1e308])]}
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"n": 2, "matrix": [[1, 1], [1, -1]], "scale": scale}))
         assert main(["--command", "hessian-analyze", "--input", str(path)]) == 1
@@ -452,8 +454,32 @@ class TestHessianAnalyze:
         report = read_report("scalehilbert_hessian_analyze.json")
         assert [c["name"] for c in report["certificates"] if not c["passed"]] == ["graph-equivalence-positivity"]
         constants = report["constants"]
+        assert constants["graph_equivalence"] == pytest.approx({"c_lo": 1 / 30, "c_hi": 1 / 30}, rel=1e-14)
+        assert constants["regularity"] == [pytest.approx(30**-0.5, rel=1e-14), None]
+
+    def test_grade_near_the_double_max_is_solved(self, tmp_path, capsys):
+        # the same grade 2 against G_1 + A G_1 A = 3 I reduces to 1e308 / 3,
+        # which a double holds: every symmetric part halves before it adds, so
+        # 1e308 I is not summed past the double max, and C_1 is sqrt(1e308 / 3)
+        scale = {"n": 2, "k_max": 2, "grades": [table_grade([1, 1]), table_grade([1, 1]), table_grade([1e308, 1e308])]}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "matrix": [[1, 1], [1, -1]], "scale": scale}))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
+        assert ": PASS" in capsys.readouterr().out
+        constants = read_report("scalehilbert_hessian_analyze.json")["constants"]
         assert constants["graph_equivalence"] == pytest.approx({"c_lo": 1 / 3, "c_hi": 1 / 3}, rel=1e-14)
-        assert constants["regularity"] == [pytest.approx(3**-0.5, rel=1e-14), None]
+        assert constants["regularity"] == pytest.approx([3**-0.5, (1e308 / 3) ** 0.5], rel=1e-13)
+
+    @pytest.mark.parametrize("diag", [[1, 1.7e308], [0, 1e200]], ids=["double-max", "wide"])
+    def test_wide_diagonal_exits_on_the_resolvent_guard_without_warning(self, tmp_path, capsys, diag):
+        # the symmetric part of the input halves before it adds, so nothing
+        # overflows before the resolvent's condition guard refuses the point
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "kind": "diagonal", "diag": diag}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--command", "hessian-analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: resolvent point on spectrum: 1j\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_gram_is_named(self, tmp_path, capsys, bad):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from weight_checks import is_scale_weight
 
 from scalehilbert.hessian import (
     OperatorAnalysis,
@@ -22,11 +23,11 @@ from scalehilbert.spaces import (
     weighted_sequence_space,
 )
 from scalehilbert.verify import FRACTAL
-from scalehilbert.weights import validate_weight, weight_power
+from scalehilbert.weights import weight_power
 
 
 def decompose_diag(d):
-    return spectral_decompose(ScaleOperator(np.diag(np.asarray(d, dtype=float))))
+    return spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag(np.asarray(d, dtype=float)))))
 
 
 class TestFractalWeight:
@@ -43,7 +44,7 @@ class TestFractalWeight:
     def test_is_a_valid_weight(self):
         rng = np.random.default_rng(3)
         fw = fractal_weight(decompose_diag(rng.standard_normal(20)))
-        assert validate_weight(fw).ok
+        assert is_scale_weight(fw)
         assert fw.values().min() >= 1.0
 
     def test_powers_compose_exactly(self):
@@ -67,11 +68,11 @@ class TestFractalWeight:
     def test_huge_eigenvalues_stay_finite_in_log_scale(self):
         # gamma^2 would overflow; the log stays finite (skip the resolvent
         # cross-check, which rightly balks at condition number 1e200)
-        data = spectral_decompose(ScaleOperator(np.diag([0.0, 1e200])))
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([0.0, 1e200]))))
         fw = fractal_weight(data)
         assert np.isfinite(fw.log_values).all()
         assert fw.log_values[1] == pytest.approx(2 * np.log(1e200), rel=1e-15)
-        assert validate_weight(fw).ok
+        assert is_scale_weight(fw)
 
 
 class TestRescaledBasis:
@@ -101,109 +102,101 @@ class TestRescaledBasis:
             OperatorAnalysis(ScaleOperator(np.diag([1.0])), -1)
 
 
-def ladder_spaces(op, fs, k_max):
-    """The scale spaces behind the fractal certificate: the graph ladder,
-    the weighted model of the fractal weight and the map between them."""
-    space = TruncatedScaleSpace(op.n, tuple(GramGrade(g) for g in graph_ladder(op.matrix, k_max)))
-    target = weighted_sequence_space(fs.weight, k_max)
-    return space, target, fs.spectral.sorted_vectors().T
+def ladder_spaces(an):
+    """The scale spaces behind the fractal certificate of ``an``: the graph
+    ladder, the weighted model of the fractal weight and the map between them."""
+    space = TruncatedScaleSpace(an.op.n, tuple(GramGrade(g) for g in graph_ladder(an.op.matrix, an.k_max)))
+    target = weighted_sequence_space(an.fractal_weight, an.k_max)
+    return space, target, spectral_decompose(an).sorted_vectors().T
 
 
 class TestBuildFractalStructure:
     def test_zero_operator_is_exactly_flat(self):
-        op = ScaleOperator(np.zeros((4, 4)))
-        fs = build_fractal_structure(op, k_max=3)
-        assert fs.deviations == (0.0,) * 4
-        assert fs.weight.values() == pytest.approx(np.ones(4))
-        space, _, _ = ladder_spaces(op, fs, 3)
+        an = OperatorAnalysis(ScaleOperator(np.zeros((4, 4))), 3)
+        assert build_fractal_structure(an) == (0.0,) * 4
+        assert an.fractal_weight.values() == pytest.approx(np.ones(4))
+        space, _, _ = ladder_spaces(an)
         for k in range(4):
             assert np.array_equal(gram_matrix(space, k), np.eye(4))
 
     def test_diagonal_operator_ladder(self):
         g = np.array([1.0, 2.0, 3.0])
-        op = ScaleOperator(np.diag(g))
-        fs = build_fractal_structure(op, k_max=3)
-        assert max(fs.deviations) <= FRACTAL.tol
-        space, _, _ = ladder_spaces(op, fs, 3)
+        an = OperatorAnalysis(ScaleOperator(np.diag(g)), 3)
+        assert max(build_fractal_structure(an)) <= FRACTAL.tol
+        space, _, _ = ladder_spaces(an)
         for k in range(4):
             expected = np.diag((1.0 + g * g) ** k)
             assert gram_matrix(space, k) == pytest.approx(expected, rel=1e-13)
 
     def test_target_is_weighted_sequence_model(self):
-        op = conjugated_diagonal([1.0, -2.0, 0.5], seed=9)
-        fs = build_fractal_structure(op, k_max=2)
-        _, target, _ = ladder_spaces(op, fs, 2)
+        an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 0.5], seed=9), 2)
+        assert len(build_fractal_structure(an)) == 3
+        _, target, _ = ladder_spaces(an)
         for k in range(3):
-            expected = np.diag(fs.weight.values() ** k)
+            expected = np.diag(an.fractal_weight.values() ** k)
             assert gram_matrix(target, k) == pytest.approx(expected, rel=1e-13)
 
     def test_random_operator_certificate(self):
         rng = np.random.default_rng(51)
         b = rng.standard_normal((64, 64))
-        op = ScaleOperator((b + b.T) / (2 * np.sqrt(64)))
-        fs = build_fractal_structure(op, k_max=3)
-        assert max(fs.deviations) <= FRACTAL.tol
+        an = OperatorAnalysis(ScaleOperator((b + b.T) / (2 * np.sqrt(64))), 3)
+        assert max(build_fractal_structure(an)) <= FRACTAL.tol
 
     def test_mapping_is_scale_isometry(self):
-        op = conjugated_diagonal(np.linspace(-2.0, 2.0, 12), seed=13)
-        fs = build_fractal_structure(op, k_max=3)
-        report = is_scale_isometric(*ladder_spaces(op, fs, 3), tol=1e-8)
+        an = OperatorAnalysis(conjugated_diagonal(np.linspace(-2.0, 2.0, 12), seed=13), 3)
+        assert max(build_fractal_structure(an)) <= FRACTAL.tol
+        report = is_scale_isometric(*ladder_spaces(an), tol=1e-8)
         assert report.is_isometric
 
     def test_rejects_negative_k_max(self):
-        with pytest.raises(ValueError):
-            build_fractal_structure(ScaleOperator(np.eye(2)), k_max=-1)
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            build_fractal_structure(OperatorAnalysis(ScaleOperator(np.eye(2)), -1))
 
     def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError):
-            build_fractal_structure(ScaleOperator(np.array([[0.0, 1.0], [0.0, 0.0]])), 1)
-
-    def test_shared_analysis_must_reach_k_max(self):
-        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0])), 2)
-        assert len(build_fractal_structure(an, 2).deviations) == 3
-        with pytest.raises(ValueError, match="k_max 3 exceeds the analysis's top grade 2"):
-            build_fractal_structure(an, 3)
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_fractal_structure(OperatorAnalysis(ScaleOperator(np.array([[0.0, 1.0], [0.0, 0.0]])), 1))
 
 
 class TestRestrictionInvariance:
     def test_zero_operator_is_exact(self):
-        assert restriction_invariance(ScaleOperator(np.zeros((3, 3)))) == 0.0
+        assert restriction_invariance(OperatorAnalysis(ScaleOperator(np.zeros((3, 3))))) == 0.0
 
     def test_diagonal_operator(self):
-        assert restriction_invariance(ScaleOperator(np.diag([1.0, 2.0, 3.0]))) < 1e-13
+        assert restriction_invariance(OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0, 3.0])))) < 1e-13
 
     def test_random_operator(self):
         op = conjugated_diagonal(np.linspace(-1.0, 4.0, 20), seed=29)
-        assert restriction_invariance(op) < 1e-10
+        assert restriction_invariance(OperatorAnalysis(op)) < 1e-10
 
 
 class TestPairIsometry:
     def test_diagonal_is_exact(self):
-        assert pair_isometry_certificate(ScaleOperator(np.diag([3.0, 1.0, 2.0]))) == 0.0
+        assert pair_isometry_certificate(OperatorAnalysis(ScaleOperator(np.diag([3.0, 1.0, 2.0])))) == 0.0
 
     def test_eigenbasis_graph_gram_is_the_weight(self):
         op = ScaleOperator(np.diag([1.0, 2.0]))
-        data = spectral_decompose(op)
+        data = spectral_decompose(OperatorAnalysis(op))
         vs = data.sorted_vectors()
         assert np.array_equal(vs.T @ graph_ladder(op.matrix, 1)[1] @ vs, np.diag([2.0, 5.0]))
 
     def test_random_operator(self):
         op = conjugated_diagonal(np.linspace(0.0, 3.0, 24), seed=31)
-        assert pair_isometry_certificate(op) < 1e-10
+        assert pair_isometry_certificate(OperatorAnalysis(op)) < 1e-10
 
 
 class TestInvariances:
     def test_fractal_weight_is_conjugation_invariant(self):
         d = np.array([0.5, -1.5, 2.0, 4.0])
         fw_diag = fractal_weight(decompose_diag(d))
-        fw_conj = fractal_weight(spectral_decompose(conjugated_diagonal(d, seed=37)))
+        fw_conj = fractal_weight(spectral_decompose(OperatorAnalysis(conjugated_diagonal(d, seed=37))))
         assert fw_conj.values() == pytest.approx(fw_diag.values(), rel=1e-10)
 
     def test_doubling_scales_spectrum_exactly(self):
         rng = np.random.default_rng(53)
         b = rng.standard_normal((10, 10))
         a = (b + b.T) / 2
-        data, data2 = spectral_decompose(ScaleOperator(a)), spectral_decompose(ScaleOperator(2.0 * a))
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
+        data2 = spectral_decompose(OperatorAnalysis(ScaleOperator(2.0 * a)))
         fw, fw2 = fractal_weight(data), fractal_weight(data2)
         assert np.array_equal(data2.sorted_gammas(), 2.0 * data.sorted_gammas())
         assert np.expm1(fw2.log_values) == pytest.approx(
@@ -212,6 +205,6 @@ class TestInvariances:
 
     def test_seed_changes_conjugation_not_weight(self):
         d = np.linspace(-1.0, 1.0, 8)
-        fw_a = fractal_weight(spectral_decompose(conjugated_diagonal(d, seed=1)))
-        fw_b = fractal_weight(spectral_decompose(conjugated_diagonal(d, seed=2)))
+        fw_a = fractal_weight(spectral_decompose(OperatorAnalysis(conjugated_diagonal(d, seed=1))))
+        fw_b = fractal_weight(spectral_decompose(OperatorAnalysis(conjugated_diagonal(d, seed=2))))
         assert fw_a.values() == pytest.approx(fw_b.values(), rel=1e-10)

@@ -105,12 +105,12 @@ class TestSymmetry:
     def test_diagonal_passes_with_zero_defect(self):
         op = ScaleOperator(np.diag([3.0, 1.0, 2.0]))
         assert linalg.symmetry_defect(op.matrix) == 0.0
-        spectral_decompose(op)
+        spectral_decompose(OperatorAnalysis(op))
 
     def test_nilpotent_scores_exactly_one(self):
         assert linalg.symmetry_defect(NILPOTENT) == 1.0
         with pytest.raises(ValueError, match="defect 1.000e[+]00 exceeds tol 1.000e-10"):
-            spectral_decompose(ScaleOperator(NILPOTENT))
+            spectral_decompose(OperatorAnalysis(ScaleOperator(NILPOTENT)))
 
     def test_conjugated_diagonal_is_numerically_symmetric(self):
         op = conjugated_diagonal(np.arange(1.0, 9.0), seed=3)
@@ -123,7 +123,7 @@ class TestSymmetry:
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert linalg.symmetry_defect(a) == 1.0
         with pytest.raises(ValueError, match="not symmetric"):
-            spectral_decompose(ScaleOperator(a))
+            spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
 
     def test_defect_is_the_plain_ratio_up_to_one_and_capped_beyond(self):
         rng = np.random.default_rng(5)
@@ -141,7 +141,7 @@ class TestSymmetry:
         # suite's error::RuntimeWarning filter an overflow warning fails here
         op = ScaleOperator(np.diag([0.0, 1e200]))
         assert linalg.symmetry_defect(op.matrix) == 0.0
-        spectral_decompose(op)
+        spectral_decompose(OperatorAnalysis(op))
 
     @pytest.mark.parametrize(
         "a, defect",
@@ -167,37 +167,37 @@ class TestSymmetry:
         a = np.array([[0.0, 1e200], [0.0, 1e200]])
         assert linalg.symmetry_defect(a) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
         with pytest.raises(ValueError, match="defect 5.774e-01 exceeds"):
-            spectral_decompose(ScaleOperator(a))
+            spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
 
 
 class TestKernelCokernel:
     def test_singular_diagonal(self):
-        report = check_kernel_cokernel(ScaleOperator(np.diag([0.0, 1.0, 2.0])))
+        report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(np.diag([0.0, 1.0, 2.0]))))
         assert report.ker_dim == 1
         assert report.coker_dim == 1
         assert report.subspace_angle < 1e-12
 
     def test_invertible_diagonal(self):
-        report = check_kernel_cokernel(ScaleOperator(np.diag([1.0, 2.0, 3.0])))
+        report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(np.diag([1.0, 2.0, 3.0]))))
         assert report.ker_dim == 0 and report.coker_dim == 0
         assert report.subspace_angle == 0.0
 
     def test_conjugated_rank_deficiency(self):
         op = conjugated_diagonal([0.0, 0.0, 1.0, 5.0], seed=11)
-        report = check_kernel_cokernel(op)
+        report = check_kernel_cokernel(OperatorAnalysis(op))
         assert report.ker_dim == 2
         assert report.coker_dim == 2
         assert report.subspace_angle < 1e-10
 
     def test_zero_matrix_is_all_kernel(self):
-        report = check_kernel_cokernel(ScaleOperator(np.zeros((4, 4))))
+        report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(np.zeros((4, 4)))))
         assert report.ker_dim == 4 and report.coker_dim == 4
         assert report.subspace_angle == 0.0
 
     def test_nilpotent_has_orthogonal_kernel_and_corange(self):
         # kernel e1, range e1: dims agree but the subspaces are far apart,
         # which is exactly what the angle is there to detect
-        report = check_kernel_cokernel(ScaleOperator(NILPOTENT))
+        report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(NILPOTENT)))
         assert report.ker_dim == 1 and report.coker_dim == 1
         assert report.subspace_angle == pytest.approx(np.pi / 2, rel=1e-12)
 
@@ -225,7 +225,7 @@ class TestKernelCokernel:
         matrices = [op.matrix for op in standard_operator_set(1729)] + self.dense_kinds()
         ker_dims = []
         for a in matrices:
-            report = check_kernel_cokernel(ScaleOperator(a))
+            report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(a)))
             ker_dim, angle = self.full_svd_reference(a)
             assert report.ker_dim == report.coker_dim == ker_dim
             assert abs(report.subspace_angle - angle) <= 1e-14
@@ -236,7 +236,7 @@ class TestKernelCokernel:
         n = 6
         cutoff = n * linalg.EPS
         op = ScaleOperator(np.diag([1.0, 0.5, 0.25, 10 * cutoff, 0.1 * cutoff, 0.0]))
-        report = check_kernel_cokernel(op)
+        report = check_kernel_cokernel(OperatorAnalysis(op))
         assert report.ker_dim == self.full_svd_reference(op.matrix)[0] == 2
         assert report.subspace_angle == 0.0
 
@@ -352,50 +352,50 @@ class TestGraphLadder:
 
 class TestRegularity:
     def test_graph_default_constant_is_one(self):
-        op = ScaleOperator(np.diag([1.0, 3.0, 0.5]))
+        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 3.0, 0.5])))
         for k in (0, 1, 2):
-            assert regularity_constant(op, k) == 1.0
+            assert regularity_constant(an, k) == 1.0
 
     def test_zero_operator_flat_scale(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 2)
         op = ScaleOperator(np.zeros((3, 3)), scale)
-        assert regularity_constant(op, 1) == pytest.approx(1.0, rel=1e-10)
+        assert regularity_constant(OperatorAnalysis(op), 1) == pytest.approx(1.0, rel=1e-10)
 
     def test_identity_operator_flat_scale(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 2)
         op = ScaleOperator(np.eye(3), scale)
-        assert regularity_constant(op, 0) == pytest.approx(2.0**-0.5, rel=1e-10)
+        assert regularity_constant(OperatorAnalysis(op), 0) == pytest.approx(2.0**-0.5, rel=1e-10)
 
     def test_random_graph_default_within_slack(self):
         rng = np.random.default_rng(17)
         op = ScaleOperator(random_symmetric(rng, 12))
-        assert regularity_constant(op, 2) == 1.0
+        assert regularity_constant(OperatorAnalysis(op), 2) == 1.0
 
     def test_missing_grade_raises(self):
         scale = weighted_sequence_space(Weight(np.zeros(3)), 1)
-        op = ScaleOperator(np.eye(3), scale)
+        an = OperatorAnalysis(ScaleOperator(np.eye(3), scale))
         with pytest.raises(IndexError):
-            regularity_constant(op, 1)
+            regularity_constant(an, 1)
         with pytest.raises(IndexError):
-            regularity_constant(op, -1)
+            regularity_constant(an, -1)
 
 
 class TestGraphEquivalence:
     def test_graph_default_constants_are_one(self):
         op = ScaleOperator(np.diag([0.0, 1.0, 4.0]))
-        assert graph_equivalence_constants(op) == (1.0, 1.0)
+        assert graph_equivalence_constants(OperatorAnalysis(op)) == (1.0, 1.0)
 
     def test_scaled_grade_one(self):
         a = np.diag([1.0, 2.0])
         g1 = 3.0 * (np.eye(2) + a.T @ a)
         scale = TruncatedScaleSpace(2, (GramGrade(np.eye(2)), GramGrade(g1)))
-        c_lo, c_hi = graph_equivalence_constants(ScaleOperator(a, scale))
+        c_lo, c_hi = graph_equivalence_constants(OperatorAnalysis(ScaleOperator(a, scale)))
         assert (c_lo, c_hi) == pytest.approx((3.0, 3.0), rel=1e-12)
 
     def test_random_operator_sanity(self):
         rng = np.random.default_rng(29)
         op = ScaleOperator(random_symmetric(rng, 9))
-        assert graph_equivalence_constants(op) == (1.0, 1.0)
+        assert graph_equivalence_constants(OperatorAnalysis(op)) == (1.0, 1.0)
 
 
 class TestShiftedFloerHessian:
@@ -420,18 +420,19 @@ class TestShiftedFloerHessian:
     def test_graph_equivalence_closed_form(self):
         op, lam, w = self.fixture()
         ratio = w[:, 1] / (1.0 + lam**2)
-        c_lo, c_hi = graph_equivalence_constants(op)
+        c_lo, c_hi = graph_equivalence_constants(OperatorAnalysis(op))
         assert c_lo == pytest.approx(ratio.min(), rel=1e-12)
         assert c_hi == pytest.approx(ratio.max(), rel=1e-12)
         assert (c_lo, c_hi) == pytest.approx((0.8, 1.175152986489625), rel=1e-12)
 
     def test_regularity_closed_form(self):
         op, lam, w = self.fixture()
+        an = OperatorAnalysis(op)
         pinned = (1.084044734542641, 1.0709055066400917, 1.070579071480327)
         for n, value in enumerate(pinned):
             closed = np.sqrt(np.max(w[:, n + 1] / (w[:, n] * (1.0 + lam**2))))
-            assert regularity_constant(op, n) == pytest.approx(closed, rel=1e-12)
-            assert regularity_constant(op, n) == pytest.approx(value, rel=1e-12)
+            assert regularity_constant(an, n) == pytest.approx(closed, rel=1e-12)
+            assert regularity_constant(an, n) == pytest.approx(value, rel=1e-12)
 
 
 class TestSmoothFloerHessian:
@@ -540,7 +541,7 @@ class TestNormality:
 
 class TestSpectralDecompose:
     def test_diagonal_in_coordinate_order(self):
-        data = spectral_decompose(ScaleOperator(np.diag([3.0, 1.0, 2.0])))
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([3.0, 1.0, 2.0]))))
         assert np.array_equal(data.gammas, [3.0, 1.0, 2.0])
         assert np.array_equal(data.vectors, np.eye(3))
         assert np.array_equal(data.order, [1, 2, 0])
@@ -548,13 +549,13 @@ class TestSpectralDecompose:
         assert np.array_equal(data.sorted_vectors(), np.eye(3)[:, [1, 2, 0]])
 
     def test_zero_operator(self):
-        data = spectral_decompose(ScaleOperator(np.zeros((3, 3))))
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.zeros((3, 3)))))
         assert np.array_equal(data.gammas, np.zeros(3))
         assert np.array_equal(data.vectors, np.eye(3))
         assert np.array_equal(data.order, [0, 1, 2])
 
     def test_negative_eigenvalue_ordering(self):
-        data = spectral_decompose(ScaleOperator(np.diag([1.0, -1.0])))
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([1.0, -1.0]))))
         assert np.array_equal(data.gammas, [1.0, -1.0])
         # |gamma| ties break toward the signed value
         assert np.array_equal(data.order, [1, 0])
@@ -563,42 +564,42 @@ class TestSpectralDecompose:
     def test_recovers_conjugated_spectrum(self):
         d = np.array([-4.0, 0.5, 0.5, 2.0, 9.0])
         op = conjugated_diagonal(d, seed=5)
-        data = spectral_decompose(op)
+        data = spectral_decompose(OperatorAnalysis(op))
         assert np.sort(data.gammas) == pytest.approx(np.sort(d), rel=1e-12)
         assert data.vectors.T @ data.vectors == pytest.approx(np.eye(5), abs=1e-13)
         recon = data.vectors @ np.diag(data.gammas) @ data.vectors.T
         assert recon == pytest.approx(np.asarray(op.matrix), abs=1e-12)
 
     def test_sign_convention(self):
-        data = spectral_decompose(conjugated_diagonal(np.arange(1.0, 7.0), seed=2))
+        data = spectral_decompose(OperatorAnalysis(conjugated_diagonal(np.arange(1.0, 7.0), seed=2)))
         dominant = np.argmax(np.abs(data.vectors), axis=0)
         assert np.all(data.vectors[dominant, np.arange(6)] > 0)
 
     def test_deterministic_presentation(self):
         op = conjugated_diagonal(np.array([2.0, -2.0, 1.0, 7.0]), seed=19)
-        d1 = spectral_decompose(op)
-        d2 = spectral_decompose(op)
+        d1 = spectral_decompose(OperatorAnalysis(op))
+        d2 = spectral_decompose(OperatorAnalysis(op))
         assert np.array_equal(d1.gammas, d2.gammas)
         assert np.array_equal(d1.vectors, d2.vectors)
         assert np.array_equal(d1.order, d2.order)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            spectral_decompose(ScaleOperator(NILPOTENT))
+            spectral_decompose(OperatorAnalysis(ScaleOperator(NILPOTENT)))
 
     def test_scaling_covariance_power_of_two(self):
         rng = np.random.default_rng(41)
         a = random_symmetric(rng, 15)
-        base = spectral_decompose(ScaleOperator(a))
-        doubled = spectral_decompose(ScaleOperator(2.0 * a))
+        base = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
+        doubled = spectral_decompose(OperatorAnalysis(ScaleOperator(2.0 * a)))
         assert np.array_equal(doubled.sorted_gammas(), 2.0 * base.sorted_gammas())
         assert np.array_equal(doubled.order, base.order)
 
     def test_scaling_covariance_general_factor(self):
         rng = np.random.default_rng(43)
         a = random_symmetric(rng, 15)
-        base = spectral_decompose(ScaleOperator(a))
-        tripled = spectral_decompose(ScaleOperator(3.0 * a))
+        base = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
+        tripled = spectral_decompose(OperatorAnalysis(ScaleOperator(3.0 * a)))
         assert tripled.sorted_gammas() == pytest.approx(3.0 * base.sorted_gammas(), rel=1e-12)
         assert np.array_equal(tripled.order, base.order)
 
@@ -606,13 +607,13 @@ class TestSpectralDecompose:
 class TestResolventConsistency:
     def test_diagonal_is_tight(self):
         op = ScaleOperator(np.diag([3.0, 1.0, 2.0]))
-        data = spectral_decompose(op)
-        assert resolvent_consistency(op, data) < 1e-14
+        data = spectral_decompose(OperatorAnalysis(op))
+        assert resolvent_consistency(OperatorAnalysis(op), data) < 1e-14
 
     def test_random_within_certificate_tolerance(self):
         op = conjugated_diagonal(np.linspace(-3.0, 3.0, 40), seed=23)
-        data = spectral_decompose(op)
-        assert resolvent_consistency(op, data) < 1e-8
+        data = spectral_decompose(OperatorAnalysis(op))
+        assert resolvent_consistency(OperatorAnalysis(op), data) < 1e-8
 
     @staticmethod
     def eig_oracle(b, data, point=DEFAULT_RESOLVENT_POINT):
@@ -655,14 +656,14 @@ class TestResolventConsistency:
     @staticmethod
     def perturbed_control():
         op = conjugated_diagonal(np.linspace(-3.0, 3.0, 40), seed=23)
-        return op, spectral_decompose(op)
+        return op, spectral_decompose(OperatorAnalysis(op))
 
     def test_shifted_eigenvalue_fails(self):
         op, data = self.perturbed_control()
         gammas = data.gammas.copy()
         gammas[5] += 1e-6
         shifted = SpectralData(gammas, data.vectors, data.order)
-        defect = resolvent_consistency(op, shifted)
+        defect = resolvent_consistency(OperatorAnalysis(op), shifted)
         oracle = self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, shifted)
         assert defect == pytest.approx(oracle, rel=1e-5)
         assert defect == pytest.approx(3.1e-7, rel=0.01)
@@ -672,7 +673,7 @@ class TestResolventConsistency:
         vectors = data.vectors.copy()
         vectors[:, [3, 4]] = vectors[:, [4, 3]]
         swapped = SpectralData(data.gammas, vectors, data.order)
-        defect = resolvent_consistency(op, swapped)
+        defect = resolvent_consistency(OperatorAnalysis(op), swapped)
         assert defect == pytest.approx(0.40, rel=0.01)
         assert defect >= self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, swapped)
 
@@ -757,7 +758,7 @@ class TestOperatorAnalysis:
             "gammas": spectral_decompose(an).gammas.tolist(),
             "consistency": an.consistency,
             "reconstruction": an.relative_reconstruction,
-            "fractal": build_fractal_structure(an, 3).deviations,
+            "fractal": build_fractal_structure(an),
             "restriction": restriction_invariance(an),
             "pair": pair_isometry_certificate(an),
             "graph_equivalence": graph_equivalence_constants(an),
@@ -766,24 +767,23 @@ class TestOperatorAnalysis:
 
     @staticmethod
     def standalone_defects(matrix):
-        """The same defects, each from its own fresh ScaleOperator."""
+        """The same defects, each from a fresh analysis of its own."""
 
         def fresh():
-            return ScaleOperator(matrix)
+            return OperatorAnalysis(ScaleOperator(matrix), 3)
 
-        op = fresh()
-        data = spectral_decompose(op)
+        data = spectral_decompose(fresh())
         recon = linalg.frobenius(
-            op.matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T
-        ) / max(linalg.frobenius(op.matrix), np.finfo(float).tiny)
+            matrix - data.vectors @ np.diag(data.gammas) @ data.vectors.T
+        ) / max(linalg.frobenius(matrix), np.finfo(float).tiny)
         return {
             "kernel": check_kernel_cokernel(fresh()),
-            "resolvent_residual": resolvent(fresh()).residual,
-            "normality": normality_defect(resolvent(fresh())),
+            "resolvent_residual": resolvent(fresh().op).residual,
+            "normality": normality_defect(resolvent(fresh().op)),
             "gammas": data.gammas.tolist(),
-            "consistency": resolvent_consistency(op, data),
+            "consistency": resolvent_consistency(fresh(), data),
             "reconstruction": recon,
-            "fractal": build_fractal_structure(fresh(), 3).deviations,
+            "fractal": build_fractal_structure(fresh()),
             "restriction": restriction_invariance(fresh()),
             "pair": pair_isometry_certificate(fresh()),
             "graph_equivalence": graph_equivalence_constants(fresh()),
@@ -798,18 +798,13 @@ class TestOperatorAnalysis:
         if kind == "rank_deficient":
             assert shared["kernel"].ker_dim == 3
 
-    def test_of_reuses_an_analysis(self):
-        an = OperatorAnalysis(ScaleOperator(np.eye(2)))
-        assert OperatorAnalysis.of(an) is an
-        assert OperatorAnalysis.of(an.op) is not an
-
     def test_factorizations_are_computed_once(self):
         an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0], seed=4), 3)
         assert an.spectral is an.spectral
         assert an.resolvent is an.resolvent
         ladder = an.eigenbasis_pass
-        restriction_invariance(an), pair_isometry_certificate(an), build_fractal_structure(an, 2)
-        build_fractal_structure(an, 3)
+        restriction_invariance(an), pair_isometry_certificate(an)
+        assert len(build_fractal_structure(an)) == 4
         assert an.eigenbasis_pass is ladder and len(ladder.deviations) == 4
 
     def test_graph_default_forms_no_graph_gram(self, monkeypatch):
@@ -959,7 +954,7 @@ class TestDenseReferenceFormulas:
         in_graph = basis.T @ self.dense_ladder(a, 1)[1] @ (a @ basis)
         reference = linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
         assert abs(restriction_invariance(an) - reference) <= self.bound(n, np.linalg.norm(data.gammas))
-        deviations = build_fractal_structure(an, 5).deviations
+        deviations = build_fractal_structure(an)
         assert (np.abs(np.subtract(deviations, self.fractal_deviations(an, 5))) <= self.grade_bounds(an, 5)).all()
         shifted = a - DEFAULT_RESOLVENT_POINT * np.eye(n)
         b = np.linalg.solve(shifted, np.eye(n, dtype=complex))
@@ -972,7 +967,7 @@ class TestDenseReferenceFormulas:
         # grade 18 of diag(1e9, 1) overflows; from there on the direct route
         # reads NaN (0 * inf in the rescaled product) and the pass inf or NaN
         an = OperatorAnalysis(ScaleOperator(np.diag([1e9, 1.0])), 40)
-        got, reference = build_fractal_structure(an, 40).deviations, self.fractal_deviations(an, 40)
+        got, reference = build_fractal_structure(an), self.fractal_deviations(an, 40)
         first = int(np.argmin(np.isfinite(reference)))
         assert first == 18 and np.isnan(reference[first:]).all()
         assert np.isfinite(got[:first]).all() and not np.isfinite(got[first:]).any()

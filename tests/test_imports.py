@@ -1,6 +1,9 @@
 """Every module-level import in ``src/scalehilbert`` is used or exported,
 the dense generalized eigensolve and the SVD each have one set of
-callers, and ``OperatorAnalysis`` has one set of construction sites.
+callers, ``OperatorAnalysis`` has one set of construction sites, and the
+analysis is the one way into the certificates: no function is annotated
+to take either an operator or an analysis, and the analysis has no
+classmethod, such as a constructor that passes an analysis through.
 
 No lint tool is a dependency, so each module is read with ``ast``: a
 name bound by a module-level import must occur as a name elsewhere in
@@ -11,6 +14,7 @@ equivalence constants or to the rank cannot come back unnoticed.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -121,7 +125,60 @@ def test_walker_finds_constructions():
 
 def test_operator_analysis_has_three_construction_sites():
     # the top grade k_max is named once per analysis: the CLI builds one at
-    # --k-max, the batch one per operator at grade 0, and ``of`` one for a
-    # bare operator; every other function shares the analysis it is given
+    # --k-max, the batch one per operator at grade 0, and the two criteria
+    # that start from a bare operator one each (the fractal criterion at its
+    # grade 3, the roundtrip at grade 0); every other function shares the
+    # analysis it is given
     sites = set().union(*(constructing_functions(p.read_text(), p.stem, "OperatorAnalysis") for p in SRC.glob("*.py")))
-    assert sites == {"hessian.OperatorAnalysis.of", "cli.cmd_hessian_analyze", "verify.analyze_operator_batch"}
+    assert sites == {"cli.cmd_hessian_analyze", "verify.analyze_operator_batch", "verify.criterion_fractal_certificate",
+                     "verify.criterion_roundtrip"}
+
+
+def mixed_annotations(source: str, module: str) -> set:
+    """``module.function`` for every function of ``source``, nested or not,
+    with an argument or return annotation that names both ``ScaleOperator``
+    and ``OperatorAnalysis``, as names or inside a string annotation."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        arguments = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        for annotation in filter(None, [*(arg.annotation for arg in arguments), node.returns]):
+            names = set()
+            for inner in ast.walk(annotation):
+                if isinstance(inner, ast.Name):
+                    names.add(inner.id)
+                elif isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                    names |= set(re.findall(r"\w+", inner.value))
+            if {"ScaleOperator", "OperatorAnalysis"} <= names:
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def classmethods(source: str, cls: str) -> list:
+    """The methods of the top-level class ``cls`` decorated as classmethods."""
+    return [
+        item.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "classmethod" for d in item.decorator_list)
+    ]
+
+
+def test_walker_finds_mixed_annotations_and_classmethods():
+    source = ("def f(op: ScaleOperator | OperatorAnalysis):\n    pass\n"
+              "def g(an: OperatorAnalysis) -> ScaleOperator:\n    pass\n"
+              "class A:\n    @classmethod\n    def of(cls, op) -> 'ScaleOperator | OperatorAnalysis':\n        pass\n"
+              "    def h(self, an: 'OperatorAnalysis'):\n        pass\n")
+    assert mixed_annotations(source, "m") == {"m.f", "m.of"}
+    assert classmethods(source, "A") == ["of"]
+
+
+def test_one_way_into_the_certificates():
+    # every certificate function takes the analysis; none accepts a bare
+    # operator beside it, and no classmethod builds or passes one through
+    assert set().union(*(mixed_annotations(p.read_text(), p.stem) for p in SRC.glob("*.py"))) == set()
+    assert classmethods((SRC / "hessian.py").read_text(), "OperatorAnalysis") == []

@@ -23,6 +23,18 @@ the oracle reads 63127.9. Under the zero entry, ``verify-all`` exits 1
 with criterion 1 alone failing, and its report writes the infinite
 defect as null.
 
+Criteria 2 and 9, each through a patch of its own input:
+
+| control | defect (tolerance) | fails |
+|---|---|---|
+| none | 6.0e-3 (0.01) and 0 (0) | none |
+| criterion 2's right side k log(nu^3 + 1), d p = 3 | 0.99999999998 (0.01) | 2 |
+| every second run of the core adds a detail to criterion 1 | 1.0 (0) | 9 |
+
+Under the cubic side grades 1-3 leave [2^-k, (1 + 4 pi^2)^k] and their
+ratio tends to 0, not pi^(2k). Under either control ``verify-all`` exits
+1 with that criterion alone failing.
+
 Operator certificates, through ``hessian-analyze`` (pinned tolerances):
 
 | control | kernel-cokernel-angle | ker_dim | fails |
@@ -100,17 +112,20 @@ restriction and pair isometry) no longer applies under the graph default:
 no certificate forms the graph Gram there, so there is nothing to perturb.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from scalehilbert import linalg, sobolev_circle
+from scalehilbert import linalg, sobolev_circle, verify
 from scalehilbert.cli import main
 from scalehilbert.hessian import (OperatorAnalysis, ResolventData, ScaleOperator, SpectralData, conjugated_diagonal,
                                   spectral_decompose)
-from scalehilbert.verify import OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle
+from scalehilbert.verify import (DEFAULT_SEED, OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle,
+                                 run_verify_all)
+from scalehilbert.weights import poly_plus_one_weight
 
 closed_form = sobolev_circle.fourier_gram_closed_form
 
@@ -168,6 +183,49 @@ def test_criterion_1_control_through_verify_all(monkeypatch, tmp_path):
     per_grade = criteria[0]["details"]["worst_scaled_delta_per_grade"]
     assert per_grade[2] is None
     assert max(per_grade[:2] + per_grade[3:]) <= 1e-15
+
+
+def verify_all_failures(tmp_path):
+    """The numbers of the criteria that a ``verify-all`` run fails; the run exits 1."""
+    report_path = tmp_path / "report.json"
+    assert main(["--command", "verify-all", "--output", str(report_path)]) == 1
+    with open(report_path) as fh:
+        return [c["number"] for c in json.load(fh, parse_constant=reject_non_finite)["criteria"] if not c["passed"]]
+
+
+def cubic_sigma_tables(nu_max, k):
+    """Criterion 2's two log tables with the right side k log(nu^3 + 1): d p = 3."""
+    return sobolev_circle._log_closed_form_diag(np.arange(1, nu_max + 1), k), k * poly_plus_one_weight(nu_max, 3).log_values
+
+
+def test_criterion_2_control(monkeypatch, tmp_path):
+    unperturbed = criterion_sigma_witness()
+    assert unperturbed.passed and unperturbed.defect <= 0.006
+    monkeypatch.setattr(verify, "_log_sigma_tables", cubic_sigma_tables)
+    result = criterion_sigma_witness()
+    assert result.number == 2 and not result.passed
+    assert 0.9999 <= result.defect <= 1.0
+    assert [g["inside_interval"] for g in result.details["per_grade"]] == [True, False, False, False]
+    assert verify_all_failures(tmp_path) == [2]
+
+
+def test_criterion_9_control(monkeypatch, tmp_path):
+    # a core whose every second run reports one more detail in criterion 1
+    core, calls = verify._run_core(DEFAULT_SEED), []
+
+    def nondeterministic(seed):
+        calls.append(seed)
+        first = core[0]
+        rerun = dataclasses.replace(first, details={**first.details, "run": len(calls)})
+        return [rerun if len(calls) % 2 == 0 else first, *core[1:]]
+
+    monkeypatch.setattr(verify, "_run_core", nondeterministic)
+    summary = run_verify_all(DEFAULT_SEED)
+    determinism = summary.results[-1]
+    assert [r.number for r in summary.results if not r.passed] == [9]
+    assert (determinism.defect, determinism.details["byte_identical"]) == (1.0, False)
+    assert verify_all_failures(tmp_path) == [9]
+    assert len(calls) == 4
 
 
 def kernel_control(skew, asymmetry=3e-11):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from weight_checks import is_scale_weight
 
 from scalehilbert.linalg import generalized_eigh, random_orthogonal
 from scalehilbert.spaces import (
@@ -13,7 +14,7 @@ from scalehilbert.spaces import (
     space_from_json,
     weighted_sequence_space,
 )
-from scalehilbert.weights import Weight, sigma_weight, validate_weight
+from scalehilbert.weights import Weight, sigma_weight
 
 
 def sigma_space(n=6, k_max=3):
@@ -43,7 +44,7 @@ class TestConstruction:
         g0 = s.grade(0)
         assert isinstance(g0, DiagonalGrade)
         assert np.array_equal(g0.weight.log_values, np.zeros(s.n))
-        assert all(validate_weight(g.weight).ok for g in s.grades)
+        assert all(is_scale_weight(g.weight) for g in s.grades)
 
     def test_grade_k_is_kth_power(self):
         s = sigma_space(5, 3)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from weight_checks import is_scale_weight
 
+from scalehilbert.spaces import weighted_sequence_space
 from scalehilbert.weights import (
     Weight,
-    constant_weight,
     poly_plus_one_weight,
     sigma_weight,
-    validate_weight,
     weight_from_json,
     weight_power,
 )
@@ -14,13 +14,14 @@ from scalehilbert.weights import (
 
 def test_sigma_values():
     w = sigma_weight(5)
-    assert [w.value(nu) for nu in range(1, 6)] == pytest.approx([2, 5, 10, 17, 26], rel=1e-14)
+    assert w.values() == pytest.approx([2, 5, 10, 17, 26], rel=1e-14)
 
 
 def test_constant_weight_is_one():
-    w = constant_weight(4)
+    # grade 0 of the weighted model is the constant weight 1
+    w = weighted_sequence_space(sigma_weight(4), 1).grade(0).weight
     assert np.array_equal(w.log_values, np.zeros(4))
-    assert w.value(3) == 1.0
+    assert np.array_equal(w.values(), np.ones(4))
 
 
 def test_poly_plus_one_degree_zero():
@@ -29,14 +30,10 @@ def test_poly_plus_one_degree_zero():
 
 
 def test_eval_is_one_based():
+    # entry i of the table belongs to nu = i + 1
     w = sigma_weight(3)
-    assert w.value(1) == pytest.approx(2.0)
-    assert w.log_value(3) == pytest.approx(np.log(10.0))
-    for bad in (0, 4, -1):
-        with pytest.raises(IndexError):
-            w.value(bad)
-        with pytest.raises(IndexError):
-            w.log_value(bad)
+    assert w.values()[0] == pytest.approx(2.0)
+    assert w.log_values[2] == pytest.approx(np.log(10.0))
 
 
 def test_log_values_read_only():
@@ -57,7 +54,7 @@ def test_power_values():
 def test_power_preserves_monotonicity():
     w = sigma_weight(64)
     for k in (2, 5, 40):
-        assert validate_weight(weight_power(w, k)).ok
+        assert is_scale_weight(weight_power(w, k))
 
 
 def test_power_rejects_bad_exponent():
@@ -72,34 +69,35 @@ def test_eval_at_overflow_boundary():
     # below ~700 the linear value is finite, above it saturates to inf,
     # while the log accessor stays exact
     w = Weight(np.array([699.0, 710.0]))
-    assert np.isfinite(w.value(1))
-    assert w.value(2) == np.inf
-    assert w.log_value(2) == 710.0
+    assert np.isfinite(w.values()[0])
+    assert w.values()[1] == np.inf
+    assert w.log_values[1] == 710.0
 
 
 def test_high_powers_stay_in_log_domain():
     w = weight_power(sigma_weight(4096), 50)
     assert np.isfinite(w.log_values).all()
-    assert validate_weight(w).ok
+    assert is_scale_weight(w)
 
 
 def test_validate_flags_non_monotone():
-    report = validate_weight(Weight(np.log([1.0, 3.0, 2.0, 4.0])))
-    assert not report.ok
-    v = report.violations[0]
-    assert v.kind == "not_monotone"
-    assert v.index == 3
+    w = Weight(np.log([1.0, 3.0, 2.0, 4.0]))
+    assert not is_scale_weight(w)
+    with pytest.raises(ValueError, match=r"^invalid weight: weight decreases at nu=3$"):
+        weighted_sequence_space(w, 1)
 
 
 def test_validate_flags_non_finite():
-    report = validate_weight(Weight(np.array([0.0, np.inf, 1.0])))
-    assert not report.ok
-    assert report.violations[0].kind == "non_finite"
-    assert report.violations[0].index == 2
+    # the first non-finite index is named, before the drop after it
+    w = Weight(np.array([0.0, np.inf, 1.0]))
+    assert not is_scale_weight(w)
+    with pytest.raises(ValueError, match=r"^invalid weight: log value at nu=2 is not finite \(weight must be"):
+        weighted_sequence_space(w, 1)
 
 
 def test_validate_ok():
-    assert validate_weight(sigma_weight(100)).ok
+    assert is_scale_weight(sigma_weight(100))
+    assert weighted_sequence_space(sigma_weight(100), 1).n == 100
 
 
 def test_json_roundtrip_table():
@@ -130,7 +128,5 @@ def test_json_rejects_invalid(obj):
 
 
 def test_empty_weight_rejected():
-    with pytest.raises(ValueError):
-        constant_weight(0)
     with pytest.raises(ValueError):
         poly_plus_one_weight(0, 2)
