@@ -23,8 +23,11 @@ def as_square_matrix(m, name="matrix"):
 
 def sym_part(m):
     """(m + m^T) / 2, halved before the add so that entries near the
-    double max do not overflow; the same bits for normal numbers."""
-    return m / 2.0 + m.T / 2.0
+    double max do not overflow; the same bits for normal numbers. The add
+    is in place, so the result and one temporary are alive at the peak."""
+    half = m / 2.0
+    half += m.T / 2.0
+    return half
 
 
 def frobenius(m):
