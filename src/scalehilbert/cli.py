@@ -61,7 +61,7 @@ class RunConfig:
     command: str
     n: int = 8
     nu_max: int = 16
-    k_max: int = 3
+    k_max: int | None = None
     input_path: str | None = None
     output_path: str | None = None
     seed: int = DEFAULT_SEED
@@ -72,7 +72,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         for flag, value, low in (("--n", self.n, 1), ("--nu-max", self.nu_max, 1), ("--k-max", self.k_max, 0),
                                  ("--seed", self.seed, 0)):
-            if value < low:
+            if value is not None and value < low:
                 raise ValueError(f"{flag}: expected an integer >= {low}, got {value}")
         if self.ladder is not None:
             sizes = tuple(int(s) for s in self.ladder)
@@ -81,6 +81,14 @@ class RunConfig:
             ):
                 raise ValueError(f"--ladder: expected strictly increasing positive sizes, got {list(sizes)}")
             object.__setattr__(self, "ladder", sizes)
+        if self.command != "hessian-analyze":  # only an operator's scale sets another default
+            object.__setattr__(self, "k_max", self.top_grade())
+
+    def top_grade(self, scale=None) -> int:
+        """--k-max (at most ``scale``'s top grade); unset, that grade, else 3."""
+        if scale is not None and self.k_max is not None and self.k_max > scale.k_max:
+            raise ValueError(f"--k-max {self.k_max}: the operator's scale has grades 0..{scale.k_max}")
+        return self.k_max if self.k_max is not None else 3 if scale is None else scale.k_max
 
     def output_file(self) -> str:
         if self.output_path:
@@ -219,10 +227,10 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     """Every operator certificate, in registry order; halts early on asymmetry.
 
     All certificates read one :class:`OperatorAnalysis` of the operator at
-    the top grade ``--k-max``.
+    the top grade :meth:`RunConfig.top_grade` resolves.
     """
     op, source = _load_operator(cfg)
-    analysis = OperatorAnalysis(op, cfg.k_max)
+    analysis = OperatorAnalysis(op, cfg.top_grade(op.scale))
     certificates = []
     report = {"command": "hessian-analyze", "operator": {"n": op.n, "source": source}, "certificates": certificates}
     out = cfg.output_file()
@@ -244,7 +252,7 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     ]
     c_lo, c_hi = graph_equivalence_constants(analysis)
     report["constants"] = {
-        "regularity": [regularity_constant(analysis, k) for k in range(op.scale.k_max if op.scale else analysis.k_max)],
+        "regularity": [regularity_constant(analysis, k) for k in range(analysis.k_max)],
         "graph_equivalence": {"c_lo": c_lo, "c_hi": c_hi},
     }
     kernel = analysis.kernel
@@ -407,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--n", type=int, help="operator dimension (hessian-analyze default operator)")
     parser.add_argument("--nu-max", type=int, dest="nu_max", help="number of basis indices (sobolev-demo)")
-    parser.add_argument("--k-max", type=int, dest="k_max", help="highest grade")
+    parser.add_argument("--k-max", type=int, help="highest grade (default 3, or at most and by default a scale's top)")
     parser.add_argument("--input", dest="input_path", help="input JSON (operator or ladder sides)")
     parser.add_argument("--output", dest="output_path", help="report JSON path")
     parser.add_argument("--seed", type=int, help="PRNG seed for randomized instances")

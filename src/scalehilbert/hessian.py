@@ -10,10 +10,10 @@ a weighted sequence model. The final product of the module is
 the rescaled eigenbasis onto the diagonal model, grade by grade.
 
 Every certificate of one operator reads the same factorizations, which
-an :class:`OperatorAnalysis` of the operator and its top grade k_max
-computes lazily and at most once: the symmetry defect (the gate of
-:func:`spectral_decompose`), the ``eigh`` spectral data and its
-reconstruction residual, the eigenbasis pass
+an :class:`OperatorAnalysis` of the operator and its top grade k_max (by
+default an explicit scale's own) computes lazily and at most once: the
+symmetry defect (the gate of :func:`spectral_decompose`), the ``eigh``
+spectral data and its reconstruction residual, the eigenbasis pass
 (:attr:`OperatorAnalysis.eigenbasis_pass`: one pass over A^j V gives the
 fractal defects of grades 0..max(k_max, 1), the restriction and the
 pair-isometry defects and keeps only those scalars, so no graph Gram is
@@ -23,16 +23,16 @@ the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
 fractal weight, and, for an explicit scale only, the equivalence
-constants, one generalized solve per grade
-(:meth:`OperatorAnalysis.equivalence`). Each defect subtracts its
-expected identity or diagonal in place on the diagonal of the product it
-computes. Every certificate function takes the analysis, the one way
-in, so the top grade is named once, where the analysis is built, and no
-certificate re-runs another's factorization; :func:`resolvent`,
-:func:`normality_defect` and :func:`fractal_weight` are the steps the
-analysis itself runs on its operator, resolvent and spectral data.
-``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them in the order
-the CLI and the acceptance suite evaluate them.
+constants, one generalized solve per grade in the kept eigenbasis, so
+that no power of A enters them (:meth:`OperatorAnalysis.equivalence`).
+Each defect subtracts its expected identity or diagonal in place on the
+diagonal of the product it computes. Every certificate function takes
+the analysis, the one way in, so the top grade is named once, where the
+analysis is built, and no certificate re-runs another's factorization;
+:func:`resolvent`, :func:`normality_defect` and :func:`fractal_weight`
+are the steps the analysis itself runs on its operator, resolvent and
+spectral data. ``scalehilbert.verify.OPERATOR_CERTIFICATES`` lists them
+in the order the CLI and the acceptance suite evaluate them.
 
 Complex arithmetic appears only inside resolvent computations, and
 there a product with a real operand runs as a real product on the
@@ -185,18 +185,6 @@ class ResolventData:
     residual: float
 
 
-def _graph_step(a: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """Grade k + 1 of the graph ladder, sym_part(G_k + A^T G_k A), from
-    grade k = ``g``. ``None`` stands for G_0 = I: grade 1 is then the graph
-    Gram I + A^T A, formed without the product through I."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade fails the fractal certificate
-        if g is None:
-            step = a.T @ a
-            step.flat[:: a.shape[0] + 1] += 1.0
-            return linalg.sym_part(step)
-        return linalg.sym_part(g + a.T @ g @ a)
-
-
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
     G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
@@ -205,14 +193,16 @@ def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     grams = [np.eye(a.shape[0])]
-    for k in range(k_max):
-        grams.append(_graph_step(a, grams[-1] if k else None))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade reads inf or NaN
+        for _ in range(k_max):
+            grams.append(linalg.sym_part(grams[-1] + a.T @ grams[-1] @ a))
     return grams
 
 
 class OperatorAnalysis:
     """The factorizations every certificate of one operator reads, up to
-    the top grade ``k_max`` of its graph ladder.
+    the top grade ``k_max``: by default an explicit scale's top grade (a
+    higher one raises ValueError), and 0 under the graph default.
 
     Each attribute, the :attr:`eigenbasis_pass` among them, and each grade
     of :meth:`equivalence` are computed on first access and kept, so one
@@ -222,11 +212,13 @@ class OperatorAnalysis:
     certification is done; a new analysis always starts empty.
     """
 
-    def __init__(self, op: ScaleOperator, k_max: int = 0):
-        if k_max < 0:
+    def __init__(self, op: ScaleOperator, k_max: int | None = None):
+        top = op.scale.k_max if op.scale is not None else None
+        self.op, self.k_max, self._equivalence = op, (top or 0) if k_max is None else k_max, {}
+        if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
-        self.op, self.k_max = op, k_max
-        self._equivalence = {}
+        if top is not None and self.k_max > top:
+            raise ValueError(f"k_max {self.k_max} exceeds the top grade {top} of the operator's scale")
 
     @cached_property
     def symmetry(self) -> float:
@@ -350,23 +342,26 @@ class OperatorAnalysis:
         return EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
 
     def equivalence(self, k: int) -> tuple[float, float]:
-        """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1}
-        against G_k + A^T G_k A, one solve per grade k, kept; grade 0's form
-        is the graph Gram I + A^T A (G_0 = I). Numerical trouble (LinAlgError,
-        as the grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
+        """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1} against
+        G_k + A^T G_k A in the kept eigenbasis, one solve per grade k, kept:
+        M_{k+1} against M_k + Gamma M_k Gamma, M_k = V^T G_k V, with V and Gamma
+        the |gamma|-sorted pairs of :func:`spectral_decompose` (its gate applies),
+        so the form loses no eps ||A||^2. Numerical trouble (LinAlgError, as the
+        grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
         if k < 0:
             raise IndexError("grade must be >= 0")
-        scale = self.op.scale
-        if scale is None:
+        if self.op.scale is None:
             return 1.0, 1.0
         if k not in self._equivalence:
-            g_next = gram_matrix(scale, k + 1)
-            form = _graph_step(self.op.matrix, gram_matrix(scale, k) if k else None)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
-                    self._equivalence[k] = equivalence_constants(g_next, form)
-            except np.linalg.LinAlgError:
-                self._equivalence[k] = np.nan, np.nan
+            data = spectral_decompose(self)
+            v, g = data.sorted_vectors(), data.sorted_gammas()
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
+                m_next, form = (v.T @ gram_matrix(self.op.scale, j) @ v for j in (k + 1, k))
+                form += g[:, None] * form * g
+                try:
+                    self._equivalence[k] = equivalence_constants(m_next, form)
+                except np.linalg.LinAlgError:
+                    self._equivalence[k] = np.nan, np.nan
         return self._equivalence[k]
 
 
@@ -437,22 +432,20 @@ def _full_rank_proved(an: OperatorAnalysis) -> bool:
 
 def regularity_constant(an: OperatorAnalysis, n_grade: int) -> float:
     """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2):
-    the square root of c_hi of :meth:`OperatorAnalysis.equivalence` at
-    grade n, so C_0 is sqrt(c_hi) of the graph equivalence, from the same
-    solve. The quadratic right-hand side is norm equivalent to the literal
-    (||Ax||_n + ||x||_n) within a factor sqrt(2), so C certifies the
-    truncated regularity property up to that documented slack. Under the
-    graph default C is exactly 1 and nothing is solved.
+    sqrt(c_hi) of :meth:`OperatorAnalysis.equivalence` at grade n, solved in
+    the eigenbasis, so C_0 comes from the graph equivalence's solve. The
+    right-hand side is within a factor sqrt(2) of ||Ax||_n + ||x||_n, the
+    documented slack. Under the graph default C is exactly 1, unsolved.
     """
     return float(np.sqrt(an.equivalence(n_grade)[1]))
 
 
 def graph_equivalence_constants(an: OperatorAnalysis) -> tuple[float, float]:
-    """(c_lo, c_hi) between the grade-1 norm and the graph norm, so that
-    c_lo ||x||_graph^2 <= ||x||_1^2 <= c_hi ||x||_graph^2 with equality
-    somewhere: grade 0 of :meth:`OperatorAnalysis.equivalence`, whose form
-    G_0 + A^T G_0 A is the graph Gram I + A^T A. Exactly (1.0, 1.0) under
-    the graph default, where grade 1 is the graph Gram.
+    """(c_lo, c_hi), attained, with c_lo ||x||_graph^2 <= ||x||_1^2 <=
+    c_hi ||x||_graph^2: grade 0 of :meth:`OperatorAnalysis.equivalence`, M_1
+    against M_0 + Gamma M_0 Gamma in the eigenbasis, never the graph Gram
+    I + A^T A; an operator the symmetry gate refuses raises ValueError.
+    Exactly (1.0, 1.0) under the graph default, where grade 1 is the graph Gram.
     """
     return an.equivalence(0)
 

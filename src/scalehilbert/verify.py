@@ -83,12 +83,11 @@ class Certificate:
 
 
 def _positivity_defect(an: OperatorAnalysis) -> float:
-    """0 when the constants of every grade k < k_max of the scale, the grades
-    whose C_k the report lists, satisfy 0 < c_lo <= c_hi, else inf; 0 by
-    identity under the graph default. The forms are SPD, so it fails only on
-    numerical trouble, such as a pencil that raised LinAlgError or overflowed."""
-    grades = an.op.scale.k_max if an.op.scale is not None else 1
-    return 0.0 if all(0.0 < lo <= hi for lo, hi in map(an.equivalence, range(grades))) else float("inf")
+    """0 when grade 0 (the graph equivalence) and every grade k < ``an.k_max``
+    (the C_k the report lists) have 0 < c_lo <= c_hi, else inf; 0 by identity
+    under the graph default. The forms are SPD, so it fails only on numerical
+    trouble: a failed or overflowed pencil, or a c_lo within its rounding of 0."""
+    return 0.0 if all(0.0 < lo <= hi for lo, hi in map(an.equivalence, range(max(an.k_max, 1)))) else float("inf")
 
 
 # Ordered as hessian-analyze reports them, symmetry (its gate) first. The

@@ -14,6 +14,7 @@ import trapezoid
 
 from scalehilbert import cli, linalg, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
+from scalehilbert.hessian import OperatorAnalysis
 from scalehilbert.sobolev_circle import _log_closed_form_diag
 from scalehilbert.spaces import equivalence_constants
 from scalehilbert.verify import (
@@ -469,6 +470,50 @@ class TestHessianAnalyze:
         constants = read_report("scalehilbert_hessian_analyze.json")["constants"]
         assert constants["graph_equivalence"] == pytest.approx({"c_lo": 1 / 3, "c_hi": 1 / 3}, rel=1e-14)
         assert constants["regularity"] == pytest.approx([3**-0.5, (1e308 / 3) ** 0.5], rel=1e-13)
+
+    def test_k_max_above_the_scale_is_an_input_error(self, tmp_path, capsys):
+        # an explicit scale fixes the run's top grade: --k-max may lower it,
+        # never raise it past the grades the scale has
+        scale = {"n": 2, "k_max": 1, "grades": [table_grade([1, 1]), table_grade([1, 1])]}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "kind": "diagonal", "diag": [1, 2], "scale": scale}))
+        assert main(["--command", "hessian-analyze", "--input", str(path), "--k-max", "3"]) == 2
+        assert capsys.readouterr().err == "error: --k-max 3: the operator's scale has grades 0..1\n"
+        assert main(["--command", "hessian-analyze", "--input", str(path), "--k-max", "0"]) == 0
+
+    @pytest.fixture
+    def analysis_grades(self, monkeypatch):
+        """The top grade of every analysis the CLI builds."""
+        grades = []
+
+        class Recorded(OperatorAnalysis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grades.append(self.k_max)
+
+        monkeypatch.setattr(cli, "OperatorAnalysis", Recorded)
+        return grades
+
+    def test_unset_k_max_reads_the_scale_top_grade(self, tmp_path, capsys, analysis_grades):
+        # conjugated_diagonal([1, 1, 0.5, -2], seed=3) on the unit diagonal
+        # scale of grades 0 and 1: one top grade, the scale's, for the
+        # fractal certificate, the regularity list and positivity alike
+        scale = {"n": 4, "k_max": 1, "grades": [table_grade([1] * 4), table_grade([1] * 4)]}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 4, "kind": "conjugated_diagonal", "diag": [1, 1, 0.5, -2], "seed": 3,
+                                    "scale": scale}))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
+        assert analysis_grades == [1]
+        assert len(read_report("scalehilbert_hessian_analyze.json")["constants"]["regularity"]) == 1
+
+    def test_unset_k_max_reads_3_elsewhere(self, analysis_grades):
+        assert main(["--command", "hessian-analyze", "--n", "4"]) == 0
+        assert analysis_grades == [3]
+        assert read_report("scalehilbert_hessian_analyze.json")["constants"]["regularity"] == [1.0] * 3
+        assert main(["--command", "sobolev-demo", "--nu-max", "8"]) == 0
+        assert read_report("scalehilbert_sobolev_demo.json")["k_max"] == 3
+        assert main(["--command", "ladder", "--ladder", "8,16"]) == 0
+        assert read_report("scalehilbert_ladder.json")["k_max"] == 3
 
     @pytest.mark.parametrize("diag", [[1, 1.7e308], [0, 1e200]], ids=["double-max", "wide"])
     def test_wide_diagonal_exits_on_the_resolvent_guard_without_warning(self, tmp_path, capsys, diag):

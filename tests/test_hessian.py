@@ -1,6 +1,8 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import exact
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,6 +37,7 @@ from scalehilbert.spaces import (
     DiagonalGrade,
     GramGrade,
     TruncatedScaleSpace,
+    equivalence_constants,
     gram_matrix,
     weighted_sequence_space,
 )
@@ -434,6 +437,17 @@ class TestShiftedFloerHessian:
             assert regularity_constant(an, n) == pytest.approx(closed, rel=1e-12)
             assert regularity_constant(an, n) == pytest.approx(value, rel=1e-12)
 
+    def test_constants_match_the_exact_reference(self):
+        # every grade's pencil against tests/exact.py's 50-digit solve of
+        # G_{k+1} against G_k + A^T G_k A, within the diagonal case's 4 eps
+        # (TestExactEquivalence)
+        op, _, _ = self.fixture()
+        an = OperatorAnalysis(op)
+        for k in range(self.K_MAX):
+            grades = [gram_matrix(op.scale, j) for j in (k, k + 1)]
+            for got, want in zip(an.equivalence(k), exact.equivalence_extremes(op.matrix, *grades)):
+                assert abs(got - want) <= 4 * linalg.EPS * want
+
 
 class TestSmoothFloerHessian:
     """J d/dt + s + 2c cos(2 pi t) on the Sobolev ladder, s = 0.5, c = 0.15,
@@ -463,6 +477,66 @@ class TestSmoothFloerHessian:
         regularity = [regularity_constant(an, k) for k in range(3)]
         assert regularity == pytest.approx(self.PINNED_REGULARITY, rel=1e-12)
         assert regularity[0] == np.sqrt(c_hi)  # the same solve, bit for bit
+
+
+@st.composite
+def diagonal_pencils(draw):
+    """A diagonal A of dimension 1..6 (zeros and ties included) and the log
+    tables of a diagonal scale of grades 0..K, K in 1..3, grade 0 the identity."""
+    n, top = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    a = draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n))
+    weights = [draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)) for _ in range(top)]
+    return np.array(a), [np.zeros(n), *np.log(weights)]
+
+
+class TestExactEquivalence:
+    """The explicit-scale constants against exact references.
+
+    The unit-scale inputs conjugated_diagonal([t, 1, 0.5, -2], seed) on the
+    diagonal scale of grades 0 and 1 (both the identity) have the graph
+    equivalence 1 / (1 + sigma^2) over the singular values of A, so
+    c_hi = 1 / (1 + 0.5^2) = 0.8 and c_lo = 1 / (1 + max(t, 2)^2) up to the
+    rounding of the double A; tests/exact.py solves the pencil of that double
+    A at 50 digits. Over seeds 0-19 the computed c_hi lies within 3.3e-16,
+    9.2e-13, 1.2e-10, 1.2e-8 and 7.2e-8 of the exact value at t = 1, 1e4, 1e6,
+    1e8 and 1e9, about eps t / 3: what is left is eigh's backward error on the
+    eigenvalue 0.5, as the form M + Gamma M Gamma holds no power of A. c_lo
+    lies within 3.9e-16.
+
+    For a diagonal A on a diagonal scale V is a permutation, so M_k is the
+    diagonal of grade k and each constant is an extreme of the ratios
+    w_{k+1} / (w_k (1 + gamma^2)). Counting roundings to first order (three
+    in the form, two each through the Cholesky square root and the inverse,
+    two in the reduced product) bounds the error by 9 u = 4.5 eps relative;
+    the largest measured over 6000 random constants is 2.3 eps, and the
+    property pins 4 eps.
+    """
+
+    SCALE = weighted_sequence_space(Weight(np.zeros(4)), 1)
+
+    @pytest.mark.parametrize("t", [1.0, 1e4, 1e6, 1e8, 1e9])
+    def test_unit_scale_constants_match_the_exact_reference(self, t):
+        closed_lo = 1.0 / (1.0 + max(t, 2.0) ** 2)
+        for seed in range(20):
+            a = conjugated_diagonal([t, 1.0, 0.5, -2.0], seed=seed).matrix
+            c_lo, c_hi = graph_equivalence_constants(OperatorAnalysis(ScaleOperator(a, self.SCALE)))
+            exact_lo, exact_hi = map(float, exact.equivalence_extremes(a, np.eye(4), np.eye(4)))
+            assert abs(c_hi - 0.8) <= 1e-7 and abs(c_hi - exact_hi) <= 1e-7, seed
+            assert abs(c_lo - closed_lo) <= 5e-16 and abs(c_lo - exact_lo) <= 5e-16, seed
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(pencil=diagonal_pencils())
+    def test_diagonal_constants_are_the_ratio_extremes(self, pencil):
+        a, logs = pencil
+        scale = TruncatedScaleSpace(len(a), tuple(DiagonalGrade(Weight(lv)) for lv in logs))
+        an = OperatorAnalysis(ScaleOperator(np.diag(a), scale))
+        v = spectral_decompose(an).sorted_vectors()
+        assert set(v.flat) <= {0.0, 1.0} and np.array_equal(v.T @ v, np.eye(len(a)))  # a permutation
+        for k in range(scale.k_max):
+            w, w_next = (grade.weight.values() for grade in scale.grades[k : k + 2])
+            ratios = [Fraction(hi) / (Fraction(lo) * (1 + Fraction(g) ** 2)) for lo, hi, g in zip(w, w_next, a)]
+            for got, want in zip(an.equivalence(k), (min(ratios), max(ratios))):
+                assert abs(Fraction(got) - want) <= 4 * Fraction(linalg.EPS) * want
 
 
 class TestResolvent:
@@ -808,16 +882,33 @@ class TestOperatorAnalysis:
         assert an.eigenbasis_pass is ladder and len(ladder.deviations) == 4
 
     def test_graph_default_forms_no_graph_gram(self, monkeypatch):
-        # every certificate reads the eigenbasis pass; only an explicit
-        # scale's pencils form a graph-ladder grade
+        # every certificate reads the eigenbasis pass, and an explicit
+        # scale's pencils are M_{k+1} against M_k + Gamma M_k Gamma in the
+        # eigenbasis: no certificate and no constant forms a graph-ladder grade
         def refuse(*args):
-            raise AssertionError("graph-ladder grade formed under the graph default")
+            raise AssertionError("graph-ladder grade formed")
 
-        monkeypatch.setattr(hessian, "_graph_step", refuse)
-        an = OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0, 0.5], seed=4), 3)
-        for cert in OPERATOR_CERTIFICATES:
-            cert.defect(an)
-        assert an.eigenbasis_pass.restriction == restriction_invariance(an)
+        forms = []
+
+        def recorded(g, h):
+            forms.append(h)
+            return equivalence_constants(g, h)
+
+        monkeypatch.setattr(hessian, "graph_ladder", refuse)
+        monkeypatch.setattr(hessian, "equivalence_constants", recorded)
+        floer, lam, _ = TestShiftedFloerHessian().fixture()
+        for an in (OperatorAnalysis(conjugated_diagonal([1.0, -2.0, 3.0, 0.5], seed=4), 3), OperatorAnalysis(floer)):
+            for cert in OPERATOR_CERTIFICATES:
+                cert.defect(an)
+            assert an.eigenbasis_pass.restriction == restriction_invariance(an)
+        # positivity read grades 0..2 of the Floer operator; it is diagonal, so
+        # V is a permutation and each form is grade k's diagonal w plus
+        # gamma w gamma, in |gamma| order
+        order = spectral_decompose(an).order
+        assert len(forms) == 3
+        for k, form in enumerate(forms):
+            w, g = np.diagonal(gram_matrix(floer.scale, k))[order], lam[order]
+            assert np.array_equal(form, np.diag(w + g * w * g))
 
     def test_batch_row_reads_the_one_pass(self):
         # the batch's analysis is at grade 0; its pass still covers grades

@@ -10,7 +10,8 @@ name bound by a module-level import must occur as a name elsewhere in
 the module or be listed in its ``__all__``. Star imports (the package
 ``__init__``) export by design and are skipped. The same walk lists the
 functions that reference a name, so that a second route to the
-equivalence constants or to the rank cannot come back unnoticed.
+equivalence constants or to the rank cannot come back unnoticed, and the
+functions that read a scale's top grade, so that a run keeps one top grade.
 """
 
 import ast
@@ -125,7 +126,7 @@ def test_walker_finds_constructions():
 
 def test_operator_analysis_has_three_construction_sites():
     # the top grade k_max is named once per analysis: the CLI builds one at
-    # --k-max, the batch one per operator at grade 0, and the two criteria
+    # the grade RunConfig.top_grade resolves, the batch one per operator at grade 0, and the two criteria
     # that start from a bare operator one each (the fractal criterion at its
     # grade 3, the roundtrip at grade 0); every other function shares the
     # analysis it is given
@@ -182,3 +183,34 @@ def test_one_way_into_the_certificates():
     # operator beside it, and no classmethod builds or passes one through
     assert set().union(*(mixed_annotations(p.read_text(), p.stem) for p in SRC.glob("*.py"))) == set()
     assert classmethods((SRC / "hessian.py").read_text(), "OperatorAnalysis") == []
+
+
+def scale_top_grade_readers(source: str, module: str) -> set:
+    """The scopes of :func:`top_level_scopes` that read ``k_max`` off a name
+    or attribute called ``scale``: a scale's top grade."""
+    return {
+        qualified
+        for qualified, scope in top_level_scopes(source, module)
+        for inner in ast.walk(scope)
+        if isinstance(inner, ast.Attribute) and inner.attr == "k_max"
+        and getattr(inner.value, "id", getattr(inner.value, "attr", None)) == "scale"
+    }
+
+
+def test_walker_finds_scale_top_grade_readers():
+    source = ("def f(op):\n    return op.scale.k_max\ndef g(scale):\n    return scale.k_max\n"
+              "def h(an):\n    return an.k_max\nclass C:\n    def m(self):\n        return self.scale.k_max\n")
+    assert scale_top_grade_readers(source, "m") == {"m.f", "m.g", "m.C.m"}
+
+
+def test_one_top_grade_per_run():
+    # a scale's top grade is read where the operator checks its scale, where
+    # the analysis takes it as its default and limit, and where the CLI checks
+    # --k-max against it; everything else reads the analysis's k_max. The
+    # graph step of the former constants route is gone with its fork.
+    readers = set().union(*(scale_top_grade_readers(p.read_text(), p.stem) for p in SRC.glob("*.py")))
+    assert readers == {"hessian.ScaleOperator.__post_init__", "hessian.OperatorAnalysis.__init__",
+                       "cli.RunConfig.top_grade"}
+    assert callers_in_src("_graph_step") == set()
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "_graph_step"
+                   for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text())))

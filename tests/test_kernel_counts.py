@@ -139,13 +139,14 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
 
 
 def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monkeypatch):
-    """J d/dt + s on the Sobolev ladder (the shifted Floer fixture): every
-    generalized solve factors its right-hand form by one Cholesky, takes
-    that factor's inverse by one LU solve and makes one ``eigh``; the
-    Sobolev grades are diagonal, so loading the scale factors nothing. The
-    constants make one solve per grade and never invert the resolvent;
-    ``regularity_constant`` reads grade 0 off the graph-equivalence solve
-    and repeats no solve."""
+    """J d/dt + s on the Sobolev ladder (the shifted Floer fixture): the
+    constants are solved in the eigenbasis, so the first one takes the
+    spectral ``eigh`` that every later grade shares; every generalized solve
+    factors its right-hand form by one Cholesky, takes that factor's inverse
+    by one LU solve and makes one ``eigh``; the Sobolev grades are diagonal,
+    so loading the scale factors nothing. The constants make one solve per
+    grade and never invert the resolvent; ``regularity_constant`` reads
+    grade 0 off the graph-equivalence solve and repeats no solve."""
     solves = collections.Counter()
     generalized_eigh = linalg.generalized_eigh
 
@@ -158,13 +159,13 @@ def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monk
     assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "inv": 0, "cholesky": 0, "angle_svd": 0}
     graph_equivalence_constants(analysis)
     assert solves["generalized_eigh"] == 1
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 1, "inv": 0, "cholesky": 1, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 2, "svd": 0, "solve": 1, "inv": 0, "cholesky": 1, "angle_svd": 0}
     for _ in range(2):
         for n_grade in range(3):
             regularity_constant(analysis, n_grade)
         # grades 1 and 2 add one solve each; grade 0 and the second pass none
         assert solves["generalized_eigh"] == 3
-        assert dict(kernel_calls) == {"eig": 0, "eigh": 3, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
+        assert dict(kernel_calls) == {"eig": 0, "eigh": 4, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
 
 
 def test_demo_shares_one_analysis(kernel_calls, tmp_path, monkeypatch, capsys):

@@ -52,20 +52,35 @@ of the symmetric part sees three, and the angle carries what neither the
 gate nor ``eigh`` sees.
 
 graph-equivalence-positivity, through ``hessian-analyze`` on
-A = Q^T diag(d) Q (``conjugated_diagonal``, seed 3) with the unit diagonal
-scale of grades 0 and 1:
+A = [[1, 1], [1, -1]] (gamma = +-sqrt 2) with the scale of diagonal grades
+1, g and 1e308 (each weight constant over both indices):
 
-| control | positivity defect | c_lo, c_hi | fails |
-|---|---|---|---|
-| d = (1, 1, 0.5, -2) | 0 | 0.2, 0.8 | none |
-| d = (1e9, 1, 0.5, -2), graph Gram condition about 1e18 | inf (null) | null, null | 8 entries (below) |
+| control | positivity defect | c_lo = c_hi | C_0, C_1 | fails |
+|---|---|---|---|---|
+| g = 1 | 0 | 1/3 | sqrt(1/3), sqrt(1e308/3) | none |
+| g = 0.1 | inf (null) | 1/30 | sqrt(1/30), null | graph-equivalence-positivity |
 
-Under the control the Cholesky factorization of the graph Gram I + A^T A
-in the grade-0 pencil fails, the pencil reads (nan, nan), and the run
-exits 1 with resolvent-residual (2.7e-8), resolvent-normality,
-resolvent-adjoint, eigenvalue-resolvent-consistency, fractal-certificate,
-restriction-invariance, pair-isometry and graph-equivalence-positivity
-failing, with no RuntimeWarning.
+Under the control the grade-1 pencil M_2 = 1e308 I against
+M_1 + Gamma M_1 Gamma = 0.3 I reduces to 1e308 / 0.3, past the double max,
+so it reads (nan, nan), and the run exits 1 with that entry alone failing,
+with no RuntimeWarning.
+
+The unit-scale input A = Q^T diag(d) Q (``conjugated_diagonal``, seed 3)
+on the diagonal scale of grades 0 and 1, both the identity, at the
+scale's top grade 1:
+
+| d | c_lo, c_hi (exact for d: 1/(1 + d_max^2), 0.8) | fails |
+|---|---|---|
+| (1, 1, 0.5, -2) | 0.2, 0.8 | none |
+| (1e9, 1, 0.5, -2) | 5.9e-17, 0.800000025 | 7 entries (below), not positivity |
+
+Under d_1 = 1e9 the run exits 1 with resolvent-residual (2.7e-8),
+resolvent-normality, resolvent-adjoint, eigenvalue-resolvent-consistency,
+fractal-certificate (1.0e-7, grades 0 and 1), restriction-invariance and
+pair-isometry failing. Its constants are solved in the eigenbasis, so c_hi
+is within 1e-7 of 0.8 and C_0 of sqrt(0.8). The graph-Gram route they
+replace failed the Cholesky factorization of I + A^T A (condition about
+1e18) and read null, which failed positivity too.
 
 The entries computed from the eigenpairs through one eigenbasis pass and
 from the resolvent through real products, evaluated by the registry on the
@@ -291,14 +306,14 @@ def test_symmetry_control(tmp_path):
         spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
 
 
-POSITIVITY_CONTROL_FAILS = {
+UNIT_SCALE_FAILS = {
     "resolvent-residual", "resolvent-normality", "resolvent-adjoint", "eigenvalue-resolvent-consistency",
-    "fractal-certificate", "restriction-invariance", "pair-isometry", "graph-equivalence-positivity",
+    "fractal-certificate", "restriction-invariance", "pair-isometry",
 }
 
 
 @pytest.mark.parametrize(
-    "top, code, failing", [(1.0, 0, set()), (1e9, 1, POSITIVITY_CONTROL_FAILS)], ids=["unperturbed", "ill-conditioned"]
+    "top, code, failing", [(1.0, 0, set()), (1e9, 1, UNIT_SCALE_FAILS)], ids=["unperturbed", "ill-conditioned"]
 )
 def test_graph_equivalence_positivity_control(tmp_path, top, code, failing):
     unit = {"type": "diagonal", "weight": {"n": 4, "kind": "table", "values": [1, 1, 1, 1]}}
@@ -307,15 +322,42 @@ def test_graph_equivalence_positivity_control(tmp_path, top, code, failing):
     certificates = {c["name"]: c for c in report["certificates"]}
     assert list(certificates) == [cert.name for cert in OPERATOR_CERTIFICATES]
     assert {name for name, c in certificates.items() if not c["passed"]} == failing
-    positivity, constants = certificates["graph-equivalence-positivity"]["defect"], report["constants"]
+    constants = report["constants"]
+    assert certificates["graph-equivalence-positivity"]["defect"] == 0.0
     if failing:
-        assert positivity is None  # inf, written as null
         assert 2.6e-8 <= certificates["resolvent-residual"]["defect"] <= 2.8e-8
-        assert constants == {"regularity": [None], "graph_equivalence": {"c_lo": None, "c_hi": None}}
+        assert 0.0 < constants["graph_equivalence"]["c_lo"] <= 5e-16
+        assert abs(constants["graph_equivalence"]["c_hi"] - 0.8) <= 1e-7
+        [regularity] = constants["regularity"]
+        assert abs(regularity - 0.8**0.5) <= 1e-7
     else:
-        assert positivity == 0.0
         assert constants["graph_equivalence"] == pytest.approx({"c_lo": 0.2, "c_hi": 0.8}, rel=1e-14)
         assert constants["regularity"] == pytest.approx([0.8**0.5], rel=1e-14)
+
+
+POSITIVITY_CONTROL_FAILS = {"graph-equivalence-positivity"}
+
+
+@pytest.mark.parametrize("g, code, failing", [(1.0, 0, set()), (0.1, 1, POSITIVITY_CONTROL_FAILS)],
+                         ids=["unperturbed", "overflowed"])
+def test_graph_equivalence_positivity_overflow_control(tmp_path, g, code, failing):
+    def grade(value):
+        return {"type": "diagonal", "weight": {"n": 2, "kind": "table", "values": [value, value]}}
+
+    scale = {"n": 2, "k_max": 2, "grades": [grade(1), grade(g), grade(1e308)]}
+    report = hessian_analyze(tmp_path, {"n": 2, "matrix": [[1, 1], [1, -1]], "scale": scale}, code)
+    certificates = {c["name"]: c for c in report["certificates"]}
+    assert list(certificates) == [cert.name for cert in OPERATOR_CERTIFICATES]
+    assert {name for name, c in certificates.items() if not c["passed"]} == failing
+    positivity, constants = certificates["graph-equivalence-positivity"]["defect"], report["constants"]
+    c = g / 3  # grade 0's pencil: g I against I + Gamma^2 = 3 I
+    assert constants["graph_equivalence"] == pytest.approx({"c_lo": c, "c_hi": c}, rel=1e-14)
+    if failing:
+        assert positivity is None  # inf, written as null
+        assert constants["regularity"] == [pytest.approx(c**0.5, rel=1e-14), None]
+    else:
+        assert positivity == 0.0
+        assert constants["regularity"] == pytest.approx([c**0.5, (1e308 / (3 * g)) ** 0.5], rel=1e-13)
 
 
 def goe_analysis(gammas=None, vectors=None, perturbation=None):
