@@ -66,9 +66,9 @@ for k, d in enumerate(build_fractal_structure(an)):
     print(f"  grade {k}: {d:.3e}")
 
 # the certificate above reads the ladder Grams only; as scale spaces, the
-# graph ladder maps onto the weighted model by the sorted eigenbasis
+# graph ladder maps onto the weighted model by the |gamma|-sorted eigenbasis
 ladder = TruncatedScaleSpace(n, tuple(GramGrade(g) for g in graph_ladder(op.matrix, 3)))
 model = weighted_sequence_space(fw, 3)
-report = is_scale_isometric(ladder, model, data.sorted_vectors().T)
+report = is_scale_isometric(ladder, model, data.vectors.T)
 print(f"scale isometry onto the weighted model: {report.is_isometric} "
       f"(worst grade defect {max(report.defects):.3e})")

@@ -248,7 +248,7 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
 
     weight_rows = [
         {"nu": i + 1, "gamma": float(g), "weight": float(np.exp(lv))}
-        for i, (g, lv) in enumerate(zip(analysis.spectral.sorted_gammas(), analysis.fractal_weight.log_values))
+        for i, (g, lv) in enumerate(zip(analysis.spectral.gammas, analysis.fractal_weight.log_values))
     ]
     c_lo, c_hi = graph_equivalence_constants(analysis)
     report["constants"] = {
@@ -258,7 +258,6 @@ def cmd_hessian_analyze(cfg: RunConfig) -> int:
     kernel = analysis.kernel
     report["kernel"] = {"ker_dim": kernel.ker_dim, "coker_dim": kernel.coker_dim}
     report["gammas"] = [float(g) for g in analysis.spectral.gammas]
-    report["order"] = [int(i) for i in analysis.spectral.order]
     report["fractal_weight"] = weight_rows
     passed = all(c["passed"] for c in certificates)
     report["passed"] = passed

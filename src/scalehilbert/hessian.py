@@ -13,7 +13,8 @@ Every certificate of one operator reads the same factorizations, which
 an :class:`OperatorAnalysis` of the operator and its top grade k_max (by
 default an explicit scale's own) computes lazily and at most once: the
 symmetry defect (the gate of :func:`spectral_decompose`), the ``eigh``
-spectral data and its reconstruction residual, the eigenbasis pass
+pairs, held once in the |gamma| order every certificate reads, and their
+reconstruction residual, the eigenbasis pass
 (:attr:`OperatorAnalysis.eigenbasis_pass`: one pass over A^j V gives the
 fractal defects of grades 0..max(k_max, 1), the restriction and the
 pair-isometry defects and keeps only those scalars, so no graph Gram is
@@ -137,19 +138,17 @@ class KernelReport:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric operator.
-
-    ``gammas[i]`` belongs to column i of ``vectors``. ``order`` is the
-    permutation that lists the pairs by nondecreasing absolute
-    eigenvalue (ties: signed value, then position).
+    """Eigenvalues and orthonormal eigenvectors of a symmetric operator,
+    read-only: ``gammas[i]`` belongs to column i of ``vectors``, and the
+    pairs are listed by nondecreasing |gamma| (ties: signed value, then
+    ``eigh``'s position), the one order every certificate reads.
     """
 
     gammas: np.ndarray
     vectors: np.ndarray
-    order: np.ndarray
 
     def __post_init__(self):
-        for name in ("gammas", "vectors", "order"):
+        for name in ("gammas", "vectors"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -157,12 +156,6 @@ class SpectralData:
     @property
     def n(self) -> int:
         return self.gammas.shape[0]
-
-    def sorted_gammas(self) -> np.ndarray:
-        return self.gammas[self.order]
-
-    def sorted_vectors(self) -> np.ndarray:
-        return self.vectors[:, self.order]
 
 
 @dataclass(frozen=True)
@@ -245,19 +238,14 @@ class OperatorAnalysis:
 
     @cached_property
     def spectral(self) -> SpectralData:
-        """``eigh`` of the symmetric part in the presentation documented
-        by :func:`spectral_decompose`, without its symmetry check."""
+        """``eigh`` of the symmetric part, sign-fixed and in the |gamma| order
+        documented by :func:`spectral_decompose`, without its symmetry check."""
         w, v = np.linalg.eigh(linalg.sym_part(self.op.matrix))
         n = self.op.n
-        dominant = np.argmax(np.abs(v), axis=0)
-        signs = np.sign(v[dominant, np.arange(n)])
+        signs = np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(n)])
         signs[signs == 0] = 1.0
-        v = v * signs
-        presentation = np.lexsort((np.arange(n), w, dominant))
-        w = w[presentation]
-        v = v[:, presentation]
         order = np.lexsort((np.arange(n), w, np.abs(w)))
-        return SpectralData(gammas=w, vectors=v, order=order)
+        return SpectralData(gammas=w[order], vectors=(v * signs)[:, order])
 
     @cached_property
     def fractal_weight(self) -> Weight:
@@ -295,40 +283,29 @@ class OperatorAnalysis:
         V^T G_1 A V = Y_0^T Y_1 + Y_1^T Y_2, rescaled by weight^(-1/2), minus
         diag(gamma) is the restriction matrix. Grades 0..max(k_max, 1) are
         covered, each from the same products whatever k_max is, and only the
-        scalars are kept.
+        scalars are kept. The restriction's products come first, then the P_j,
+        then one Pascal loop over the grades; V is read in place, so at most
+        four n x n arrays are live below k_max 2.
         """
         data = spectral_decompose(self)
-        a, n, logs = self.op.matrix, self.op.n, self.fractal_weight.log_values
+        a, v, g, n, logs = self.op.matrix, data.vectors, data.gammas, self.op.n, self.fractal_weight.log_values
         n_grams = max(self.k_max, 1) + 1
-        top = max(n_grams - 1, 2)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed grade reads inf or NaN, which fails
-            y = data.sorted_vectors()
-            grams = [y.T @ y]
-            grade = grams[0].copy()  # grade 0 needs no rescale
-            grade.flat[:: n + 1] -= 1.0
-            deviations = [linalg.frobenius(grade)]
-            del grade
-            for j in range(1, top + 1):  # y is Y_{j-1}
-                y_next = a @ y
-                if j == 1:
-                    in_graph = y.T @ y_next
-                elif j == 2:
-                    in_graph += y.T @ y_next
-                    _rescale(in_graph, logs, 1).flat[:: n + 1] -= data.sorted_gammas()
-                    restriction = linalg.frobenius(in_graph)
-                    del in_graph
-                if 2 <= j <= n_grams:  # P_{j-1} after restriction's products: at most five n x n arrays live
-                    grams.append(y.T @ y)
-                y = y_next
-            if top < n_grams:  # P_top
+            ys = [v, a @ v]
+            ys.append(a @ ys[1])  # Y_0, Y_1, Y_2
+            in_graph = v.T @ ys[1]
+            in_graph += ys[1].T @ ys[2]
+            _rescale(in_graph, logs, 1).flat[:: n + 1] -= g
+            restriction = linalg.frobenius(in_graph)
+            del in_graph
+            grams = []
+            for _ in range(n_grams):  # P_j = Y_j^T Y_j; Y_j past Y_2 from Y_{j-1}, which is then dropped
+                y = ys.pop(0) if ys else a @ y
                 grams.append(y.T @ y)
-            del y, y_next
-            for k in range(1, n_grams):
-                for j in range(len(grams) - 1):  # Pascal's rule: grams[0] becomes grade k
-                    grams[j] += grams[j + 1]
-                grams.pop()  # no later step reads the last
+            del y, ys
+            deviations = []
+            for k in range(n_grams):  # grams[0] is grade k
                 if k == 1:
-                    g = data.sorted_gammas()
                     expected = 1.0 + g * g  # >= 1, so the relative deviation divides by it
                     on_diagonal = np.abs(np.diagonal(grams[0]) - expected) / expected
                     off_diagonal = np.abs(grams[0])
@@ -339,6 +316,9 @@ class OperatorAnalysis:
                 grade.flat[:: n + 1] -= 1.0
                 deviations.append(linalg.frobenius(grade))
                 del grade
+                for j in range(len(grams) - 1):  # Pascal's rule: grams[0] becomes grade k + 1
+                    grams[j] += grams[j + 1]
+                grams.pop()  # no later step reads the last
         return EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
 
     def equivalence(self, k: int) -> tuple[float, float]:
@@ -354,7 +334,7 @@ class OperatorAnalysis:
             return 1.0, 1.0
         if k not in self._equivalence:
             data = spectral_decompose(self)
-            v, g = data.sorted_vectors(), data.sorted_gammas()
+            v, g = data.vectors, data.gammas
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
                 m_next, form = (v.T @ gram_matrix(self.op.scale, j) @ v for j in (k + 1, k))
                 form += g[:, None] * form * g
@@ -498,12 +478,12 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
 
 
 def spectral_decompose(an: OperatorAnalysis) -> SpectralData:
-    """Orthonormal eigendecomposition with a deterministic presentation.
+    """Orthonormal eigendecomposition in the one deterministic order.
 
-    Columns are sign-fixed (largest-magnitude entry positive) and listed
-    by their dominant coordinate, so a diagonal matrix decomposes into
-    the standard basis in the original coordinate order. The returned
-    permutation ``order`` re-lists the pairs by nondecreasing |gamma|.
+    Columns are sign-fixed (largest-magnitude entry positive) and the
+    pairs listed by nondecreasing |gamma|, ties by signed value and then
+    by ``eigh``'s position, the order the fractal weight needs to be
+    nondecreasing; every certificate reads the pairs in this order.
 
     The symmetry defect of the operator's :class:`OperatorAnalysis` is
     checked against :data:`SYMMETRY_TOL` on every call; a failure raises
@@ -555,8 +535,8 @@ def resolvent_consistency(an: OperatorAnalysis, data: SpectralData) -> float:
 
 
 def fractal_weight(data: SpectralData) -> Weight:
-    """The weight 1 + gamma^2, listed in |gamma|-sorted order: entry nu
-    belongs to ``data.sorted_gammas()[nu - 1]``.
+    """The weight 1 + gamma^2 of the |gamma|-sorted pairs: entry nu
+    belongs to ``data.gammas[nu - 1]``.
 
     Stored in log scale so huge eigenvalues stay finite: above |gamma| = 1
     the log is taken as 2 log|gamma| + log1p(gamma^-2), which never forms
@@ -564,7 +544,7 @@ def fractal_weight(data: SpectralData) -> Weight:
     double-precision range. Entries are >= 1 and nondecreasing because the
     sort is by |gamma|, so this is a valid scale weight.
     """
-    g = data.sorted_gammas()
+    g = data.gammas
     abs_g = np.abs(g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         big = 2.0 * np.log(abs_g) + np.log1p(abs_g**-2.0)
@@ -594,7 +574,7 @@ def build_fractal_structure(an: OperatorAnalysis) -> tuple:
     1 + gamma^2. The scale spaces themselves are not built here:
     ``TruncatedScaleSpace`` over :func:`graph_ladder`,
     ``weighted_sequence_space(an.fractal_weight, an.k_max)`` and the map
-    ``spectral_decompose(an).sorted_vectors().T`` give them, for
+    ``spectral_decompose(an).vectors.T`` give them, for
     ``is_scale_isometric``. The symmetry gate of :func:`spectral_decompose`
     applies; a refused operator raises ValueError.
     """

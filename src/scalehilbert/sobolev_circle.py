@@ -90,24 +90,23 @@ def _log_geometric_sum(log_r: np.ndarray, k: int) -> np.ndarray:
 
 
 def _log_closed_form_diag(nu, k: int):
-    """log of the diagonal closed form, vectorized over nu (1-based).
+    """log of the diagonal closed form of grade k over a run of consecutive
+    indices nu (1-based; a scalar nu is a run of one), read from
+    :func:`_log_closed_form_grades`.
 
     With r = (2 pi m)^2 >= 4 pi^2 for m >= 1, the sum is r^k times
     1 + sum_{j<k} r^(j-k), so its log is k log r + log1p of terms below
     1/39: nothing overflows, and the constant function (m = 0, where the
     sum is exactly 1) gives exactly 0.
     """
-    m = np.atleast_1d(np.asarray(nu, dtype=float)) // 2
-    out = np.zeros_like(m)
-    freq = m > 0
-    out[freq] = _log_geometric_sum(2.0 * np.log(2.0 * math.pi * m[freq]), k)
+    out = _log_closed_form_grades(np.atleast_1d(nu))(k)
     return out if np.ndim(nu) else float(out[0])
 
 
 def _log_closed_form_grades(nu: np.ndarray):
-    """k -> :func:`_log_closed_form_diag` over a run of consecutive indices
-    nu, bitwise, evaluated once per frequency m = nu // 2 from one log r
-    shared by every grade."""
+    """k -> the log diagonal closed form of grade k over a run of consecutive
+    indices nu, the one definition of the Sobolev log weight: evaluated once
+    per frequency m = nu // 2 from one log r shared by every grade."""
     m = nu // 2
     start = int(m[0])
     log_r = 2.0 * np.log(2.0 * math.pi * np.arange(max(start, 1), m[-1] + 1.0))

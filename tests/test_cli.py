@@ -14,7 +14,7 @@ import trapezoid
 
 from scalehilbert import cli, linalg, sobolev_circle
 from scalehilbert.cli import DEFAULT_LADDER, RunConfig, main
-from scalehilbert.hessian import OperatorAnalysis
+from scalehilbert.hessian import OperatorAnalysis, SpectralData
 from scalehilbert.sobolev_circle import _log_closed_form_diag
 from scalehilbert.spaces import equivalence_constants
 from scalehilbert.verify import (
@@ -321,7 +321,7 @@ class TestHessianAnalyze:
         assert report["passed"]
         assert report["operator"] == {"n": 8, "source": "diag(1..8)"}
         assert report["gammas"] == list(range(1, 9))
-        assert report["order"] == list(range(8))
+        assert "order" not in report
         weights = [w["weight"] for w in report["fractal_weight"]]
         assert weights == pytest.approx([g * g + 1 for g in range(1, 9)], rel=1e-14)
         names = [c["name"] for c in report["certificates"]]
@@ -331,6 +331,20 @@ class TestHessianAnalyze:
         constants = report["constants"]
         assert constants["regularity"] == [1.0, 1.0, 1.0]
         assert constants["graph_equivalence"] == {"c_lo": 1.0, "c_hi": 1.0}
+
+    def test_gammas_are_the_weight_rows_gammas(self, tmp_path):
+        # one eigenvalue list in the |gamma| order, ties by signed value
+        # (-1 before 1, -2 before 2): no second order, no permutation key
+        d = [2.0, -1.0, 0.5, 3.0, 1.0, -2.0]
+        spec = {"n": 6, "kind": "diagonal", "diag": d, "scale": "graph_default"}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--command", "hessian-analyze", "--input", str(path)]) == 0
+        report = read_report("scalehilbert_hessian_analyze.json")
+        assert report["gammas"] == [row["gamma"] for row in report["fractal_weight"]]
+        assert report["gammas"] == [0.5, -1.0, 1.0, -2.0, 2.0, 3.0]
+        assert "order" not in report
+        assert tuple(f.name for f in dataclasses.fields(SpectralData)) == ("gammas", "vectors")
 
     def test_weight_csv_mirror(self):
         main(["--command", "hessian-analyze", "--n", "3"])

@@ -39,7 +39,7 @@ class TestFractalWeight:
         data = decompose_diag([3.0, -1.0, 2.0])
         fw = fractal_weight(data)
         assert fw.values() == pytest.approx([2.0, 5.0, 10.0], rel=1e-14)
-        assert np.array_equal(data.sorted_gammas(), [-1.0, 2.0, 3.0])
+        assert np.array_equal(data.gammas, [-1.0, 2.0, 3.0])
 
     def test_is_a_valid_weight(self):
         rng = np.random.default_rng(3)
@@ -81,7 +81,7 @@ class TestRescaledBasis:
 
     def test_grade_zero_is_plain_eigenbasis(self):
         data = decompose_diag([2.0, 1.0, 5.0])
-        gram = data.sorted_vectors().T @ data.sorted_vectors()
+        gram = data.vectors.T @ data.vectors
         assert np.array_equal(_rescale(gram.copy(), fractal_weight(data).log_values, 0), gram)
 
     def test_zero_spectrum_never_rescales(self):
@@ -107,7 +107,7 @@ def ladder_spaces(an):
     ladder, the weighted model of the fractal weight and the map between them."""
     space = TruncatedScaleSpace(an.op.n, tuple(GramGrade(g) for g in graph_ladder(an.op.matrix, an.k_max)))
     target = weighted_sequence_space(an.fractal_weight, an.k_max)
-    return space, target, spectral_decompose(an).sorted_vectors().T
+    return space, target, spectral_decompose(an).vectors.T
 
 
 class TestBuildFractalStructure:
@@ -176,7 +176,7 @@ class TestPairIsometry:
     def test_eigenbasis_graph_gram_is_the_weight(self):
         op = ScaleOperator(np.diag([1.0, 2.0]))
         data = spectral_decompose(OperatorAnalysis(op))
-        vs = data.sorted_vectors()
+        vs = data.vectors
         assert np.array_equal(vs.T @ graph_ladder(op.matrix, 1)[1] @ vs, np.diag([2.0, 5.0]))
 
     def test_random_operator(self):
@@ -198,7 +198,7 @@ class TestInvariances:
         data = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
         data2 = spectral_decompose(OperatorAnalysis(ScaleOperator(2.0 * a)))
         fw, fw2 = fractal_weight(data), fractal_weight(data2)
-        assert np.array_equal(data2.sorted_gammas(), 2.0 * data.sorted_gammas())
+        assert np.array_equal(data2.gammas, 2.0 * data.gammas)
         assert np.expm1(fw2.log_values) == pytest.approx(
             4.0 * np.expm1(fw.log_values), rel=1e-14
         )

@@ -530,7 +530,7 @@ class TestExactEquivalence:
         a, logs = pencil
         scale = TruncatedScaleSpace(len(a), tuple(DiagonalGrade(Weight(lv)) for lv in logs))
         an = OperatorAnalysis(ScaleOperator(np.diag(a), scale))
-        v = spectral_decompose(an).sorted_vectors()
+        v = spectral_decompose(an).vectors
         assert set(v.flat) <= {0.0, 1.0} and np.array_equal(v.T @ v, np.eye(len(a)))  # a permutation
         for k in range(scale.k_max):
             w, w_next = (grade.weight.values() for grade in scale.grades[k : k + 2])
@@ -615,25 +615,23 @@ class TestNormality:
 
 class TestSpectralDecompose:
     def test_diagonal_in_coordinate_order(self):
+        # a diagonal matrix decomposes into the standard basis, each column
+        # the coordinate of its eigenvalue, listed by |gamma|
         data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([3.0, 1.0, 2.0]))))
-        assert np.array_equal(data.gammas, [3.0, 1.0, 2.0])
-        assert np.array_equal(data.vectors, np.eye(3))
-        assert np.array_equal(data.order, [1, 2, 0])
-        assert np.array_equal(data.sorted_gammas(), [1.0, 2.0, 3.0])
-        assert np.array_equal(data.sorted_vectors(), np.eye(3)[:, [1, 2, 0]])
+        assert np.array_equal(data.gammas, [1.0, 2.0, 3.0])
+        assert np.array_equal(data.vectors, np.eye(3)[:, [1, 2, 0]])
 
     def test_zero_operator(self):
+        # every |gamma| and signed value ties, so eigh's position decides
         data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.zeros((3, 3)))))
         assert np.array_equal(data.gammas, np.zeros(3))
         assert np.array_equal(data.vectors, np.eye(3))
-        assert np.array_equal(data.order, [0, 1, 2])
 
     def test_negative_eigenvalue_ordering(self):
-        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([1.0, -1.0]))))
-        assert np.array_equal(data.gammas, [1.0, -1.0])
+        data = spectral_decompose(OperatorAnalysis(ScaleOperator(np.diag([1.0, -1.0, 0.5, -2.0, 2.0]))))
         # |gamma| ties break toward the signed value
-        assert np.array_equal(data.order, [1, 0])
-        assert np.array_equal(data.sorted_gammas(), [-1.0, 1.0])
+        assert np.array_equal(data.gammas, [0.5, -1.0, 1.0, -2.0, 2.0])
+        assert np.array_equal(data.vectors, np.eye(5)[:, [2, 1, 0, 3, 4]])
 
     def test_recovers_conjugated_spectrum(self):
         d = np.array([-4.0, 0.5, 0.5, 2.0, 9.0])
@@ -645,17 +643,25 @@ class TestSpectralDecompose:
         assert recon == pytest.approx(np.asarray(op.matrix), abs=1e-12)
 
     def test_sign_convention(self):
+        # the largest-magnitude entry of each column is positive; where two
+        # entries tie in magnitude (the swap's eigenvectors) the first is
         data = spectral_decompose(OperatorAnalysis(conjugated_diagonal(np.arange(1.0, 7.0), seed=2)))
         dominant = np.argmax(np.abs(data.vectors), axis=0)
         assert np.all(data.vectors[dominant, np.arange(6)] > 0)
+        swap = spectral_decompose(OperatorAnalysis(ScaleOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        assert np.array_equal(swap.gammas, [-1.0, 1.0])
+        assert swap.vectors == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0), rel=1e-15)
 
     def test_deterministic_presentation(self):
+        # the one order, nondecreasing computed |gamma|, bit for bit on
+        # repeated analyses (the computed 2 and -2 differ in the last bits)
         op = conjugated_diagonal(np.array([2.0, -2.0, 1.0, 7.0]), seed=19)
         d1 = spectral_decompose(OperatorAnalysis(op))
         d2 = spectral_decompose(OperatorAnalysis(op))
         assert np.array_equal(d1.gammas, d2.gammas)
         assert np.array_equal(d1.vectors, d2.vectors)
-        assert np.array_equal(d1.order, d2.order)
+        assert np.abs(d1.gammas) == pytest.approx([1.0, 2.0, 2.0, 7.0], rel=1e-12)
+        assert np.all(np.diff(np.abs(d1.gammas)) >= 0)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -666,16 +672,16 @@ class TestSpectralDecompose:
         a = random_symmetric(rng, 15)
         base = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
         doubled = spectral_decompose(OperatorAnalysis(ScaleOperator(2.0 * a)))
-        assert np.array_equal(doubled.sorted_gammas(), 2.0 * base.sorted_gammas())
-        assert np.array_equal(doubled.order, base.order)
+        assert np.array_equal(doubled.gammas, 2.0 * base.gammas)
+        assert np.array_equal(doubled.vectors, base.vectors)
 
     def test_scaling_covariance_general_factor(self):
         rng = np.random.default_rng(43)
         a = random_symmetric(rng, 15)
         base = spectral_decompose(OperatorAnalysis(ScaleOperator(a)))
         tripled = spectral_decompose(OperatorAnalysis(ScaleOperator(3.0 * a)))
-        assert tripled.sorted_gammas() == pytest.approx(3.0 * base.sorted_gammas(), rel=1e-12)
-        assert np.array_equal(tripled.order, base.order)
+        assert tripled.gammas == pytest.approx(3.0 * base.gammas, rel=1e-12)
+        assert np.all(np.diff(np.abs(tripled.gammas)) >= 0)
 
 
 class TestResolventConsistency:
@@ -710,7 +716,7 @@ class TestResolventConsistency:
             assert an.consistency < 1e-13
             assert self.eig_oracle(b, data) < 1e-13
             noise = 1e-9 * (1.0 + np.abs(data.gammas)) * rng.uniform(-1.0, 1.0, data.gammas.size)
-            shifted = SpectralData(data.gammas + noise, data.vectors, data.order)
+            shifted = SpectralData(data.gammas + noise, data.vectors)
             assert resolvent_consistency(an, shifted) == pytest.approx(
                 self.eig_oracle(b, shifted), rel=1e-4
             )
@@ -735,8 +741,8 @@ class TestResolventConsistency:
     def test_shifted_eigenvalue_fails(self):
         op, data = self.perturbed_control()
         gammas = data.gammas.copy()
-        gammas[5] += 1e-6
-        shifted = SpectralData(gammas, data.vectors, data.order)
+        gammas[29] += 1e-6  # gamma = 2.2308
+        shifted = SpectralData(gammas, data.vectors)
         defect = resolvent_consistency(OperatorAnalysis(op), shifted)
         oracle = self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, shifted)
         assert defect == pytest.approx(oracle, rel=1e-5)
@@ -745,8 +751,8 @@ class TestResolventConsistency:
     def test_swapped_eigenvectors_fail(self):
         op, data = self.perturbed_control()
         vectors = data.vectors.copy()
-        vectors[:, [3, 4]] = vectors[:, [4, 3]]
-        swapped = SpectralData(data.gammas, vectors, data.order)
+        vectors[:, [30, 18]] = vectors[:, [18, 30]]  # gamma = -2.3846 and -1.4615
+        swapped = SpectralData(data.gammas, vectors)
         defect = resolvent_consistency(OperatorAnalysis(op), swapped)
         assert defect == pytest.approx(0.40, rel=0.01)
         assert defect >= self.eig_oracle(OperatorAnalysis(op).resolvent.b_matrix, swapped)
@@ -904,7 +910,7 @@ class TestOperatorAnalysis:
         # positivity read grades 0..2 of the Floer operator; it is diagonal, so
         # V is a permutation and each form is grade k's diagonal w plus
         # gamma w gamma, in |gamma| order
-        order = spectral_decompose(an).order
+        order = np.argmax(spectral_decompose(an).vectors, axis=0)  # column i's coordinate
         assert len(forms) == 3
         for k, form in enumerate(forms):
             w, g = np.diagonal(gram_matrix(floer.scale, k))[order], lam[order]
@@ -983,7 +989,7 @@ class TestDenseReferenceFormulas:
     @staticmethod
     def basis(an, k):
         """The |gamma|-sorted eigenvectors, column nu scaled by weight^(-k/2)."""
-        return spectral_decompose(an).sorted_vectors() * np.exp(-0.5 * k * an.fractal_weight.log_values)
+        return spectral_decompose(an).vectors * np.exp(-0.5 * k * an.fractal_weight.log_values)
 
     @classmethod
     def fractal_deviations(cls, an, k_max):
@@ -998,9 +1004,9 @@ class TestDenseReferenceFormulas:
     @classmethod
     def pair_deviations(cls, an):
         data = spectral_decompose(an)
-        vs = data.sorted_vectors()
+        vs = data.vectors
         actual = vs.T @ cls.dense_ladder(an.op.matrix, 1)[1] @ vs
-        g = data.sorted_gammas()
+        g = data.gammas
         expected = np.diag(1.0 + g * g)
         return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
 
@@ -1017,7 +1023,7 @@ class TestDenseReferenceFormulas:
     def perturbed(an, vectors):
         """``an`` with its eigenvectors replaced, behind a passed gate."""
         d = spectral_decompose(an)
-        an.spectral = SpectralData(gammas=d.gammas, vectors=vectors, order=d.order)
+        an.spectral = SpectralData(gammas=d.gammas, vectors=vectors)
         return an
 
     @pytest.mark.parametrize("on_diagonal", [True, False], ids=["diagonal-max", "off-diagonal-max"])
@@ -1043,7 +1049,7 @@ class TestDenseReferenceFormulas:
         data = spectral_decompose(an)
         basis = self.basis(an, 1)
         in_graph = basis.T @ self.dense_ladder(a, 1)[1] @ (a @ basis)
-        reference = linalg.frobenius(in_graph - np.diag(data.sorted_gammas()))
+        reference = linalg.frobenius(in_graph - np.diag(data.gammas))
         assert abs(restriction_invariance(an) - reference) <= self.bound(n, np.linalg.norm(data.gammas))
         deviations = build_fractal_structure(an)
         assert (np.abs(np.subtract(deviations, self.fractal_deviations(an, 5))) <= self.grade_bounds(an, 5)).all()
@@ -1082,3 +1088,22 @@ def test_full_pass_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 11 * n * n * 8
+
+
+def test_eigenbasis_pass_working_set():
+    """The eigenbasis pass at the analysis's default grade on an n = 256 GOE
+    operator peaks at 4 n x n doubles plus O(n) of traced allocations, once
+    the spectral data and the weight are held: Y_1, Y_2, the restriction
+    matrix and one product's temporary, then Y_1, Y_2, P_0 and P_1; the
+    eigenvectors are read in place, not copied."""
+    n = 256
+    b = np.random.default_rng(256).standard_normal((n, n))
+    an = OperatorAnalysis(ScaleOperator((b + b.T) / (2.0 * np.sqrt(n))))
+    an.fractal_weight
+    tracemalloc.start()
+    try:
+        an.eigenbasis_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * n * n + 16 * n) * 8

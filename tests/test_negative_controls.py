@@ -86,8 +86,10 @@ The entries computed from the eigenpairs through one eigenbasis pass and
 from the resolvent through real products, evaluated by the registry on the
 n = 24 GOE operator (B + B^T) / (2 sqrt(24)), B standard normal from
 default_rng(5), at k_max 3. The eigenpair perturbations are cache patches
-on ``OperatorAnalysis.spectral`` behind a passed symmetry gate (gamma_5 =
-0.9645 in the presentation order):
+on ``OperatorAnalysis.spectral`` behind a passed symmetry gate. They are
+named by the pairs' former dominant-coordinate listing; in the |gamma|
+order the analysis holds, gamma_5 = 0.9645 is position 19 and v_3, v_4 are
+positions 20 and 13:
 
 | control | fails (defect) |
 |---|---|
@@ -370,7 +372,7 @@ def goe_analysis(gammas=None, vectors=None, perturbation=None):
     d = spectral_decompose(an)
     if gammas is not None or vectors is not None:
         an.spectral = SpectralData(d.gammas if gammas is None else gammas(d.gammas.copy()),
-                                   d.vectors if vectors is None else vectors(d.vectors.copy()), d.order)
+                                   d.vectors if vectors is None else vectors(d.vectors.copy()))
     if perturbation is not None:
         r, e = an.resolvent, perturbation()
         an.resolvent = ResolventData(r.b_matrix + e * (1e-7 * linalg.frobenius(r.b_matrix) / linalg.frobenius(e)),
@@ -379,13 +381,13 @@ def goe_analysis(gammas=None, vectors=None, perturbation=None):
 
 
 def shift_gamma_5(g):
-    g[5] += 1e-6
+    g[19] += 1e-6
     return g
 
 
 def rotate_v3_v4(v):
     c, s = np.cos(1e-6), np.sin(1e-6)
-    v[:, [3, 4]] = v[:, [3, 4]] @ np.array([[c, -s], [s, c]])
+    v[:, [20, 13]] = v[:, [20, 13]] @ np.array([[c, -s], [s, c]])
     return v
 
 

@@ -20,6 +20,7 @@ from scalehilbert.sobolev_circle import (
     FourierBasisSpec,
     _log_closed_form_diag,
     _log_closed_form_grades,
+    _log_geometric_sum,
     build_sobolev_space,
     fourier_gram_closed_form,
     oracle_deltas,
@@ -95,13 +96,18 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 1024, 262144])
     def test_per_frequency_log_tables_are_bitwise_the_per_index_ones(self, n):
         # on nu = 1..n and on the runs that start past the constant, at an
-        # even index (a whole frequency, as the ladder's chunks start) or odd
+        # even index (a whole frequency, as the ladder's chunks start) or odd;
+        # the per-index table takes log r index by index, with no frequency table
         nu = np.arange(1, n + 1)
         for run in (nu, nu[1:], nu[2:]):
             if len(run):
                 grades = _log_closed_form_grades(run)
+                m = run // 2
                 for k in range(11):
-                    assert np.array_equal(grades(k), _log_closed_form_diag(run, k))
+                    per_index = np.zeros(len(run))
+                    per_index[m > 0] = _log_geometric_sum(2.0 * np.log(2.0 * math.pi * m[m > 0]), k)
+                    assert np.array_equal(grades(k), per_index)
+                    assert np.array_equal(_log_closed_form_diag(run, k), per_index)
 
     def test_off_diagonal_is_exactly_zero(self):
         assert fourier_gram_closed_form(2, 3, 1) == 0.0
