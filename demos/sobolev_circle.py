@@ -5,8 +5,9 @@ Circle Sobolev norms in the Fourier basis
 Grade k of the Sobolev ladder sums the squared L2 norms of the first k
 derivatives. In the real Fourier basis every grade is diagonal, with a
 closed-form entry per basis index. This demo checks the closed form
-against a quadrature oracle and watches the weight ratio settle onto
-the quadratic model.
+against a quadrature oracle, reads the singular values of the inclusion
+of grade 1 into grade 0 off the two diagonals, and watches the weight
+ratio settle onto the quadratic model.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from scalehilbert import (
     build_sobolev_space,
     fourier_gram_closed_form,
-    inclusion_singular_values,
     oracle_deltas,
     ratio_trace,
     sigma_equivalence_constants,
@@ -35,9 +35,11 @@ for k, (_, _, delta) in enumerate(oracle_deltas(nu_max, k_max)):
 
 # the whole ladder as a truncated scale space; the inclusion of grade k
 # into grade k-1 is compact in the limit, visible here as singular values
-# decaying like 1/nu
+# decaying like 1/nu. Both grades are diagonal, so the singular values are
+# the square roots of the weight ratios w_{k-1} / w_k, taken in log scale
 space = build_sobolev_space(nu_max, k_max)
-sv = inclusion_singular_values(space, 1)
+lo, hi = (space.grade(k).weight.log_values for k in (0, 1))
+sv = np.sort(np.exp(0.5 * (lo - hi)))[::-1]
 print("inclusion singular values (grade 1 -> 0), largest five:")
 print(" ", sv[:5])
 

@@ -23,9 +23,10 @@ else an SVD: singular values, plus vectors only when there is a kernel),
 the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
-fractal weight, and, for an explicit scale only, the equivalence
-constants, one generalized solve per grade in the kept eigenbasis, so
-that no power of A enters them (:meth:`OperatorAnalysis.equivalence`).
+fractal weight, and the equivalence constants of every grade
+(:attr:`OperatorAnalysis.equivalence`): for an explicit scale one loop of
+values-only generalized solves in the kept eigenbasis, each grade's Gram
+taken into it once, so that no power of A enters them.
 Each defect subtracts its expected identity or diagonal in place on the
 diagonal of the product it computes. Every certificate function takes
 the analysis, the one way in, so the top grade is named once, where the
@@ -197,17 +198,17 @@ class OperatorAnalysis:
     the top grade ``k_max``: by default an explicit scale's top grade (a
     higher one raises ValueError), and 0 under the graph default.
 
-    Each attribute, the :attr:`eigenbasis_pass` among them, and each grade
-    of :meth:`equivalence` are computed on first access and kept, so one
-    analysis runs each factorization once. The arrays kept are the
-    eigenvectors and the resolvent B; the eigenbasis pass keeps scalars
-    only. Build one per operator and drop it when that operator's
-    certification is done; a new analysis always starts empty.
+    Each attribute, the :attr:`eigenbasis_pass` and :attr:`equivalence`
+    among them, is computed on first access and kept, so one analysis runs
+    each factorization once. The arrays kept are the eigenvectors and the
+    resolvent B; the eigenbasis pass and the constants keep scalars only.
+    Build one per operator and drop it when that operator's certification
+    is done; a new analysis always starts empty.
     """
 
     def __init__(self, op: ScaleOperator, k_max: int | None = None):
         top = op.scale.k_max if op.scale is not None else None
-        self.op, self.k_max, self._equivalence = op, (top or 0) if k_max is None else k_max, {}
+        self.op, self.k_max = op, (top or 0) if k_max is None else k_max
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if top is not None and self.k_max > top:
@@ -321,28 +322,31 @@ class OperatorAnalysis:
                 grams.pop()  # no later step reads the last
         return EigenbasisPass(deviations=tuple(float(d) for d in deviations), restriction=restriction, pair=pair)
 
-    def equivalence(self, k: int) -> tuple[float, float]:
-        """:func:`scalehilbert.spaces.equivalence_constants` of G_{k+1} against
-        G_k + A^T G_k A in the kept eigenbasis, one solve per grade k, kept:
-        M_{k+1} against M_k + Gamma M_k Gamma, M_k = V^T G_k V, with V and Gamma
-        the |gamma|-sorted pairs of :func:`spectral_decompose` (its gate applies),
-        so the form loses no eps ||A||^2. Numerical trouble (LinAlgError, as the
-        grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
-        if k < 0:
-            raise IndexError("grade must be >= 0")
+    @cached_property
+    def equivalence(self) -> tuple:
+        """(c_lo, c_hi) of :func:`scalehilbert.spaces.equivalence_constants` for
+        grades k = 0..max(k_max, 1) - 1: G_{k+1} against G_k + A^T G_k A in the
+        kept eigenbasis, M_{k+1} against M_k + Gamma M_k Gamma, M_k = V^T G_k V,
+        with V and Gamma the |gamma|-sorted pairs of :func:`spectral_decompose`
+        (its gate applies), so the form loses no eps ||A||^2. One loop solves
+        every grade on first read and forms each M_k once: grade k's M_{k+1}
+        becomes grade k + 1's form, in place. Numerical trouble (LinAlgError,
+        as the grades are SPD) reads (nan, nan); the graph default, (1.0, 1.0)."""
+        n_grades = max(self.k_max, 1)
         if self.op.scale is None:
-            return 1.0, 1.0
-        if k not in self._equivalence:
-            data = spectral_decompose(self)
-            v, g = data.vectors, data.gammas
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
-                m_next, form = (v.T @ gram_matrix(self.op.scale, j) @ v for j in (k + 1, k))
+            return ((1.0, 1.0),) * n_grades
+        data = spectral_decompose(self)
+        v, g, constants = data.vectors, data.gammas, []
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed form is refused as non-finite
+            m_next = v.T @ gram_matrix(self.op.scale, 0) @ v
+            for k in range(n_grades):
+                form, m_next = m_next, v.T @ gram_matrix(self.op.scale, k + 1) @ v
                 form += g[:, None] * form * g
                 try:
-                    self._equivalence[k] = equivalence_constants(m_next, form)
+                    constants.append(equivalence_constants(m_next, form))
                 except np.linalg.LinAlgError:
-                    self._equivalence[k] = np.nan, np.nan
-        return self._equivalence[k]
+                    constants.append((np.nan, np.nan))
+        return tuple(constants)
 
 
 def check_kernel_cokernel(an: OperatorAnalysis) -> KernelReport:
@@ -412,22 +416,25 @@ def _full_rank_proved(an: OperatorAnalysis) -> bool:
 
 def regularity_constant(an: OperatorAnalysis, n_grade: int) -> float:
     """Best constant C with ||x||_{n+1} <= C sqrt(||Ax||_n^2 + ||x||_n^2):
-    sqrt(c_hi) of :meth:`OperatorAnalysis.equivalence` at grade n, solved in
+    sqrt(c_hi) of grade n of :attr:`OperatorAnalysis.equivalence`, solved in
     the eigenbasis, so C_0 comes from the graph equivalence's solve. The
     right-hand side is within a factor sqrt(2) of ||Ax||_n + ||x||_n, the
-    documented slack. Under the graph default C is exactly 1, unsolved.
+    documented slack. Under the graph default C is exactly 1, unsolved. A
+    grade below 0 or past max(k_max, 1) - 1 raises IndexError.
     """
-    return float(np.sqrt(an.equivalence(n_grade)[1]))
+    if n_grade < 0:
+        raise IndexError("grade must be >= 0")
+    return float(np.sqrt(an.equivalence[n_grade][1]))
 
 
 def graph_equivalence_constants(an: OperatorAnalysis) -> tuple[float, float]:
     """(c_lo, c_hi), attained, with c_lo ||x||_graph^2 <= ||x||_1^2 <=
-    c_hi ||x||_graph^2: grade 0 of :meth:`OperatorAnalysis.equivalence`, M_1
+    c_hi ||x||_graph^2: grade 0 of :attr:`OperatorAnalysis.equivalence`, M_1
     against M_0 + Gamma M_0 Gamma in the eigenbasis, never the graph Gram
     I + A^T A; an operator the symmetry gate refuses raises ValueError.
     Exactly (1.0, 1.0) under the graph default, where grade 1 is the graph Gram.
     """
-    return an.equivalence(0)
+    return an.equivalence[0]
 
 
 def resolvent(op: ScaleOperator) -> ResolventData:

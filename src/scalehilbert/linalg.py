@@ -4,7 +4,8 @@
 # reduction of a definite pencil (Golub and Van Loan, Matrix Computations, 8.7),
 # as LAPACK's sygvd does: b = L L^T is factored once, L^-1 comes from one LU
 # solve against the identity, and the symmetric eigensolve of C = L^-1 a L^-T
-# gives mu, nondecreasing (the ordering convention of the package), and V = L^-T W.
+# gives mu, nondecreasing (the ordering convention of the package), alone:
+# the callers read only the eigenvalues.
 
 import numpy as np
 
@@ -80,15 +81,13 @@ def require_spd(m, name="matrix"):
     return a
 
 
-def generalized_eigh(a, b, name_a="a", name_b="b"):
-    """Eigenpairs of a v = mu b v for symmetric a and SPD b.
-
-    Returns (mu, V) with mu nondecreasing, V^T b V = I and V^T a V = diag(mu).
-    """
-    a, b = require_symmetric(a, name=name_a), require_symmetric(b, name=name_b)
-    l_inv = np.linalg.solve(cholesky_spd(b, name_b), np.eye(b.shape[0]))
-    mu, w = np.linalg.eigh(sym_part(l_inv @ a @ l_inv.T))
-    return mu, l_inv.T @ w
+def generalized_eigh(a, b):
+    """Eigenvalues mu, nondecreasing, of a v = mu b v for symmetric a and SPD b."""
+    a, b = require_symmetric(a, name="a"), require_symmetric(b, name="b")
+    l_inv = np.linalg.solve(cholesky_spd(b, "b"), np.eye(b.shape[0]))
+    # eigh, whose vectors are dropped: eigvalsh takes another LAPACK path with
+    # other roundoff, and a c_lo within rounding of 0 reads that roundoff
+    return np.linalg.eigh(sym_part(l_inv @ a @ l_inv.T))[0]
 
 
 def principal_angles(x, y):

@@ -34,7 +34,6 @@ __all__ = [
     "IsometryReport",
     "weighted_sequence_space",
     "gram_matrix",
-    "inclusion_singular_values",
     "equivalence_constants",
     "is_scale_isometric",
     "space_from_json",
@@ -135,27 +134,6 @@ def gram_matrix(s: TruncatedScaleSpace, k: int) -> np.ndarray:
     return g.matrix.copy()
 
 
-def inclusion_singular_values(s: TruncatedScaleSpace, k: int) -> np.ndarray:
-    """Singular values of the identity (H_k, <,>_k) -> (H_{k-1}, <,>_{k-1}).
-
-    Nonincreasing. For a diagonal pair these are the square roots of the
-    weight ratios w_{k-1}/w_k (computed in log scale); in general they come
-    from the generalized eigenproblem G_{k-1} v = mu G_k v.
-    """
-    if k < 1:
-        raise IndexError("inclusion needs a grade k >= 1")
-    lo, hi = s.grade(k - 1), s.grade(k)
-    if isinstance(lo, DiagonalGrade) and isinstance(hi, DiagonalGrade):
-        log_ratio = lo.weight.log_values - hi.weight.log_values
-        sv = np.exp(0.5 * log_ratio)
-    else:
-        mu = linalg.generalized_eigh(
-            gram_matrix(s, k - 1), gram_matrix(s, k), f"grade {k - 1}", f"grade {k}"
-        )[0]
-        sv = np.sqrt(np.maximum(mu, 0.0))
-    return np.sort(sv)[::-1]
-
-
 def equivalence_constants(g: np.ndarray, h: np.ndarray) -> tuple[float, float]:
     """(c_lo, c_hi), the attained extremes of g v = mu h v. Two 1-d arrays
     are the log tables of diagonal forms, whose ratios are taken in log scale
@@ -166,7 +144,7 @@ def equivalence_constants(g: np.ndarray, h: np.ndarray) -> tuple[float, float]:
             raise ValueError("log tables must have matching length")
         ratio = np.exp(g - h)
         return float(ratio.min()), float(ratio.max())
-    mu = linalg.generalized_eigh(g, h)[0]
+    mu = linalg.generalized_eigh(g, h)
     return float(mu[0]), float(mu[-1])
 
 

@@ -87,7 +87,7 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
     (the C_k the report lists) have 0 < c_lo <= c_hi, else inf; 0 by identity
     under the graph default. The forms are SPD, so it fails only on numerical
     trouble: a failed or overflowed pencil, or a c_lo within its rounding of 0."""
-    return 0.0 if all(0.0 < lo <= hi for lo, hi in map(an.equivalence, range(max(an.k_max, 1)))) else float("inf")
+    return 0.0 if all(0.0 < lo <= hi for lo, hi in an.equivalence) else float("inf")
 
 
 # Ordered as hessian-analyze reports them, symmetry (its gate) first. The

@@ -3,7 +3,7 @@
 For a double operator A and double Gram matrices G_k, G_{k+1} of an explicit
 scale, :func:`equivalence_extremes` returns the extreme eigenvalues of the
 pencil G_{k+1} v = mu (G_k + A^T G_k A) v: the constants that
-``OperatorAnalysis.equivalence(k)`` computes in the eigenbasis, here by the
+``OperatorAnalysis.equivalence[k]`` holds, computed in the eigenbasis, here by the
 direct route, for the double entries as given. mpmath carries DIGITS = 50
 significant digits: the products of doubles in the form are exact to about
 that many, and the Cholesky reduction of a form of condition kappa loses

@@ -355,7 +355,7 @@ class TestGraphLadder:
 
 class TestRegularity:
     def test_graph_default_constant_is_one(self):
-        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 3.0, 0.5])))
+        an = OperatorAnalysis(ScaleOperator(np.diag([1.0, 3.0, 0.5])), k_max=3)
         for k in (0, 1, 2):
             assert regularity_constant(an, k) == 1.0
 
@@ -372,15 +372,20 @@ class TestRegularity:
     def test_random_graph_default_within_slack(self):
         rng = np.random.default_rng(17)
         op = ScaleOperator(random_symmetric(rng, 12))
-        assert regularity_constant(OperatorAnalysis(op), 2) == 1.0
+        assert regularity_constant(OperatorAnalysis(op, k_max=3), 2) == 1.0
 
     def test_missing_grade_raises(self):
-        scale = weighted_sequence_space(Weight(np.zeros(3)), 1)
-        an = OperatorAnalysis(ScaleOperator(np.eye(3), scale))
-        with pytest.raises(IndexError):
-            regularity_constant(an, 1)
-        with pytest.raises(IndexError):
-            regularity_constant(an, -1)
+        # grades 0..max(k_max, 1) - 1 exist, under an explicit scale and the graph default alike
+        scale = weighted_sequence_space(Weight(np.zeros(3)), 2)
+        for an, top in [(OperatorAnalysis(ScaleOperator(np.eye(3), scale), k_max=1), 1),
+                        (OperatorAnalysis(ScaleOperator(np.eye(3), scale)), 2),
+                        (OperatorAnalysis(ScaleOperator(np.eye(3))), 1),
+                        (OperatorAnalysis(ScaleOperator(np.eye(3)), k_max=3), 3)]:
+            regularity_constant(an, top - 1)
+            with pytest.raises(IndexError):
+                regularity_constant(an, top)
+            with pytest.raises(IndexError):
+                regularity_constant(an, -1)
 
 
 class TestGraphEquivalence:
@@ -445,7 +450,7 @@ class TestShiftedFloerHessian:
         an = OperatorAnalysis(op)
         for k in range(self.K_MAX):
             grades = [gram_matrix(op.scale, j) for j in (k, k + 1)]
-            for got, want in zip(an.equivalence(k), exact.equivalence_extremes(op.matrix, *grades)):
+            for got, want in zip(an.equivalence[k], exact.equivalence_extremes(op.matrix, *grades)):
                 assert abs(got - want) <= 4 * linalg.EPS * want
 
 
@@ -535,7 +540,7 @@ class TestExactEquivalence:
         for k in range(scale.k_max):
             w, w_next = (grade.weight.values() for grade in scale.grades[k : k + 2])
             ratios = [Fraction(hi) / (Fraction(lo) * (1 + Fraction(g) ** 2)) for lo, hi, g in zip(w, w_next, a)]
-            for got, want in zip(an.equivalence(k), (min(ratios), max(ratios))):
+            for got, want in zip(an.equivalence[k], (min(ratios), max(ratios))):
                 assert abs(Fraction(got) - want) <= 4 * Fraction(linalg.EPS) * want
 
 

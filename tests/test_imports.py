@@ -103,9 +103,9 @@ def test_walker_finds_bare_and_attribute_references():
 
 
 def test_generalized_eigh_has_one_definition_of_equivalence():
-    # every equivalence constant goes through spaces.equivalence_constants;
-    # the inclusion singular values need the whole spectrum, not its ends
-    assert callers_in_src("generalized_eigh") == {"spaces.equivalence_constants", "spaces.inclusion_singular_values"}
+    # every equivalence constant goes through spaces.equivalence_constants,
+    # the one caller of the generalized eigensolve
+    assert callers_in_src("generalized_eigh") == {"spaces.equivalence_constants"}
 
 
 def test_cholesky_is_called_only_inside_linalg():

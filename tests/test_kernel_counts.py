@@ -28,9 +28,9 @@ import numpy as np
 import pytest
 
 import scalehilbert
-from scalehilbert import linalg, verify
+from scalehilbert import build_sobolev_space, hessian, linalg, verify
 from scalehilbert.cli import main
-from scalehilbert.hessian import OperatorAnalysis, graph_equivalence_constants, regularity_constant
+from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, graph_equivalence_constants, regularity_constant
 from scalehilbert.verify import analyze_operator_batch, run_verify_all, standard_operator_set
 
 import test_hessian
@@ -139,14 +139,14 @@ def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
 
 
 def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monkeypatch):
-    """J d/dt + s on the Sobolev ladder (the shifted Floer fixture): the
-    constants are solved in the eigenbasis, so the first one takes the
-    spectral ``eigh`` that every later grade shares; every generalized solve
-    factors its right-hand form by one Cholesky, takes that factor's inverse
-    by one LU solve and makes one ``eigh``; the Sobolev grades are diagonal,
-    so loading the scale factors nothing. The constants make one solve per
-    grade and never invert the resolvent; ``regularity_constant`` reads
-    grade 0 off the graph-equivalence solve and repeats no solve."""
+    """J d/dt + s on the Sobolev ladder (the shifted Floer fixture, K = 3
+    grades): the first read of the constants solves every grade, in the
+    eigenbasis of the one spectral ``eigh``; every generalized solve factors
+    its right-hand form by one Cholesky, takes that factor's inverse by one
+    LU solve and makes one ``eigh``. The Sobolev grades are diagonal, so
+    loading the scale factors nothing, and the resolvent is never inverted.
+    Later reads, ``regularity_constant`` at every grade among them, solve
+    nothing."""
     solves = collections.Counter()
     generalized_eigh = linalg.generalized_eigh
 
@@ -157,15 +157,37 @@ def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monk
     monkeypatch.setattr(linalg, "generalized_eigh", counted)
     analysis = OperatorAnalysis(test_hessian.TestShiftedFloerHessian().fixture()[0])
     assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "inv": 0, "cholesky": 0, "angle_svd": 0}
+    every_grade = {"eig": 0, "eigh": 4, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
     graph_equivalence_constants(analysis)
-    assert solves["generalized_eigh"] == 1
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 2, "svd": 0, "solve": 1, "inv": 0, "cholesky": 1, "angle_svd": 0}
+    assert solves["generalized_eigh"] == 3
+    assert dict(kernel_calls) == every_grade
     for _ in range(2):
         for n_grade in range(3):
             regularity_constant(analysis, n_grade)
-        # grades 1 and 2 add one solve each; grade 0 and the second pass none
+        graph_equivalence_constants(analysis)
         assert solves["generalized_eigh"] == 3
-        assert dict(kernel_calls) == {"eig": 0, "eigh": 4, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
+        assert dict(kernel_calls) == every_grade
+
+
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_explicit_scale_forms_each_grade_gram_once(k_max, monkeypatch):
+    """The constants of a K-grade scale take each Gram G_0..G_K into the
+    eigenbasis once: K + 1 ``gram_matrix`` calls, where a pencil per grade
+    formed afresh would make 2K."""
+    grams = collections.Counter()
+    gram_matrix = hessian.gram_matrix
+
+    def counted(s, k):
+        grams[k] += 1
+        return gram_matrix(s, k)
+
+    monkeypatch.setattr(hessian, "gram_matrix", counted)
+    op = test_hessian.TestSmoothFloerHessian().operator(9)
+    analysis = OperatorAnalysis(ScaleOperator(op.matrix, build_sobolev_space(9, k_max)))
+    for _ in range(2):
+        for n_grade in range(k_max):
+            regularity_constant(analysis, n_grade)
+        assert grams == {k: 1 for k in range(k_max + 1)}
 
 
 def test_demo_shares_one_analysis(kernel_calls, tmp_path, monkeypatch, capsys):
