@@ -19,7 +19,8 @@ reconstruction residual, the eigenbasis pass
 fractal defects of grades 0..max(k_max, 1), the restriction and the
 pair-isometry defects and keeps only those scalars, so no graph Gram is
 formed), the kernel report (a full-rank proof from the ``eigh`` pairs,
-else an SVD: singular values, plus vectors only when there is a kernel),
+else one SVD, whose kernel and range complement give the largest
+principal angle directly),
 the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
 result also gives its condition guard) with its normality pair and its
 consistency bound (the eigen-residuals of the ``eigh`` pairs), the
@@ -350,7 +351,7 @@ class OperatorAnalysis:
 
 
 def check_kernel_cokernel(an: OperatorAnalysis) -> KernelReport:
-    """Kernel and cokernel data: a full-rank proof first, else an SVD.
+    """Kernel and cokernel data: a full-rank proof first, else one SVD.
 
     Dimensions count singular values at or below n * machine epsilon
     times the largest one. The reported angle is the
@@ -376,22 +377,30 @@ def check_kernel_cokernel(an: OperatorAnalysis) -> KernelReport:
     proof. The widening is of order n^2 eps ||A||, so the proof certifies
     only that far clear of the cutoff, beyond the SVD's own rounding of it.
 
-    Otherwise the rank comes from a values-only SVD. At full rank both
-    subspaces are empty and the angle is 0, so no singular vectors are
-    computed; else one full SVD gives the kernel and the range complement
-    as orthonormal slices of V and U, cut at that same rank.
+    Otherwise one SVD A = U S V^T gives the rank and, cut at it, the kernel
+    X (the trailing columns of V) and the range complement Y (the trailing
+    columns of U), orthonormal and of one dimension d. For two spans of
+    equal dimension sin theta_max = ||(I - X X^T) Y||_2 (Golub and Van
+    Loan, Matrix Computations, the distance between subspaces), so the
+    angle is the arcsine of the largest singular value of Y - X (X^T Y),
+    one values-only SVD of an n x d matrix; at full rank d = 0 and it is
+    0. The arcsine loses accuracy as the sine nears 1, so where the sine
+    exceeds sqrt(1/2) (theta_max > pi/4, far past any tolerance) the angle
+    is the arccosine of sigma_min(X^T Y), the largest angle's cosine.
     """
     if _full_rank_proved(an):
         return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
     a, n = an.op.matrix, an.op.n
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = n * linalg.EPS * (float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank == n:
-        return KernelReport(ker_dim=0, coker_dim=0, subspace_angle=0.0)
-    u, _, vt = np.linalg.svd(a)
-    angle = float(np.max(linalg.principal_angles(vt[rank:].T, u[:, rank:])))
-    return KernelReport(ker_dim=n - rank, coker_dim=n - rank, subspace_angle=angle)
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > n * linalg.EPS * s[0]))
+    x, y = vt[rank:].T, u[:, rank:]
+    cross = x.T @ y
+    sine = np.max(np.linalg.svd(y - x @ cross, compute_uv=False), initial=0.0)
+    if sine <= np.sqrt(0.5):
+        angle = np.arcsin(sine)
+    else:
+        angle = np.arccos(min(np.linalg.svd(cross, compute_uv=False)[-1], 1.0))
+    return KernelReport(ker_dim=n - rank, coker_dim=n - rank, subspace_angle=float(angle))
 
 
 def _full_rank_proved(an: OperatorAnalysis) -> bool:

@@ -90,29 +90,6 @@ def generalized_eigh(a, b):
     return np.linalg.eigh(sym_part(l_inv @ a @ l_inv.T))[0]
 
 
-def principal_angles(x, y):
-    """Principal angles between the spans of two real matrices with
-    orthonormal columns, largest first (empty -> []).
-
-    The Knyazev-Argentati steps of ``scipy.linalg.subspace_angles``, which
-    first re-orthonormalizes both inputs; here the columns must already
-    be orthonormal. The cosines are the singular values of x^T y and the
-    sines those of the residual of the side with more columns (scipy's
-    branch); an angle is the arcsine of its sine where its cosine^2 >= 1/2
-    and the arccosine of its cosine elsewhere. scipy reads that mask in
-    cosine order, not angle order, and so loses about 1e-8 on spans that
-    meet at both a tiny angle and one near pi/2.
-    """
-    if x.size == 0 or y.size == 0:
-        return np.zeros(0)
-    cross = x.T @ y
-    cosines = np.linalg.svd(cross, compute_uv=False)
-    residual = y - x @ cross if x.shape[1] >= y.shape[1] else x - y @ cross.T
-    small = cosines[::-1] ** 2 >= 0.5
-    sines = np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), -1.0, 1.0)) if small.any() else 0.0
-    return np.where(small, sines, np.arccos(np.clip(cosines[::-1], -1.0, 1.0)))
-
-
 def random_orthogonal(n, rng):
     """Haar-ish orthogonal matrix from a seeded generator, sign-normalized
     so the result is a deterministic function of the generator state."""

@@ -236,6 +236,9 @@ class TestKernelCokernel:
         assert sum(k > 0 for k in ker_dims) == 26
 
     def test_values_only_rank_decision_at_the_cutoff(self):
+        # a zero defeats the full-rank proof, so the rank comes from the
+        # kernel entry's one SVD, with vectors, cut at n eps sigma_1: the
+        # value 10 cutoffs up counts, the one at 0.1 cutoff does not
         n = 6
         cutoff = n * linalg.EPS
         op = ScaleOperator(np.diag([1.0, 0.5, 0.25, 10 * cutoff, 0.1 * cutoff, 0.0]))
@@ -279,8 +282,8 @@ class TestKernelCokernel:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(a=kernel_inputs())
     def test_full_rank_proof_implies_the_svd_rank(self, a):
-        # whenever the proof certifies full rank, the values-only SVD finds
-        # it too: its smallest singular value is above the rank cutoff
+        # whenever the proof certifies full rank, an SVD of A finds it
+        # too: its smallest singular value is above the rank cutoff
         an = OperatorAnalysis(ScaleOperator(a))
         if hessian._full_rank_proved(an):
             s = np.linalg.svd(a, compute_uv=False)

@@ -4,13 +4,13 @@ The counters wrap ``numpy.linalg.{eig, eigh, svd, solve, inv, cholesky}``;
 ``svd_uv`` lists the ``compute_uv`` flag of every ``svd`` call. The
 package calls these through the module namespace, so every
 factorization it makes is counted; ``numpy.linalg.norm`` calls its
-module-internal SVD and does not show up. The values-only SVDs that
-:func:`scalehilbert.linalg.principal_angles` takes are counted apart,
-as ``angle_svd``, and stay out of ``svd_uv``. The kernel certificate
-first tries a full-rank proof from the ``eigh`` pairs it shares with the
-other certificates and takes no SVD when it holds; otherwise it takes a
-values-only SVD, and a second one with vectors only when the operator has
-a kernel. The resolvent is one ``inv`` per operator; ``solve``
+module-internal SVD and does not show up. The kernel certificate first
+tries a full-rank proof from the ``eigh`` pairs it shares with the other
+certificates and takes no SVD when it holds; otherwise it takes one SVD
+of A with vectors, and one values-only SVD of the n x d residual whose
+largest singular value is the sine of the largest principal angle (a
+third, of the d x d cosine matrix, only when that angle exceeds pi/4).
+The resolvent is one ``inv`` per operator; ``solve``
 runs only for the L^-1 of a generalized symmetric eigensolve, so never
 under the graph default.
 """
@@ -49,14 +49,12 @@ KERNELS = {
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    calls = collections.Counter({name: 0 for name in [*KERNELS, "angle_svd"]})
+    calls = collections.Counter({name: 0 for name in KERNELS})
     calls.svd_uv = []
     for name, (module, attr) in KERNELS.items():
         fn = getattr(module, attr)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
-            if _name == "svd" and sys._getframe(1).f_code is linalg.principal_angles.__code__:
-                _name = "angle_svd"
             calls[_name] += 1
             if _name == "svd":
                 calls.svd_uv.append(kwargs.get("compute_uv", True))
@@ -79,15 +77,15 @@ def test_hessian_analyze_factorizes_once(kernel_calls, tmp_path, capsys):
     spec = {"n": 12, "kind": "conjugated_diagonal", "seed": 5,
             "diag": [0.0, 0.0, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 2
-    # eigh: spectral data; svd: the kernel's singular values, then its
-    # vectors (this operator has a kernel); inv: resolvent (its guard,
-    # the adjoint and the consistency residual read its result);
+    # eigh: spectral data; svd: the kernel's one SVD with vectors (this
+    # operator has a kernel), then the values of the residual of its range
+    # complement against its kernel, whose largest is the sine of the
+    # largest angle (a small one, so no cosine SVD); inv: resolvent (its
+    # guard, the adjoint and the consistency residual read its result);
     # the graph-default constants are identities, so no generalized eigh
-    # or Cholesky runs; the principal angles read the SVD's own bases and
-    # take the values of their cosines and (kernel and cokernel meet at a
-    # small angle) of their sines
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 2}
-    assert kernel_calls.svd_uv == [False, True]
+    # or Cholesky runs
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 2, "solve": 0, "inv": 1, "cholesky": 0}
+    assert kernel_calls.svd_uv == [True, False]
 
 
 def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
@@ -95,8 +93,17 @@ def test_full_rank_kernel_takes_values_only(kernel_calls, tmp_path, capsys):
             "diag": [0.3, -0.8, -1.5, 0.7, 2.0, 1.2, -0.4, 3.0, 0.9, -2.2, 1.1, 0.6]}
     assert analyze_spec(spec, tmp_path, capsys)["kernel"]["ker_dim"] == 0
     # full rank is proved from the eigh pairs, so no SVD runs
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 0, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 0}
     assert kernel_calls.svd_uv == []
+
+
+def test_kernel_angle_past_pi_over_4_reads_its_cosine(kernel_calls):
+    # the nilpotent [[0, 1], [0, 0]]: kernel e1 and range complement e2 meet
+    # at pi/2, whose sine 1 is past sqrt(1/2), so a third, values-only SVD
+    # gives the cosine
+    report = hessian.check_kernel_cokernel(OperatorAnalysis(ScaleOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))))
+    assert report.subspace_angle == np.pi / 2
+    assert kernel_calls["svd"] == 3 and kernel_calls.svd_uv == [True, False, False]
 
 
 def test_batch_factorizes_once_per_operator(kernel_calls):
@@ -104,10 +111,10 @@ def test_batch_factorizes_once_per_operator(kernel_calls):
     rows = analyze_operator_batch(ops)
     assert len(rows) == 6
     # full rank is proved without an SVD; a rank-deficient operator takes
-    # a values-only svd and then a vector svd
+    # a vector svd and then the values-only svd of the sine
     assert [row["kernel"].ker_dim > 0 for row in rows] == [False, True] * 3
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 0, "inv": 6, "cholesky": 0, "angle_svd": 6}
-    assert kernel_calls.svd_uv == [False, True] * 3
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 6, "svd": 6, "solve": 0, "inv": 6, "cholesky": 0}
+    assert kernel_calls.svd_uv == [True, False] * 3
 
 
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
@@ -156,8 +163,8 @@ def test_explicit_scale_factorizes_once_per_generalized_solve(kernel_calls, monk
 
     monkeypatch.setattr(linalg, "generalized_eigh", counted)
     analysis = OperatorAnalysis(test_hessian.TestShiftedFloerHessian().fixture()[0])
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "inv": 0, "cholesky": 0, "angle_svd": 0}
-    every_grade = {"eig": 0, "eigh": 4, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 0, "svd": 0, "solve": 0, "inv": 0, "cholesky": 0}
+    every_grade = {"eig": 0, "eigh": 4, "svd": 0, "solve": 3, "inv": 0, "cholesky": 3}
     graph_equivalence_constants(analysis)
     assert solves["generalized_eigh"] == 3
     assert dict(kernel_calls) == every_grade
@@ -197,7 +204,7 @@ def test_demo_shares_one_analysis(kernel_calls, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / "fractal_from_operator.py"), run_name="__main__")
     assert "scale isometry onto the weighted model: True" in capsys.readouterr().out
-    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 4, "angle_svd": 0}
+    assert dict(kernel_calls) == {"eig": 0, "eigh": 1, "svd": 0, "solve": 0, "inv": 1, "cholesky": 4}
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):

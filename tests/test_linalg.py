@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from scalehilbert.hessian import OperatorAnalysis, ScaleOperator, check_kernel_cokernel
 from scalehilbert.linalg import (
     EPS,
     as_square_matrix,
     cholesky_spd,
     frobenius,
     generalized_eigh,
-    principal_angles,
     random_orthogonal,
     require_spd,
     require_symmetric,
@@ -91,14 +91,6 @@ def test_generalized_eigh_matches_lapack_sygvd(log10_kappa):
     assert np.max(np.abs(mu - oracle) / np.abs(oracle)) <= 32 * EPS * 10.0**log10_kappa
 
 
-def test_principal_angles():
-    e1 = np.eye(3)[:, :1]
-    e2 = np.eye(3)[:, 1:2]
-    assert principal_angles(e1, e2)[0] == pytest.approx(np.pi / 2, rel=1e-12)
-    assert principal_angles(e1, e1)[0] == pytest.approx(0.0, abs=1e-12)
-    assert principal_angles(np.zeros((3, 0)), e1).size == 0
-
-
 def prescribed_bases(angles, extra_x, extra_y, seed, n=24):
     """Orthonormal x, y (QR-built) whose spans meet at ``angles``, with
     ``extra_x``/``extra_y`` further columns orthogonal to the other span;
@@ -112,9 +104,9 @@ def prescribed_bases(angles, extra_x, extra_y, seed, n=24):
     return x @ random_orthogonal(x.shape[1], rng), y @ random_orthogonal(y.shape[1], rng)
 
 
-# All at most pi/4 (every angle from the sines), all above it (every
-# angle from the cosines), both in one call, and a tiny angle next to
-# one near pi/2. scipy picks sine or cosine by a mask on the descending
+# All at most pi/4 (the largest read from its sine), all above it (the
+# largest from its cosine), both in one set, and a tiny angle next to one
+# near pi/2. scipy picks sine or cosine by a mask on the descending
 # cosines but applies it to the descending angles, so on the mixed set
 # it reads arccos near 1 or arcsin near 1, where one ulp of input moves
 # the angle by about 1e-8; that set is checked against the prescribed
@@ -128,22 +120,72 @@ ANGLE_SETS = {
 SCIPY_MASK_QUIRK = {"mixed"}
 
 
+def with_kernel_pair(x, y, seed):
+    """A = W diag(s) Z^T, s uniform in [1, 2] from default_rng(seed), with Z
+    and W orthonormal complements of x and y (complete QR): its kernel is
+    span(x) and the complement of its range span(y). It is not symmetric,
+    so the kernel entry's full-rank proof refuses it and its SVD runs."""
+    n, d = x.shape
+    z = np.linalg.qr(x, mode="complete")[0][:, d:]
+    w = np.linalg.qr(y, mode="complete")[0][:, d:]
+    return (w * np.random.default_rng(seed).uniform(1.0, 2.0, n - d)) @ z.T
+
+
+def kernel_angle(a, monkeypatch):
+    """(KernelReport, number of ``svd`` calls) of the kernel entry on a."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        return check_kernel_cokernel(OperatorAnalysis(ScaleOperator(a))), len(calls)
+
+
+# The largest principal angle that the kernel entry reads, against the one
+# prescribed and (outside the mask quirk) scipy's: the largest gap measured
+# is 2.5 eps against the prescribed angle and 3 eps against scipy's
+KERNEL_ANGLE_TOL = 8 * EPS
+
+
+def test_principal_angles(monkeypatch):
+    # the nilpotent operator's kernel e1 meets its range complement e2 at
+    # pi/2, read from the cosine; diag(0, 1) has kernel and range complement
+    # e1, angle 0; a nonsymmetric full-rank operator fails the proof and
+    # its SVD finds two empty subspaces, angle 0
+    cases = [([[0.0, 1.0], [0.0, 0.0]], 1, np.pi / 2, 3), ([[0.0, 0.0], [0.0, 1.0]], 1, 0.0, 2),
+             ([[1.0, 1.0], [0.0, 1.0]], 0, 0.0, 2)]
+    for a, ker_dim, angle, svd_calls in cases:
+        report, calls = kernel_angle(np.array(a), monkeypatch)
+        assert (report.ker_dim, report.coker_dim, calls) == (ker_dim, ker_dim, svd_calls)
+        assert report.subspace_angle == pytest.approx(angle, rel=1e-15, abs=0.0)
+
+
+# orthogonal, shared: the spans also meet at pi/2 along ``orthogonal``
+# further directions and at 0 along ``shared`` common ones
 @pytest.mark.parametrize("name", sorted(ANGLE_SETS))
-@pytest.mark.parametrize("extra_x, extra_y", [(0, 0), (2, 0), (0, 3)])
+@pytest.mark.parametrize("orthogonal, shared", [(0, 0), (2, 0), (0, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_principal_angles_match_scipy(name, extra_x, extra_y, seed):
-    angles = ANGLE_SETS[name]
-    x, y = prescribed_bases(angles, extra_x, extra_y, seed)
-    assert x.T @ x == pytest.approx(np.eye(x.shape[1]), abs=1e-14)
-    assert y.T @ y == pytest.approx(np.eye(y.shape[1]), abs=1e-14)
-    expected = np.sort(angles)[::-1]
-    for a, b in ((x, y), (y, x)):
-        got = principal_angles(a, b)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-14
-        if name not in SCIPY_MASK_QUIRK:
-            assert np.max(np.abs(got - scipy.linalg.subspace_angles(a, b))) <= 1e-14
-        assert np.max(np.abs(got - expected)) <= 1e-14
+def test_principal_angles_match_scipy(name, orthogonal, shared, seed, monkeypatch):
+    """The kernel entry on an operator whose kernel and range complement are
+    prescribed spans reads their largest principal angle, from the sine at
+    most pi/4 (2 SVDs) and from the cosine above it (3 SVDs), in either
+    role. With extra directions the spans meet at 0 or pi/2 besides the
+    set's angles, where scipy's mask quirk shows on most sets, so only the
+    bare sets are checked against scipy."""
+    angles = np.concatenate([ANGLE_SETS[name], np.zeros(shared)])
+    x, y = prescribed_bases(angles, orthogonal, orthogonal, seed)
+    expected = np.pi / 2 if orthogonal else float(np.max(angles))
+    for kernel, complement in ((x, y), (y, x)):
+        report, calls = kernel_angle(with_kernel_pair(kernel, complement, seed), monkeypatch)
+        assert report.ker_dim == report.coker_dim == len(angles) + orthogonal
+        assert calls == (3 if expected > np.pi / 4 else 2)
+        assert abs(report.subspace_angle - expected) <= KERNEL_ANGLE_TOL
+        if not (orthogonal or shared or name in SCIPY_MASK_QUIRK):
+            oracle = np.max(scipy.linalg.subspace_angles(kernel, complement))
+            assert abs(report.subspace_angle - oracle) <= KERNEL_ANGLE_TOL
 
 
 def test_random_orthogonal_is_deterministic_and_orthogonal():

@@ -23,17 +23,20 @@ the oracle reads 63127.9. Under the zero entry, ``verify-all`` exits 1
 with criterion 1 alone failing, and its report writes the infinite
 defect as null.
 
-Criteria 2 and 9, each through a patch of its own input:
+Criteria 2, 4 and 9, each through a patch of its own input:
 
 | control | defect (tolerance) | fails |
 |---|---|---|
-| none | 6.0e-3 (0.01) and 0 (0) | none |
+| none | 6.0e-3 (0.01), 0 (0); criterion 4's control commutator 0.471 (floor 0.01) | none |
 | criterion 2's right side k log(nu^3 + 1), d p = 3 | 0.99999999998 (0.01) | 2 |
+| criterion 4's built-in control ``NEGATIVE_CONTROL`` made symmetric, [[0, 1], [1, 0]] | control commutator 0 (floor 0.01) | 4 |
 | every second run of the core adds a detail to criterion 1 | 1.0 (0) | 9 |
 
 Under the cubic side grades 1-3 leave [2^-k, (1 + 4 pi^2)^k] and their
-ratio tends to 0, not pi^(2k). Under either control ``verify-all`` exits
-1 with that criterion alone failing.
+ratio tends to 0, not pi^(2k). A symmetric control has a normal
+resolvent, so criterion 4 fails on its control alone, its batch defect
+unmoved. Under each control ``verify-all`` exits 1 with that criterion
+alone failing.
 
 Operator certificates, through ``hessian-analyze`` (pinned tolerances):
 
@@ -50,6 +53,20 @@ block on the kernel has one zero eigenvalue and a pair +-i w, w ~ 1e-10,
 above the SVD cutoff, so the SVD counts one kernel vector where ``eigh``
 of the symmetric part sees three, and the angle carries what neither the
 gate nor ``eigh`` sees.
+
+The kernel angle is the largest principal angle, not any other: through
+``check_kernel_cokernel`` on A = W diag(s) Z^T, s uniform in [1, 2], whose
+kernel and range complement are the n = 24 spans of dimension 2 that
+``prescribed_bases`` of ``test_linalg`` draws at seed 0 to meet at the
+two angles. A is not symmetric, so the full-rank proof refuses it and the
+SVD runs:
+
+| angles | kernel-cokernel-angle (tolerance 1e-8) | fails |
+|---|---|---|
+| 1e-12, 1e-13 | 1.0e-12 | none |
+| 1e-12, 1e-6 | 1.0e-6 | kernel-cokernel-angle |
+
+Read as the smallest angle, the second row would pass at 1e-12.
 
 graph-equivalence-positivity, through ``hessian-analyze`` on
 A = [[1, 1], [1, -1]] (gamma = +-sqrt 2) with the scale of diagonal grades
@@ -138,11 +155,14 @@ import pytest
 
 from scalehilbert import linalg, sobolev_circle, verify
 from scalehilbert.cli import main
-from scalehilbert.hessian import (OperatorAnalysis, ResolventData, ScaleOperator, SpectralData, conjugated_diagonal,
-                                  spectral_decompose)
-from scalehilbert.verify import (DEFAULT_SEED, OPERATOR_CERTIFICATES, criterion_sigma_witness, criterion_sobolev_oracle,
-                                 run_verify_all)
+from scalehilbert.hessian import (OperatorAnalysis, ResolventData, ScaleOperator, SpectralData, check_kernel_cokernel,
+                                  conjugated_diagonal, spectral_decompose)
+from scalehilbert.verify import (DEFAULT_SEED, KERNEL_ANGLE, OPERATOR_CERTIFICATES, analyze_operator_batch,
+                                 criterion_resolvent_normality, criterion_sigma_witness, criterion_sobolev_oracle,
+                                 run_verify_all, standard_operator_set)
 from scalehilbert.weights import poly_plus_one_weight
+
+from test_linalg import prescribed_bases, with_kernel_pair
 
 closed_form = sobolev_circle.fourier_gram_closed_form
 
@@ -208,6 +228,18 @@ def verify_all_failures(tmp_path):
     assert main(["--command", "verify-all", "--output", str(report_path)]) == 1
     with open(report_path) as fh:
         return [c["number"] for c in json.load(fh, parse_constant=reject_non_finite)["criteria"] if not c["passed"]]
+
+
+def test_criterion_4_control(monkeypatch, tmp_path):
+    batch = analyze_operator_batch(standard_operator_set(DEFAULT_SEED, count=6))
+    unperturbed = criterion_resolvent_normality(batch)
+    assert unperturbed.passed and unperturbed.details["negative_control_commutator"] >= 0.47
+    monkeypatch.setattr(verify, "NEGATIVE_CONTROL", ((0.0, 1.0), (1.0, 0.0)))
+    result = criterion_resolvent_normality(batch)
+    assert (result.number, result.name, result.passed) == (4, "resolvent-normality", False)
+    assert result.defect == unperturbed.defect <= result.tol
+    assert result.details["negative_control_commutator"] < result.details["negative_control_floor"]
+    assert verify_all_failures(tmp_path) == [4]
 
 
 def cubic_sigma_tables(nu_max, k):
@@ -291,6 +323,16 @@ def test_kernel_cokernel_angle_control(tmp_path, skew, code, ker_dim, failing):
         assert low <= certificates[name]["defect"] <= high
     if not skew:
         assert 1e-16 <= certificates["kernel-cokernel-angle"]["defect"] <= 1e-14
+
+
+@pytest.mark.parametrize("angles, low, high", [((1e-12, 1e-13), 0.99e-12, 1.01e-12), ((1e-12, 1e-6), 0.99e-6, 1.01e-6)],
+                         ids=["unperturbed", "second-angle"])
+def test_kernel_angle_reads_the_largest_angle(angles, low, high):
+    x, y = prescribed_bases(np.array(angles), 0, 0, 0)
+    report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(with_kernel_pair(x, y, 0))))
+    assert report.ker_dim == report.coker_dim == 2
+    assert low <= report.subspace_angle <= high
+    assert (report.subspace_angle <= KERNEL_ANGLE.tol) == (max(angles) < KERNEL_ANGLE.tol)
 
 
 SYMMETRY_CONTROL_FAILS = {"symmetry": (1.99e-10, 2.01e-10)}
