@@ -46,13 +46,12 @@ print(f"ker_dim {kernel.ker_dim}, coker_dim {kernel.coker_dim}, angle {kernel.su
 
 # the resolvent at the unit imaginary point exists unconditionally and
 # must be normal, with adjoint equal to the conjugate-point resolvent
-r = an.resolvent
-commutator, adjoint = normality_defect(r)
-print(f"resolvent residual {r.residual:.2e}, commutator {commutator:.2e}, adjoint {adjoint:.2e}")
+commutator, adjoint = normality_defect(an.resolvent)
+print(f"resolvent residual {an.resolvent_residual:.2e}, commutator {commutator:.2e}, adjoint {adjoint:.2e}")
 
 # eigenvalues from the direct decomposition against the resolvent route
 data = spectral_decompose(an)
-dev = resolvent_consistency(an, data)
+dev = resolvent_consistency(an)
 print(f"eigenvalues in [{data.gammas.min():+.4f}, {data.gammas.max():+.4f}], "
       f"resolvent cross-check {dev:.2e}")
 

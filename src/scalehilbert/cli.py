@@ -52,7 +52,7 @@ DEFAULT_LADDER = (64, 256, 1024)
 # indices per chunk of the ladder's log tables; even, so that no frequency
 # nu // 2 of a Sobolev side is split between two chunks
 _LADDER_CHUNK = 2**12
-# items of a top-level report list or iterator encoded per json.dumps call
+# rows of a token table encoded per slice
 _JSON_SLICE = 256
 
 
@@ -129,27 +129,21 @@ def _dumps(value) -> str:
 
 def _write_json(path: str, obj: dict):
     """Write exactly ``json.dumps(obj) + "\\n"`` with non-finite floats as
-    null, where a top-level iterator is written as the list of its items and
-    a :class:`_TokenTable` as the list of its row dicts, with its CSV mirror.
+    null, where a :class:`_TokenTable` is written as the list of its row
+    dicts, with its CSV mirror.
 
-    ``json`` encodes in C only in a one-shot ``dumps`` without ``indent``,
-    so the report is encoded one top-level field at a time, and a top-level
-    list, iterator or token table one slice of _JSON_SLICE items at a time.
+    Every other top-level field is one ``_dumps`` call, in C; a token
+    table, the one field that grows with the input, streams its slices.
     """
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
             fh.write(", " if i else "")
-            if isinstance(value, _TokenTable):
-                slices = value.slices()
-            elif isinstance(value, (list, Iterator)):
-                items = iter(value)
-                slices = (_dumps(chunk)[1:-1] for chunk in iter(lambda: list(itertools.islice(items, _JSON_SLICE)), []))
-            else:
+            if not isinstance(value, _TokenTable):
                 fh.write(_dumps({key: value})[1:-1])
                 continue
             fh.write(_dumps({key: []})[1:-2])  # '"key": ['
-            for j, text in enumerate(slices):
+            for j, text in enumerate(value.slices()):
                 fh.write(", " + text if j else text)
             fh.write("]")
         fh.write("}\n")

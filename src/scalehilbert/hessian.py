@@ -21,9 +21,10 @@ pair-isometry defects and keeps only those scalars, so no graph Gram is
 formed), the kernel report (a full-rank proof from the ``eigh`` pairs,
 else one SVD, whose kernel and range complement give the largest
 principal angle directly),
-the resolvent at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
-result also gives its condition guard) with its normality pair and its
-consistency bound (the eigen-residuals of the ``eigh`` pairs), the
+the resolvent B at :data:`DEFAULT_RESOLVENT_POINT` (one ``inv``, whose
+result also gives its condition guard, held as the one array) with its
+normality pair, its consistency bound (the eigen-residuals of the ``eigh``
+pairs) and its own residual (formed only where a report reads it), the
 fractal weight, and the equivalence constants of every grade
 (:attr:`OperatorAnalysis.equivalence`): for an explicit scale one loop of
 values-only generalized solves in the kept eigenbasis, each grade's Gram
@@ -60,7 +61,6 @@ __all__ = [
     "SpectrumError",
     "KernelReport",
     "SpectralData",
-    "ResolventData",
     "EigenbasisPass",
     "check_kernel_cokernel",
     "regularity_constant",
@@ -171,15 +171,6 @@ class EigenbasisPass:
     pair: float
 
 
-@dataclass(frozen=True, eq=False)
-class ResolventData:
-    """The inverse B of (operator - :data:`DEFAULT_RESOLVENT_POINT` * identity),
-    read-only (frozen by :func:`resolvent`), and its residual."""
-
-    b_matrix: np.ndarray
-    residual: float
-
-
 def graph_ladder(matrix: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Grams of the graph-norm ladder: G_0 = identity and
     G_{k+1} = G_k + A^T G_k A, symmetrized at every step. Grade 1 is the
@@ -229,9 +220,20 @@ class OperatorAnalysis:
         return check_kernel_cokernel(self)
 
     @cached_property
-    def resolvent(self) -> ResolventData:
-        """The resolvent at :data:`DEFAULT_RESOLVENT_POINT`."""
+    def resolvent(self) -> np.ndarray:
+        """The read-only resolvent B of :func:`resolvent`."""
         return resolvent(self.op)
+
+    @cached_property
+    def resolvent_residual(self) -> float:
+        """||(A - point I) B - I||_F of the shared resolvent B at the point
+        :data:`DEFAULT_RESOLVENT_POINT`, formed as A B - point B, A B as a
+        real product on B's float view."""
+        b, point = self.resolvent, DEFAULT_RESOLVENT_POINT
+        product = (self.op.matrix @ b.view(float)).view(complex)
+        product -= point * b
+        product.flat[:: self.op.n + 1] -= 1.0
+        return linalg.frobenius(product)
 
     @cached_property
     def normality(self) -> tuple[float, float]:
@@ -267,8 +269,8 @@ class OperatorAnalysis:
 
     @cached_property
     def consistency(self) -> float:
-        """:func:`resolvent_consistency` of the shared spectral data."""
-        return resolvent_consistency(self, self.spectral)
+        """:func:`resolvent_consistency` of this analysis."""
+        return resolvent_consistency(self)
 
     @cached_property
     def eigenbasis_pass(self) -> EigenbasisPass:
@@ -446,16 +448,16 @@ def graph_equivalence_constants(an: OperatorAnalysis) -> tuple[float, float]:
     return an.equivalence[0]
 
 
-def resolvent(op: ScaleOperator) -> ResolventData:
-    """Invert (operator - point * identity) at the off-axis point
-    :data:`DEFAULT_RESOLVENT_POINT`, where the inverse exists
-    unconditionally for symmetric operators.
+def resolvent(op: ScaleOperator) -> np.ndarray:
+    """The inverse B of (operator - point * identity), read-only, at the
+    off-axis point :data:`DEFAULT_RESOLVENT_POINT`, where the inverse
+    exists unconditionally for symmetric operators.
 
     An exactly singular inversion, a non-finite inverse B or
     n eps kappa_1 >= 1, with the 1-norm condition number
     kappa_1 = ||A - point I||_1 ||B||_1 read off the inverse, raise
-    :class:`SpectrumError`. The residual (A - point I) B - I is formed as
-    A B - point B, A B as a real product on B's float view.
+    :class:`SpectrumError`. The residual of B is
+    :attr:`OperatorAnalysis.resolvent_residual`.
     """
     point = DEFAULT_RESOLVENT_POINT
     shifted = op.matrix.astype(complex)
@@ -468,15 +470,12 @@ def resolvent(op: ScaleOperator) -> ResolventData:
     del shifted
     if not op.n * linalg.EPS * kappa < 1.0:  # also when b holds NaN or inf
         raise SpectrumError(f"resolvent point on spectrum: {point}")
-    product = (op.matrix @ b.view(float)).view(complex)  # A B, one real product on B's float view
-    product -= point * b
-    product.flat[:: op.n + 1] -= 1.0
     b.setflags(write=False)
-    return ResolventData(b_matrix=b, residual=linalg.frobenius(product))
+    return b
 
 
-def normality_defect(r: ResolventData) -> tuple[float, float]:
-    """(commutator defect, adjoint defect) of a resolvent.
+def normality_defect(b: np.ndarray) -> tuple[float, float]:
+    """(commutator defect, adjoint defect) of a resolvent B.
 
     The commutator defect ||B*B - BB*||_F / ||B||_F^2 vanishes exactly
     when B is normal. The adjoint defect compares B* with the resolvent
@@ -485,7 +484,6 @@ def normality_defect(r: ResolventData) -> tuple[float, float]:
     (no second inversion). Both are zero in exact arithmetic when the
     operator is symmetric.
     """
-    b = r.b_matrix
     bh = b.conj().T
     norm_b = linalg.frobenius(b)
     commutator = linalg.frobenius(bh @ b - b @ bh) / norm_b**2
@@ -515,9 +513,10 @@ def spectral_decompose(an: OperatorAnalysis) -> SpectralData:
     return an.spectral
 
 
-def resolvent_consistency(an: OperatorAnalysis, data: SpectralData) -> float:
-    """Bound on the mismatch between the eigenvalues gamma and point + 1/mu,
-    mu the eigenvalues of the shared resolvent B at the default point.
+def resolvent_consistency(an: OperatorAnalysis) -> float:
+    """Bound on the mismatch between the eigenvalues gamma of the pairs of
+    :func:`spectral_decompose` (its gate applies) and point + 1/mu, mu the
+    eigenvalues of the analysis's resolvent B at the default point.
 
     Each pair (gamma_i, v_i) claims the eigenpair (1/(gamma_i - point),
     v_i) of B. B is normal (the resolvent-normality certificate), so an
@@ -532,7 +531,7 @@ def resolvent_consistency(an: OperatorAnalysis, data: SpectralData) -> float:
     so the defect stays of order eps ||A|| however wide the spectrum. The
     residuals B V are one real product with B's float view.
     """
-    b = an.resolvent.b_matrix
+    b, data = an.resolvent, spectral_decompose(an)
     v, shift = data.vectors, data.gammas - DEFAULT_RESOLVENT_POINT
     mu = 1.0 / shift
     g = np.abs(np.subtract.outer(mu, mu))

@@ -99,7 +99,7 @@ def _positivity_defect(an: OperatorAnalysis) -> float:
 OPERATOR_CERTIFICATES = (
     SYMMETRY := Certificate("symmetry", SYMMETRY_TOL, lambda an: an.symmetry),
     KERNEL_ANGLE := Certificate("kernel-cokernel-angle", 1e-8, lambda an: an.kernel.subspace_angle),
-    Certificate("resolvent-residual", 1e-8, lambda an: an.resolvent.residual),
+    Certificate("resolvent-residual", 1e-8, lambda an: an.resolvent_residual),
     NORMALITY := Certificate("resolvent-normality", 1e-10, lambda an: an.normality[0]),
     ADJOINT := Certificate("resolvent-adjoint", 1e-10, lambda an: an.normality[1]),
     CONSISTENCY := Certificate("eigenvalue-resolvent-consistency", 1e-8, lambda an: an.consistency),

@@ -989,12 +989,28 @@ class TestReportFormat:
         assert_same_text(text, json_text(report))
         json.loads(text, parse_constant=reject_non_finite)
 
+    @classmethod
+    def token_table(cls, rows):
+        """``rows`` as a token table fed by an iterator over two column blocks,
+        whose tokens are built here, and its keys."""
+        keys = tuple(cls.rows(1)[0])
+        half = len(rows) // 2
+        blocks = [[[repr(row[key]) for row in part] for key in keys] for part in (rows[:half], rows[half:])]
+        return cli._TokenTable(keys, iter(blocks), "report.csv"), keys
+
     @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE, cli._JSON_SLICE + 1])
     def test_writer_writes_an_iterator_as_its_list(self, count):
+        # the one streamed field: a token table fed by an iterator of blocks
+        # is written as the list of its row dicts, across slice boundaries
         rows = self.rows(count)
-        cli._write_json("report.json", {"command": "x", "rows": iter(rows), "tail": (row["k"] for row in rows)})
+        if rows:
+            rows[-1]["ratio"] = float("nan")
+        table, keys = self.token_table(rows)
+        cli._write_json("report.json", {"command": "x", "rows": table, "tail": [row["k"] for row in rows]})
         with open("report.json") as fh:
-            assert fh.read() == json.dumps({"command": "x", "rows": rows, "tail": [row["k"] for row in rows]}) + "\n"
+            assert fh.read() == json_text({"command": "x", "rows": rows, "tail": [row["k"] for row in rows]})
+        with open("report.csv", "rb") as fh:
+            assert fh.read() == csv_writer_text(keys, [[row[key] for key in keys] for row in rows])
 
     @pytest.mark.parametrize(
         "argv",
@@ -1045,12 +1061,13 @@ class TestReportFormat:
         assert text.count("\n") == 1
 
     def test_writer_holds_one_slice(self):
-        # the 4096 rows of sobolev-demo --nu-max 1024 --k-max 3; one json.dumps
-        # of the whole report builds its chunk list and text, about 3.7 MiB
-        report = {"command": "x", "rows": self.rows(4096)}
+        # the 4096 rows of sobolev-demo --nu-max 1024 --k-max 3 as a token
+        # table; one json.dumps of them as dicts builds a chunk list and text
+        # of about 3.7 MiB, while the table streams one slice at a time
+        table, _ = self.token_table(self.rows(4096))
         tracemalloc.start()
         try:
-            cli._write_json("report.json", report)
+            cli._write_json("report.json", {"command": "x", "rows": table})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

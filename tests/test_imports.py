@@ -1,6 +1,7 @@
 """Every module-level import in ``src/scalehilbert`` is used or exported,
 the dense generalized eigensolve and the SVD each have one set of
-callers, ``OperatorAnalysis`` has one set of construction sites, and the
+callers, the resolvent's residual has one reader, ``OperatorAnalysis``
+has one set of construction sites, and the
 analysis is the one way into the certificates: no function is annotated
 to take either an operator or an analysis, and the analysis has no
 classmethod, such as a constructor that passes an analysis through.
@@ -116,6 +117,13 @@ def test_svd_has_one_route_to_the_rank():
     # the kernel certificate's fallback after its full-rank proof, which
     # also reads the largest principal angle off its own subspaces
     assert callers_in_src("svd") == {"hessian.check_kernel_cokernel"}
+
+
+def test_resolvent_residual_has_one_reader():
+    # B is one array; its residual is formed in OperatorAnalysis.resolvent_residual
+    # and read by the registry's resolvent-residual entry alone
+    assert callers_in_src("resolvent_residual") == {"verify.<module>"}
+    assert callers_in_src("ResolventData") == set()
 
 
 def test_walker_finds_constructions():

@@ -117,6 +117,15 @@ def test_batch_factorizes_once_per_operator(kernel_calls):
     assert kernel_calls.svd_uv == [True, False] * 3
 
 
+def test_batch_leaves_the_residual_unformed():
+    # the batch reports no resolvent-residual, so a row reads B but never
+    # forms the residual's n x 2n product
+    an = OperatorAnalysis(standard_operator_set(count=1)[0])
+    row = verify._analysis_row(an)
+    assert "resolvent" in vars(an) and "resolvent_residual" not in vars(an)
+    assert "resolvent-residual" not in row
+
+
 def test_determinism_rerun_recomputes(kernel_calls, monkeypatch):
     """Criterion 9 compares two independent runs: the second core pass
     must redo every factorization rather than read one kept from the first.

@@ -68,6 +68,22 @@ SVD runs:
 
 Read as the smallest angle, the second row would pass at 1e-12.
 
+The full-rank proof's last rounding widening, through
+``check_kernel_cokernel`` on diag(t, 1): the eigenpairs are exact, so the
+flip t0, the largest t the proof declines, is where the widened lower
+bound meets n eps times the upper one, about 5 eps. Both sides report
+full rank; only the route differs:
+
+| t | proof | SVD calls (compute_uv) |
+|---|---|---|
+| t0 = 1.1102230246251593e-15 | declines | 2 (True, False) |
+| nextafter(t0, 1) | proves | none |
+
+Without the (1 - g(4)) factor on the lower bound the proof accepts t0:
+its flip moves one ulp down, to 1.1102230246251591e-15. The test finds t0
+by bisection and pins it to the row above where the environment matches
+``tests/golden/environment.json``.
+
 graph-equivalence-positivity, through ``hessian-analyze`` on
 A = [[1, 1], [1, -1]] (gamma = +-sqrt 2) with the scale of diagonal grades
 1, g and 1e308 (each weight constant over both indices):
@@ -117,20 +133,20 @@ positions 20 and 13:
 The consistency check passes the rotation (6.4e-11) by design: by the
 Temple bound an eigenvalue is second order in a vector error.
 
-The resolvent B of the same operator, by cache patch on
-``OperatorAnalysis.resolvent`` (its residual kept), plus a perturbation E
-with ||E||_F = 1e-7 ||B||_F, E drawn from default_rng(11): the symmetric
+The resolvent B of the same operator, by cache patch on the array
+``OperatorAnalysis.resolvent``, plus a perturbation E with
+||E||_F = 1e-7 ||B||_F, E drawn from default_rng(11): the symmetric
 C + C^T of its first standard normal 24 x 24 draw C, or its second draw
-as is:
+as is. The residual is formed from the B it reads, the patched one:
 
 | control | fails (defect) |
 |---|---|
-| B + symmetric E | resolvent-normality (1.36e-8), eigenvalue-resolvent-consistency (5.36e-8) |
-| B + nonsymmetric E | resolvent-normality (1.91e-8), resolvent-adjoint (1.42e-7), eigenvalue-resolvent-consistency (3.68e-8) |
+| B + symmetric E | resolvent-residual (5.21e-7), resolvent-normality (1.36e-8), eigenvalue-resolvent-consistency (5.36e-8) |
+| B + nonsymmetric E | resolvent-residual (5.19e-7), resolvent-normality (1.91e-8), resolvent-adjoint (1.42e-7), eigenvalue-resolvent-consistency (3.68e-8) |
 
 A symmetric E keeps B^T = B, so only the adjoint passes it.
-resolvent-residual has no eigenpair row; its control is
-``conjugated_diagonal(d, seed=3)`` under the graph default:
+resolvent-residual has no eigenpair row; its control from the operator
+itself is ``conjugated_diagonal(d, seed=3)`` under the graph default:
 
 | control | resolvent-residual | fails |
 |---|---|---|
@@ -153,15 +169,16 @@ import math
 import numpy as np
 import pytest
 
-from scalehilbert import linalg, sobolev_circle, verify
+from scalehilbert import hessian, linalg, sobolev_circle, verify
 from scalehilbert.cli import main
-from scalehilbert.hessian import (OperatorAnalysis, ResolventData, ScaleOperator, SpectralData, check_kernel_cokernel,
-                                  conjugated_diagonal, spectral_decompose)
+from scalehilbert.hessian import (OperatorAnalysis, ScaleOperator, SpectralData, check_kernel_cokernel, conjugated_diagonal,
+                                  spectral_decompose)
 from scalehilbert.verify import (DEFAULT_SEED, KERNEL_ANGLE, OPERATOR_CERTIFICATES, analyze_operator_batch,
                                  criterion_resolvent_normality, criterion_sigma_witness, criterion_sobolev_oracle,
                                  run_verify_all, standard_operator_set)
 from scalehilbert.weights import poly_plus_one_weight
 
+from test_golden import EXACT
 from test_linalg import prescribed_bases, with_kernel_pair
 
 closed_form = sobolev_circle.fourier_gram_closed_form
@@ -335,6 +352,39 @@ def test_kernel_angle_reads_the_largest_angle(angles, low, high):
     assert (report.subspace_angle <= KERNEL_ANGLE.tol) == (max(angles) < KERNEL_ANGLE.tol)
 
 
+# the largest t at which the full-rank proof declines diag(t, 1), measured in
+# the environment of tests/golden/environment.json
+PROOF_FLIP = 1.1102230246251593e-15
+
+
+def full_rank_proved(t):
+    return hessian._full_rank_proved(OperatorAnalysis(ScaleOperator(np.diag([t, 1.0]))))
+
+
+def proof_flip():
+    """The largest t in [0, 1] at which the full-rank proof declines
+    diag(t, 1), by bisection over the ordered bits of the positive doubles."""
+    lo, hi = (np.float64(x).view(np.int64) for x in (0.0, 1.0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if full_rank_proved(float(np.int64(mid).view(np.float64))) else (mid, hi)
+    return float(np.int64(lo).view(np.float64))
+
+
+@pytest.mark.parametrize("above, svd_uv", [(False, [True, False]), (True, [])], ids=["declined", "proved"])
+def test_full_rank_proof_widening_control(monkeypatch, above, svd_uv):
+    t0 = proof_flip()
+    if EXACT:  # elsewhere the flip may move with the eigensolver's rounding
+        assert t0 == PROOF_FLIP
+    t = np.nextafter(t0, 1.0) if above else t0
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(kwargs.get("compute_uv", True))
+                        or svd(*args, **kwargs))
+    report = check_kernel_cokernel(OperatorAnalysis(ScaleOperator(np.diag([t, 1.0]))))
+    assert (report.ker_dim, report.subspace_angle) == (0, 0.0)
+    assert calls == svd_uv
+
+
 SYMMETRY_CONTROL_FAILS = {"symmetry": (1.99e-10, 2.01e-10)}
 
 
@@ -416,9 +466,8 @@ def goe_analysis(gammas=None, vectors=None, perturbation=None):
         an.spectral = SpectralData(d.gammas if gammas is None else gammas(d.gammas.copy()),
                                    d.vectors if vectors is None else vectors(d.vectors.copy()))
     if perturbation is not None:
-        r, e = an.resolvent, perturbation()
-        an.resolvent = ResolventData(r.b_matrix + e * (1e-7 * linalg.frobenius(r.b_matrix) / linalg.frobenius(e)),
-                                     r.residual)
+        b, e = an.resolvent, perturbation()
+        an.resolvent = b + e * (1e-7 * linalg.frobenius(b) / linalg.frobenius(e))
     return an
 
 
@@ -454,10 +503,11 @@ REROUTED_CONTROLS = {
         "spectral-reconstruction": (7.1e-7, 7.3e-7), "fractal-certificate": (1.9e-6, 2.0e-6),
         "restriction-invariance": (2.6e-6, 2.8e-6), "pair-isometry": (7.6e-7, 7.9e-7)}),
     "b-symmetric": (goe_analysis, lambda: goe_analysis(perturbation=symmetric_e), {
-        "resolvent-normality": (1.35e-8, 1.37e-8), "eigenvalue-resolvent-consistency": (5.3e-8, 5.4e-8)}),
+        "resolvent-residual": (5.19e-7, 5.22e-7), "resolvent-normality": (1.35e-8, 1.37e-8),
+        "eigenvalue-resolvent-consistency": (5.3e-8, 5.4e-8)}),
     "b-nonsymmetric": (goe_analysis, lambda: goe_analysis(perturbation=nonsymmetric_e), {
-        "resolvent-normality": (1.9e-8, 1.92e-8), "resolvent-adjoint": (1.41e-7, 1.43e-7),
-        "eigenvalue-resolvent-consistency": (3.6e-8, 3.7e-8)}),
+        "resolvent-residual": (5.17e-7, 5.2e-7), "resolvent-normality": (1.9e-8, 1.92e-8),
+        "resolvent-adjoint": (1.41e-7, 1.43e-7), "eigenvalue-resolvent-consistency": (3.6e-8, 3.7e-8)}),
     "ill-conditioned": (lambda: OperatorAnalysis(conjugated_diagonal([1.0, 1.0, 0.5, -2.0], seed=3), 3),
                         lambda: OperatorAnalysis(conjugated_diagonal([1e9, 1.0, 0.5, -2.0], seed=3), 3), {
         "resolvent-residual": (2.6e-8, 2.8e-8), "resolvent-normality": (2.9e-9, 3.1e-9),
@@ -467,7 +517,7 @@ REROUTED_CONTROLS = {
 }
 # the entries whose defects the eigenbasis pass and the resolvent compute -> their controls
 REROUTED = {
-    "resolvent-residual": ["ill-conditioned"],
+    "resolvent-residual": ["ill-conditioned", "b-symmetric", "b-nonsymmetric"],
     "resolvent-normality": ["b-symmetric", "b-nonsymmetric"],
     "resolvent-adjoint": ["b-nonsymmetric"],
     "eigenvalue-resolvent-consistency": ["gamma-5-shift", "b-symmetric"],
